@@ -14,8 +14,10 @@ the top is vacuous.
 Weights, when present, must satisfy: the unit has weight 0, a degree-i
 element has weight between i and 2i, and both multiplication and the
 differential preserve weight.  Degree-one elements therefore split into a
-weight-1 and a weight-2 component; ``weight_components`` computes that
-splitting for any degree.
+weight-1 and a weight-2 component.
+
+``family`` names the builder in ``models`` that made a model, with its
+parameters; decoded models and tensor products carry ``family = None``.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ class CdgaError(ValueError):
 
 
 class Cdga:
+    family = None
+
     def __init__(self, field, name, basis, diff, mult, weights=None):
         """
         basis:   list of label lists, one per degree 0..top_degree
@@ -165,21 +169,6 @@ class Cdga:
         if self.weights is None:
             raise CdgaError(f"model {self.name} carries no weights")
         return self.weights[i][k]
-
-    def weight_components(self, i, vec):
-        """Split a degree-i vector by weight: dict weight -> vector."""
-        if self.weights is None:
-            raise CdgaError(f"model {self.name} carries no weights")
-        f = self.field
-        out = {}
-        for k, x in enumerate(vec):
-            if f.is_zero(x):
-                continue
-            w = self.weights[i][k]
-            if w not in out:
-                out[w] = [f.zero] * self.dim(i)
-            out[w][k] = x
-        return out
 
     # -- validation ---------------------------------------------------------
 
@@ -388,19 +377,9 @@ class CdgaMorphism:
                                 f"{self.source.label(i, k)}")
         return failures
 
-    def is_injective(self):
-        return all(rank(self.maps[i]) == self.source.dim(i)
-                   for i in range(self.source.top_degree + 1))
-
     def __repr__(self):
         return (f"CdgaMorphism({self.name}: {self.source.name} -> "
                 f"{self.target.name})")
-
-
-def tensor_product(a, b, name=None):
-    """Graded tensor product, truncated at degree 3; returns just the model."""
-    t, _, _ = tensor_product_with_inclusions(a, b, name=name)
-    return t
 
 
 def tensor_product_with_inclusions(a, b, name=None):

@@ -25,7 +25,7 @@ from .liealg import LieError, build_sl, rep_adjoint, rep_defining, \
     rep_direct_sum, rep_trivial
 from .linalg import LinalgError
 from .models import build_compact_curve
-from .scalars import GF, QQ, ScalarError, field_tag
+from .scalars import QQ, ScalarError, field_from_tag, field_tag
 from .scenarios import (ScenarioError, describe_scenarios, run_all,
                         run_scenario, scenario_names)
 from .serialize import (SerializeError, connection_from_json,
@@ -44,22 +44,6 @@ MALFORMED = (CliInputError, SerializeError, ScenarioError, ScalarError,
              CdgaError, LieError, FlatConnError, HolonomyError, AomotoError,
              GroupError, LinalgError, json.JSONDecodeError, OSError,
              KeyError, TypeError)
-
-
-def parse_field(text):
-    if text in (None, "", "q"):
-        return QQ
-    if text == "f3":
-        return GF(3)
-    if text == "f5":
-        return GF(5)
-    if text.startswith("fp:"):
-        try:
-            p = int(text[3:])
-        except ValueError:
-            raise CliInputError(f"bad prime in field spec {text!r}")
-        return GF(p)
-    raise CliInputError(f"unknown field {text!r} (want q, f3, f5, or fp:P)")
 
 
 def load_input(args, required=True):
@@ -392,7 +376,7 @@ def cmd_rep_check(args, f):
 def cmd_scenario(args, f):
     name = args.name
     seed = args.seed if args.seed is not None else 0
-    field = parse_field(args.field) if args.field else None
+    field = f if args.field is not None else None
     if name == "list":
         payload = [{"name": n, "description": d}
                    for n, d in describe_scenarios()]
@@ -436,7 +420,7 @@ def build_parser():
     common.add_argument("--input", metavar="FILE",
                         help="JSON file path, or an inline {...} literal")
     common.add_argument("--field", metavar="F",
-                        help="q (default), f3, f5, or fp:P for an odd prime")
+                        help="q (default), or fP or fp:P for an odd prime P")
     common.add_argument("--json", action="store_true",
                         help="emit a machine-readable report")
     common.add_argument("--seed", type=int, metavar="N",
@@ -479,7 +463,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     handler = HANDLERS[args.command]
     try:
-        f = parse_field(args.field)
+        f = QQ if args.field is None else field_from_tag(args.field)
         code, payload, lines = handler(args, f)
     except NotFlatError as exc:
         residual = exc.args[0] if exc.args else []

@@ -292,6 +292,36 @@ def flatness_tensors(cdga, lie):
     return lmat, qmats
 
 
+def _scan(lmat, qmats, p, kdim, lo, hi):
+    """Evaluate residual_j = (L w)_j + w^T Q_j w mod p at the candidates
+    w in F_p^kdim with lexicographic positions lo..hi-1.
+
+    Yields (start, w, mask) per chunk of 2^17 candidates: the chunk's first
+    position, its candidates as rows, and where every residual vanishes.
+    Chunks bound the memory; the full candidate array is never built.
+    """
+    import numpy as np
+
+    rdim = len(lmat)
+    lnp = np.array(lmat, dtype=np.int64).reshape(rdim, kdim) % p
+    qnp = [np.array(q, dtype=np.int64) % p for q in qmats]
+    place = np.array([p ** (kdim - 1 - t) for t in range(kdim)],
+                     dtype=np.int64)
+    chunk = 1 << 17
+    for start in range(lo, hi, chunk):
+        stop = min(start + chunk, hi)
+        idx = np.arange(start, stop, dtype=np.int64)
+        w = (idx[:, None] // place[None, :]) % p
+        if rdim == 0:
+            mask = np.ones(len(idx), dtype=bool)
+        else:
+            res = w @ lnp.T
+            for j in range(rdim):
+                res[:, j] += np.einsum("ni,ij,nj->n", w, qnp[j], w)
+            mask = ((res % p) == 0).all(axis=1)
+        yield start, w, mask
+
+
 def brute_force_flat(cdga, lie, jobs=1):
     """All flat connections over a prime field, in lexicographic order of
     the flattened (row-major) coefficient vector.
@@ -301,7 +331,6 @@ def brute_force_flat(cdga, lie, jobs=1):
     are concatenated in slice order, so the output is identical for any job
     count.
     """
-    import numpy as np
     from concurrent.futures import ThreadPoolExecutor
 
     f = cdga.field
@@ -316,28 +345,10 @@ def brute_force_flat(cdga, lie, jobs=1):
             f"{p}^{kdim} = {total} candidates exceed the "
             f"{BRUTE_FORCE_CEILING} ceiling")
     lmat, qmats = flatness_tensors(cdga, lie)
-    rdim = len(lmat)
-    lnp = np.array(lmat, dtype=np.int64).reshape(rdim, kdim) if rdim else None
-    qnp = [np.array(q, dtype=np.int64) % p for q in qmats]
-    if rdim:
-        lnp = lnp % p
-    place = np.array([p ** (kdim - 1 - t) for t in range(kdim)],
-                     dtype=np.int64)
 
     def scan(lo, hi):
         hits = []
-        chunk = 1 << 17
-        for start in range(lo, hi, chunk):
-            stop = min(start + chunk, hi)
-            idx = np.arange(start, stop, dtype=np.int64)
-            w = (idx[:, None] // place[None, :]) % p
-            if rdim == 0:
-                mask = np.ones(len(idx), dtype=bool)
-            else:
-                res = w @ lnp.T
-                for j in range(rdim):
-                    res[:, j] += np.einsum("ni,ij,nj->n", w, qnp[j], w)
-                mask = ((res % p) == 0).all(axis=1)
+        for _, w, mask in _scan(lmat, qmats, p, kdim, lo, hi):
             for row in w[mask]:
                 hits.append(tuple(int(v) for v in row))
         return hits

@@ -18,12 +18,16 @@ b1 = dim ker D1 - rank D0, b2 = m dim V - rank D1.
 
 Degree-2 jump-locus membership is only meaningful when the presentation
 complex is aspherical; the builders for free and surface groups mark it so.
+They also record their family in ``family``, ``("free", n)`` or
+``("surface", g)``; decoded groups carry ``family = None``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .liealg import (build_sol2, rep_defining, sl_matrices,
+                     traceless_coordinates)
 from .linalg import Matrix, det, invert, kernel_basis, rank, vstack_all
 from .scalars import same_field
 
@@ -43,12 +47,8 @@ def parse_word(generators, text):
             name, sign = token, 1
         if name not in index:
             raise GroupError(f"unknown generator {name!r}")
-        letter = sign * index[name]
-        if out and out[-1] == -letter:
-            out.pop()
-        else:
-            out.append(letter)
-    return tuple(out)
+        out.append(sign * index[name])
+    return free_reduce(out)
 
 
 def free_reduce(word):
@@ -62,6 +62,8 @@ def free_reduce(word):
 
 
 class FpGroup:
+    family = None
+
     def __init__(self, generators, relators, aspherical=False, name=""):
         self.generators = list(generators)
         if len(set(self.generators)) != len(self.generators):
@@ -98,8 +100,10 @@ class FpGroup:
 def free_group(n, name=None):
     if n < 1:
         raise GroupError("free group needs n >= 1")
-    return FpGroup([f"x{i}" for i in range(1, n + 1)], [], aspherical=True,
-                   name=name or f"free_{n}")
+    group = FpGroup([f"x{i}" for i in range(1, n + 1)], [], aspherical=True,
+                    name=name or f"free_{n}")
+    group.family = ("free", n)
+    return group
 
 
 def surface_group(g, name=None):
@@ -111,8 +115,10 @@ def surface_group(g, name=None):
         gens += [f"a{i}", f"b{i}"]
     relator = " ".join(
         f"a{i} b{i} a{i}^-1 b{i}^-1" for i in range(1, g + 1))
-    return FpGroup(gens, [relator], aspherical=True,
-                   name=name or f"surface_{g}")
+    group = FpGroup(gens, [relator], aspherical=True,
+                    name=name or f"surface_{g}")
+    group.family = ("surface", g)
+    return group
 
 
 TARGETS = ("GL", "SL", "Borel")
@@ -194,10 +200,7 @@ def rep_check(rep):
 
 def fixed_vector(rep):
     """(exists, witness): a nonzero simultaneously fixed vector, if any."""
-    f = rep.field
-    ident = Matrix.identity(f, rep.dim)
-    stacked = vstack_all(f, [m - ident for m in rep.matrices], rep.dim)
-    ker = kernel_basis(stacked)
+    ker = kernel_basis(d0_matrix(rep))
     return bool(ker), (ker[0] if ker else None)
 
 
@@ -262,34 +265,18 @@ def adjoint_rep(rep):
     """Compose with the adjoint action of the target group.
 
     SL: conjugation on trace-zero matrices in the build_sl basis order.
-    Borel: conjugation on the upper-triangular trace-zero 2x2 matrices,
-    basis (diag(1,-1), upper unit).  GL has no canonical choice here.
+    Borel: conjugation on the upper-triangular trace-zero 2x2 matrices, in
+    the basis of the defining sol2 matrices (diag(1,-1), upper unit).  GL
+    has no canonical choice here.
     """
     f = rep.field
     if rep.target == "SL":
-        n = rep.dim
-        basis = []
-        pairs = [(i, j) for i in range(n) for j in range(n) if i < j]
-        pairs += [(i, j) for i in range(n) for j in range(n) if i > j]
-        for i, j in pairs:
-            m = Matrix.zero(f, n, n).to_lists()
-            m[i][j] = f.one
-            basis.append(Matrix(f, m))
-        for i in range(n - 1):
-            m = Matrix.zero(f, n, n).to_lists()
-            m[i][i] = f.one
-            m[i + 1][i + 1] = f.neg(f.one)
-            basis.append(Matrix(f, m))
+        basis = [Matrix(f, m) for m in sl_matrices(rep.dim)]
 
         def coords(mat):
-            out = [mat[i, j] for i, j in pairs]
-            partial = f.zero
-            for i in range(n - 1):
-                partial = f.add(partial, mat[i, i])
-                out.append(partial)
-            return out
+            return traceless_coordinates(mat.rows)
     elif rep.target == "Borel":
-        basis = [Matrix(f, [[1, 0], [0, -1]]), Matrix(f, [[0, 1], [0, 0]])]
+        basis = rep_defining(build_sol2(f)).matrices
 
         def coords(mat):
             return [mat[0, 0], mat[0, 1]]

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .flatconn import FlatConnection, is_flat
+from .flatconn import FlatConnection, _scan, is_flat
 from .linalg import Matrix
 from .models import build_surface_model
 
@@ -270,26 +270,9 @@ def relation_check_mask(pres, lie, count):
     f = pres.field
     if not isinstance(f, PrimeField):
         raise HolonomyError("mask evaluation needs a prime field")
-    p = f.p
-    n, dg = len(pres.generators), lie.dim
-    kdim = n * dg
     lmat, qmats = relation_tensors(pres, lie)
-    rdim = len(lmat)
-    lnp = np.array(lmat, dtype=np.int64) % p
-    qnp = [np.array(q, dtype=np.int64) % p for q in qmats]
-    place = np.array([p ** (kdim - 1 - t) for t in range(kdim)],
-                     dtype=np.int64)
+    kdim = len(pres.generators) * lie.dim
     out = np.zeros(count, dtype=bool)
-    chunk = 1 << 17
-    for start in range(0, count, chunk):
-        stop = min(start + chunk, count)
-        idx = np.arange(start, stop, dtype=np.int64)
-        w = (idx[:, None] // place[None, :]) % p
-        if rdim == 0:
-            out[start:stop] = True
-            continue
-        res = w @ lnp.T
-        for j in range(rdim):
-            res[:, j] += np.einsum("ni,ij,nj->n", w, qnp[j], w)
-        out[start:stop] = ((res % p) == 0).all(axis=1)
+    for start, _, mask in _scan(lmat, qmats, f.p, kdim, 0, count):
+        out[start:start + len(mask)] = mask
     return out

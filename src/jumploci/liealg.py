@@ -6,9 +6,12 @@ index pairs i < j only, so antisymmetry holds by construction; the Jacobi
 identity is checked by ``validate``.
 
 Builders: ``build_sl(n)`` with the elementary-matrix basis E_ij (i != j,
-upper triangular block first, lex order) followed by H_i = E_ii - E_{i+1,i+1};
-``build_sol2`` with basis (h, e), [h, e] = 2e; ``build_abelian(n)`` with zero
-bracket (n = 1 is the coefficient line acting by scaling, the rank-one case).
+upper triangular block first, lex order) followed by H_i = E_ii - E_{i+1,i+1},
+the order ``sl_basis`` enumerates; ``build_sol2`` with basis (h, e),
+[h, e] = 2e; ``build_abelian(n)`` with zero bracket (n = 1 is the coefficient
+line acting by scaling, the rank-one case).  Builders record their family and
+parameters in ``family``, e.g. ``("sl", 3)``; code that depends on the family
+reads that tag, never the name.  Decoded algebras carry ``family = None``.
 
 Representations carry one square matrix per basis element and are checked at
 construction: [theta(x_i), theta(x_j)] must equal theta([x_i, x_j]).
@@ -25,6 +28,8 @@ class LieError(ValueError):
 
 
 class LieAlgebra:
+    family = None
+
     def __init__(self, field, labels, brackets, name=""):
         """brackets: dict (i, j) with i < j -> dict index -> scalar."""
         self.field = field
@@ -133,7 +138,10 @@ class LieRep:
     """A representation: one dim_V x dim_V matrix per Lie basis element.
 
     Construction verifies bracket compatibility and aborts on failure.
+    ``family`` is ``("defining",)`` on the output of ``rep_defining``.
     """
+
+    family = None
 
     def __init__(self, lie, matrices, name=""):
         self.lie = lie
@@ -182,90 +190,106 @@ class LieRep:
 # builders
 
 
+def sl_basis(n):
+    """Index pairs (i, j), 1-based, of the sl(n) basis in the one order every
+    sl(n) routine uses: E_ij for i < j in lex order, then E_ij for i > j in
+    lex order, then H_i = E_ii - E_{i+1,i+1} for i = 1..n-1, written (i, i).
+    """
+    upper = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    lower = [(i, j) for i in range(1, n + 1) for j in range(1, i)]
+    return upper + lower + [(i, i) for i in range(1, n)]
+
+
+def sl_matrices(n):
+    """The sl(n) basis as n x n integer row lists, in sl_basis order."""
+    out = []
+    for i, j in sl_basis(n):
+        m = [[0] * n for _ in range(n)]
+        if i == j:
+            m[i - 1][i - 1], m[i][i] = 1, -1
+        else:
+            m[i - 1][j - 1] = 1
+        out.append(m)
+    return out
+
+
+def traceless_coordinates(rows):
+    """Coordinates, in sl_basis order, of a traceless square matrix given as
+    row lists: the off-diagonal entries, then the running sums of the
+    diagonal for the H_i.  The sums are plain ``+``, so over a prime field
+    the caller coerces them."""
+    out, partial = [], 0
+    for i, j in sl_basis(len(rows)):
+        if i == j:
+            partial += rows[i - 1][i - 1]
+            out.append(partial)
+        else:
+            out.append(rows[i - 1][j - 1])
+    return out
+
+
 def build_sl(field, n, name=None):
-    """Traceless n x n matrices; basis E_ij (i<j lex), E_ij (i>j lex), H_i."""
+    """Traceless n x n matrices in the sl_basis order."""
     if n < 2:
         raise LieError("sl(n) needs n >= 2")
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)
-             if i < j]
-    pairs += [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)
-              if i > j]
-    labels = [f"E{i}{j}" for i, j in pairs] + [f"H{i}" for i in range(1, n)]
-
-    def as_matrix(k):
-        m = [[0] * n for _ in range(n)]
-        if k < len(pairs):
-            i, j = pairs[k]
-            m[i - 1][j - 1] = 1
-        else:
-            i = k - len(pairs)  # 0-based Cartan index
-            m[i][i] = 1
-            m[i + 1][i + 1] = -1
-        return m
-
-    def coords(m):
-        """Coordinates of a traceless matrix in this basis."""
-        out = []
-        for i, j in pairs:
-            out.append(m[i - 1][j - 1])
-        partial = 0
-        for i in range(n - 1):
-            partial += m[i][i]
-            out.append(partial)
-        return out
-
-    dim = len(labels)
-    mats = [as_matrix(k) for k in range(dim)]
+    labels = [f"H{i}" if i == j else f"E{i}{j}" for i, j in sl_basis(n)]
+    mats = sl_matrices(n)
     brackets = {}
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            x, y = mats[a], mats[b]
+    for a, x in enumerate(mats):
+        for b in range(a + 1, len(mats)):
+            y = mats[b]
             comm = [[sum(x[i][t] * y[t][j] - y[i][t] * x[t][j]
                          for t in range(n))
                      for j in range(n)] for i in range(n)]
-            vec = {m: c for m, c in enumerate(coords(comm)) if c != 0}
+            vec = {m: c for m, c in
+                   enumerate(traceless_coordinates(comm)) if c != 0}
             if vec:
                 brackets[(a, b)] = vec
     g = LieAlgebra(field, labels, brackets, name=name or f"sl{n}")
-    g.matrix_size = n
+    g.family = ("sl", n)
     return g
+
+
+def _sl_size(g):
+    """n for g = build_sl(field, n); LieError for any other algebra."""
+    match g.family:
+        case ("sl", n):
+            return n
+    raise LieError(f"{g.name} is not an algebra built by build_sl")
 
 
 def sl_root_index(g, i, j):
     """Basis index of E_ij inside build_sl output."""
-    return g.index[f"E{i}{j}"]
+    n = _sl_size(g)
+    if i == j or not (1 <= i <= n and 1 <= j <= n):
+        raise LieError(f"E{i}{j} is not a root vector of sl({n})")
+    return sl_basis(n).index((i, j))
 
 
 def sl_coordinates(g, m):
     """Coordinates of a traceless matrix in the build_sl basis order."""
-    n = g.matrix_size
+    n = _sl_size(g)
     if m.shape != (n, n):
         raise LieError(f"expected a {n}x{n} matrix, got {m.shape}")
-    f = g.field
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)
-             if i < j]
-    pairs += [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)
-              if i > j]
-    out = [m[i - 1, j - 1] for i, j in pairs]
-    partial = f.zero
-    for i in range(n - 1):
-        partial = f.add(partial, m[i, i])
-        out.append(partial)
-    return out
+    return [g.field.coerce(c) for c in traceless_coordinates(m.rows)]
 
 
 def build_sol2(field):
     """Two-dimensional solvable algebra on (h, e) with [h, e] = 2e."""
-    return LieAlgebra(field, ["h", "e"], {(0, 1): {1: field.coerce(2)}},
-                      name="sol2")
+    g = LieAlgebra(field, ["h", "e"], {(0, 1): {1: field.coerce(2)}},
+                   name="sol2")
+    g.family = ("sol2",)
+    return g
 
 
 def build_abelian(field, n):
     """Abelian Lie algebra of dimension n (all brackets zero)."""
     if n < 1:
         raise LieError("abelian algebra needs n >= 1")
-    return LieAlgebra(field, [f"x{i}" for i in range(1, n + 1)], {},
-                      name=f"abelian{n}")
+    g = LieAlgebra(field, [f"x{i}" for i in range(1, n + 1)], {},
+                   name=f"abelian{n}")
+    g.family = ("abelian", n)
+    return g
 
 
 def rep_defining(g):
@@ -276,28 +300,18 @@ def rep_defining(g):
     abelian(1): the coefficient line acting by the 1 x 1 identity
     (the rank-one local system case).
     """
-    f = g.field
-    if g.name.startswith("sl"):
-        n = g.matrix_size
-        mats = []
-        for lab in g.labels:
-            m = [[f.zero] * n for _ in range(n)]
-            if lab.startswith("E"):
-                i, j = int(lab[1]), int(lab[2])
-                m[i - 1][j - 1] = f.one
-            else:
-                i = int(lab[1:])
-                m[i - 1][i - 1] = f.one
-                m[i][i] = f.neg(f.one)
-            mats.append(Matrix(f, m))
-        return LieRep(g, mats, name="defining")
-    if g.name == "sol2":
-        h = Matrix(f, [[1, 0], [0, -1]])
-        e = Matrix(f, [[0, 1], [0, 0]])
-        return LieRep(g, [h, e], name="defining")
-    if g.name == "abelian1":
-        return LieRep(g, [Matrix(f, [[1]])], name="defining")
-    raise LieError(f"no defining representation wired for {g.name}")
+    match g.family:
+        case ("sl", n):
+            mats = sl_matrices(n)
+        case ("sol2",):
+            mats = [[[1, 0], [0, -1]], [[0, 1], [0, 0]]]
+        case ("abelian", 1):
+            mats = [[[1]]]
+        case _:
+            raise LieError(f"no defining representation wired for {g.name}")
+    rep = LieRep(g, [Matrix(g.field, m) for m in mats], name="defining")
+    rep.family = ("defining",)
+    return rep
 
 
 def rep_adjoint(g):

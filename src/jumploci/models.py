@@ -16,6 +16,9 @@ each).  Conventions fixed here, used by everything downstream:
 * arrangement Orlik-Solomon algebra from a list of normal vectors in 3
   coordinates: circuit relations, no-broken-circuit basis under the input
   order, d = 0, weights = degree.
+
+Each builder records its family and parameters in ``Cdga.family``, e.g.
+``("surface", 2)``; the samplers read that tag, never the model name.
 """
 
 from __future__ import annotations
@@ -42,8 +45,10 @@ def build_compact_curve(field, g, name=None):
         mult[(1, ai, 1, bi)] = {0: one}
         mult[(1, bi, 1, ai)] = {0: field.neg(one)}
     weights = [[0], [1] * (2 * g), [2]]
-    return Cdga(field, name or f"compact_curve_g{g}", basis, {}, mult,
-                weights=weights)
+    model = Cdga(field, name or f"compact_curve_g{g}", basis, {}, mult,
+                 weights=weights)
+    model.family = ("compact_curve", g)
+    return model
 
 
 def build_open_curve(field, n, name=None):
@@ -53,8 +58,10 @@ def build_open_curve(field, n, name=None):
         raise CdgaError("open curve model needs n >= 2")
     basis = [["1"], [f"a{i}" for i in range(1, n + 1)], []]
     weights = [[0], [1] * n, []]
-    return Cdga(field, name or f"open_curve_n{n}", basis, {}, {},
-                weights=weights)
+    model = Cdga(field, name or f"open_curve_n{n}", basis, {}, {},
+                 weights=weights)
+    model.family = ("open_curve", n)
+    return model
 
 
 def build_surface_model(field, g, name=None):
@@ -109,8 +116,10 @@ def build_surface_model(field, g, name=None):
     # d(a_i t) = (da_i) t - a_i (dt) = -a_i om = 0 since the surface algebra
     # has nothing in degree 3.
     weights = [[0], [1] * (2 * g) + [2], [2] + [3] * (2 * g), [4]]
-    return Cdga(field, name or f"surface_g{g}", basis, diff, mult,
-                weights=weights)
+    model = Cdga(field, name or f"surface_g{g}", basis, diff, mult,
+                 weights=weights)
+    model.family = ("surface", g)
+    return model
 
 
 def curve_inclusion(field, g):
@@ -167,8 +176,10 @@ def build_torus_model(field, n, top=None, name=None):
                     mult[(i, k, j, l)] = {
                         index[i + j][u]: field.coerce(c)}
     weights = [[k] * len(subsets[k]) for k in range(top + 1)]
-    return Cdga(field, name or f"torus_n{n}", basis, {}, mult,
-                weights=weights)
+    model = Cdga(field, name or f"torus_n{n}", basis, {}, mult,
+                 weights=weights)
+    model.family = ("torus", n, top)
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +300,9 @@ def build_os_arrangement(field, normals, name=None):
 
     basis = [["1"]] + [[lab(s) for s in nbc[k]] for k in range(1, top + 1)]
     weights = [[k] * len(nbc[k]) for k in range(top + 1)]
-    return Cdga(field, name or f"os_m{m}", basis, {}, mult, weights=weights)
+    model = Cdga(field, name or f"os_m{m}", basis, {}, mult, weights=weights)
+    model.family = ("os_arrangement", tuple(normals))
+    return model
 
 
 def pencil_normals(m):

@@ -118,8 +118,8 @@ def flat_rank_one(rng, cdga, lie, span=4):
 def _abelian_subalgebras(rng, lie, span):
     """A few coordinate bases of abelian subalgebras, by family."""
     out = []
-    if lie.name.startswith("sl") and getattr(lie, "matrix_size", None):
-        n = lie.matrix_size
+    if lie.family and lie.family[0] == "sl":
+        n = lie.family[1]
         cartan_start = lie.dim - (n - 1)
         out.append([lie.basis_vector(cartan_start + i) for i in range(n - 1)])
         out.append([lie.basis_vector(sl_root_index(lie, 1, j))
@@ -153,10 +153,11 @@ def flat_abelian(rng, cdga, lie, span=4):
 
 def _paired_rows(rng, cdga, lie, span):
     """Rows for curve-like models whose degree-2 obstruction is the sum of
-    handle-pair brackets: swapped pairs cancel, leftovers commute."""
+    handle-pair brackets: swapped pairs cancel, leftovers commute.  The
+    pairs are consecutive rows; an odd last row (the t of a surface model)
+    is zero."""
     n1 = cdga.dim(1)
-    has_extra = cdga.name.startswith("surface")
-    g = (n1 - 1) // 2 if has_extra else n1 // 2
+    g = n1 // 2
     f = cdga.field
     rows = []
     x = rand_lie_element(rng, lie, span)
@@ -167,7 +168,7 @@ def _paired_rows(rng, cdga, lie, span):
         z = rand_lie_element(rng, lie, span)
         c = rand_scalar(rng, f, span)
         rows += [list(z), [f.mul(c, zi) for zi in z]]
-    if has_extra:
+    if n1 % 2 == 1:
         rows.append([f.zero] * lie.dim)
     return rows
 
@@ -182,16 +183,15 @@ def sample_flat(rng, cdga, lie, span=4, strategy=None):
 
     Strategies: "rank_one" and "abelian" work on every model here; "swap"
     needs at least two handle pairs (compact curve or surface model,
-    genus >= 2); "free" means arbitrary rows and applies only when the
-    model has no degree-2 part at all.  The result is re-checked.
+    genus >= 2), and is offered by default only on models those builders
+    made; "free" means arbitrary rows and applies only when the model has
+    no degree-2 part at all.  The result is re-checked.
     """
     name = cdga.name
     if strategy is None:
         opts = ["rank_one", "abelian"]
-        if name.startswith(("compact_curve", "surface")):
-            n1 = cdga.dim(1)
-            g = (n1 - 1) // 2 if name.startswith("surface") else n1 // 2
-            if g >= 2:
+        match cdga.family:
+            case ("compact_curve" | "surface", genus) if genus >= 2:
                 opts.append("swap")
         if cdga.dim(2) == 0:
             opts.append("free")
@@ -223,9 +223,9 @@ def surface_witness(cdga, lie):
     sl(n >= 3) and the extra one-form carries -E13.  Flat because
     [E12, E23] = E13 while E13 commutes with both rows.
     """
-    if not cdga.name.startswith("surface"):
+    if not (cdga.family and cdga.family[0] == "surface"):
         raise SamplingError("witness lives on a surface model")
-    if not (lie.name.startswith("sl") and getattr(lie, "matrix_size", 0) >= 3):
+    if not (lie.family and lie.family[0] == "sl" and lie.family[1] >= 3):
         raise SamplingError("witness needs sl(n) with n >= 3")
     f = cdga.field
     n1 = cdga.dim(1)
@@ -261,18 +261,16 @@ def singular_lie_element(rng, rep, span=4, tries=256):
 
 def _singular_candidate(rng, rep, span):
     lie, f = rep.lie, rep.lie.field
-    if lie.name.startswith("sl") and getattr(lie, "matrix_size", None):
-        n = lie.matrix_size
-        if rep.dim == n and rep.name == "defining":
+    match lie.family, rep.family:
+        case ("sl", n), ("defining",):
             nilp = [[f.zero] * n for _ in range(n)]
             for i in range(n):
                 for j in range(i + 1, n):
                     nilp[i][j] = rand_scalar(rng, f, span)
             p = rand_unimodular(rng, f, n, steps=4, span=span)
             return sl_coordinates(lie, p @ Matrix(f, nilp) @ invert(p))
-        return rand_lie_element(rng, lie, span)
-    if lie.name == "sol2":
-        return [f.zero, rand_nonzero(rng, f, span)]
+        case ("sol2",), _:
+            return [f.zero, rand_nonzero(rng, f, span)]
     return rand_lie_element(rng, lie, span)
 
 
@@ -343,8 +341,8 @@ def sample_group_rep(rng, group, field, target="SL", span=3):
     if not group.relators:
         mats = [_rand_target(rng, field, target, span) for _ in range(n)]
         return GroupRep(group, target, mats)
-    if n % 2 == 0 and group.name.startswith("surface"):
-        g = n // 2
+    if group.family and group.family[0] == "surface":
+        g = group.family[1]
         if g == 2 and rng.random() < 0.5:
             x = _rand_target(rng, field, target, span)
             y = _rand_target(rng, field, target, span)

@@ -221,7 +221,7 @@ def GF(p):
 
 
 def field_from_tag(tag):
-    """Resolve a field tag: "q", "f3", "f5", or "fp:P" for odd prime P."""
+    """Resolve a field tag: "q", or "fP" or "fp:P" for an odd prime P."""
     tag = tag.strip().lower()
     if tag == "q":
         return QQ

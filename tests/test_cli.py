@@ -5,6 +5,9 @@ import json
 import pytest
 
 from jumploci.cli import main
+from jumploci.liealg import build_sl
+from jumploci.scalars import QQ
+from jumploci.serialize import lie_to_json
 
 
 CURVE_FLAT = json.dumps({
@@ -155,9 +158,19 @@ def test_fox_and_rep_check(capsys):
 
 
 def test_fp_field(capsys):
-    assert main(["cohomology", "--input", '{"model": "torus(2)"}',
-                 "--field", "fp:7", "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["betti"] == [1, 2, 1]
+    for tag in ("fp:7", "f7"):
+        assert main(["cohomology", "--input", '{"model": "torus(2)"}',
+                     "--field", tag, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["betti"] == [1, 2, 1]
+
+
+def test_pi_needs_a_builder_made_lie_algebra(capsys):
+    # A decoded algebra has no defining representation, whatever its name.
+    lie = dict(lie_to_json(build_sl(QQ, 2)), name="sl2")
+    doc = json.dumps({"cdga": "compact_curve(1)", "lie": lie,
+                      "coeffs": [["1", "0", "0"], ["2", "0", "0"]]})
+    assert main(["pi", "--input", doc]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_scenario_list_and_unknown(capsys):

@@ -150,6 +150,15 @@ def test_det_theta():
     assert det_theta(ad, [QQ.one, QQ.coerce(2), QQ.coerce(3)]) == QQ.zero
 
 
+def test_rep_defining_sl10():
+    # Labels stop spelling out matrix indices at n = 10: E110 is E_{1,10}.
+    g = build_sl(QQ, 10)
+    rep = rep_defining(g)
+    e = [[0] * 10 for _ in range(10)]
+    e[0][9] = 1
+    assert rep.matrices[sl_root_index(g, 1, 10)] == Matrix(QQ, e)
+
+
 def test_sl_coordinates_round_trip():
     g = build_sl(QQ, 3)
     m = Matrix(QQ, [[2, 0, 1], [0, -2, 0], [0, 0, 0]])  # 2 H1 + E13

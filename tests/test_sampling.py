@@ -15,6 +15,7 @@ from jumploci.sampling import (SamplingError, rand_unimodular,
                                sample_pi_element, singular_lie_element,
                                standard_shear_pair, surface_witness)
 from jumploci.scalars import GF, QQ
+from jumploci.serialize import cdga_from_json, cdga_to_json, group_from_json
 
 
 MODELS = [
@@ -63,6 +64,22 @@ def test_sample_flat_strategies():
         sample_flat(rng, a, g, strategy="bogus")
 
 
+def renamed(model, name):
+    """The model decoded from JSON under another name: no family tag."""
+    return cdga_from_json(model.field, dict(cdga_to_json(model), name=name))
+
+
+@pytest.mark.parametrize("model, name", [
+    (build_compact_curve(QQ, 2), "surface_x"),
+    (build_surface_model(QQ, 2), "mymodel"),
+])
+def test_swap_on_renamed_decoded_models(model, name):
+    a = renamed(model, name)
+    g = build_sl(QQ, 2)
+    assert is_flat(sample_flat(random.Random(4), a, g, strategy="swap"))
+    assert is_flat(sample_flat(random.Random(4), a, g))
+
+
 def test_surface_witness_rank_three():
     a = build_surface_model(QQ, 2)
     g = build_sl(QQ, 3)
@@ -75,6 +92,8 @@ def test_surface_witness_rank_three():
         surface_witness(a, build_sl(QQ, 2))
     with pytest.raises(SamplingError):
         surface_witness(build_compact_curve(QQ, 2), g)
+    with pytest.raises(SamplingError):
+        surface_witness(renamed(a, a.name), g)
 
 
 def test_singular_elements_have_zero_determinant():
@@ -110,6 +129,14 @@ def test_group_reps_satisfy_relators():
                     rep = sample_group_rep(rng, group, field, target=target)
                     ok, bad = rep_check(rep)
                     assert ok, (group.name, target, bad)
+
+
+def test_group_recipe_ignores_the_name():
+    group = group_from_json({"generators": ["a", "b"],
+                             "relators": ["a b a^-1 b^-1"],
+                             "name": "surface_x"})
+    with pytest.raises(SamplingError):
+        sample_group_rep(random.Random(9), group, QQ)
 
 
 def test_rand_unimodular_det_one():
