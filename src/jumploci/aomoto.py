@@ -75,7 +75,11 @@ def aomoto_matrix(conn, rep, i):
 
 
 class AomotoComplex:
-    """All twisted differentials of a flat connection at once."""
+    """The twisted complex of a flat connection.
+
+    Each differential is assembled and ranked at most once, on first use, so
+    ``betti(i)`` touches only d^(i-1) and d^i.
+    """
 
     def __init__(self, conn, rep):
         if not rep.lie.structurally_equal(conn.lie):
@@ -87,22 +91,28 @@ class AomotoComplex:
         self.conn = conn
         self.rep = rep
         self.cdga = conn.cdga
-        self.matrices = [aomoto_matrix(conn, rep, i)
-                         for i in range(conn.cdga.top_degree)]
+        self._matrices = {}
+        self._ranks = {}
 
     def matrix(self, i):
-        if 0 <= i < len(self.matrices):
-            return self.matrices[i]
-        return Matrix.zero(self.cdga.field, self.cdga.dim(i + 1) * self.rep.dim,
-                           self.cdga.dim(i) * self.rep.dim)
+        """d^i from degree i to degree i+1 (zero outside the model)."""
+        if i not in self._matrices:
+            self._matrices[i] = aomoto_matrix(self.conn, self.rep, i)
+        return self._matrices[i]
+
+    def rank(self, i):
+        """Rank of d^i; 0 outside degrees 0 .. top-1."""
+        if not 0 <= i < self.cdga.top_degree:
+            return 0
+        if i not in self._ranks:
+            self._ranks[i] = rank(self.matrix(i))
+        return self._ranks[i]
 
     def betti(self, i):
         if not 0 <= i <= self.cdga.top_degree:
             return 0
-        dim_i = self.cdga.dim(i) * self.rep.dim
-        z = dim_i - rank(self.matrix(i)) if i < self.cdga.top_degree else dim_i
-        b = rank(self.matrix(i - 1)) if i > 0 else 0
-        return z - b
+        return (self.cdga.dim(i) * self.rep.dim
+                - self.rank(i) - self.rank(i - 1))
 
     def betti_all(self):
         return tuple(self.betti(i) for i in range(self.cdga.top_degree + 1))
@@ -111,20 +121,12 @@ class AomotoComplex:
         return sum((-1) ** i * b for i, b in enumerate(self.betti_all()))
 
     def square_is_zero(self):
-        for i in range(len(self.matrices) - 1):
-            if not (self.matrices[i + 1] @ self.matrices[i]).is_zero():
-                return False
-        return True
-
-
-def build_aomoto(conn, rep):
-    """Assemble the twisted complex; raises NotFlatError with the residual
-    attached when the connection is not flat."""
-    return AomotoComplex(conn, rep)
+        return all((self.matrix(i + 1) @ self.matrix(i)).is_zero()
+                   for i in range(self.cdga.top_degree - 1))
 
 
 def aomoto_betti(conn, rep, i):
-    return build_aomoto(conn, rep).betti(i)
+    return AomotoComplex(conn, rep).betti(i)
 
 
 def resonance_membership(conn, rep, i, depth):
@@ -231,7 +233,7 @@ def depth_gap(morphism, rep, conn, eta):
 
     pushed = pullback(morphism, conn)
     base = aomoto_betti(conn, rep, 1)
-    target_complex = build_aomoto(pushed, rep)
+    target_complex = AomotoComplex(pushed, rep)
     target = target_complex.betti(1)
 
     # the advertised new kernel element

@@ -22,7 +22,7 @@ parameters; decoded models and tensor products carry ``family = None``.
 
 from __future__ import annotations
 
-from .linalg import Matrix, kernel_basis, rank, complete_to_basis
+from .linalg import Matrix, kernel_basis, rank
 from .scalars import same_field
 
 
@@ -142,22 +142,12 @@ class Cdga:
         """Basis of ker d^i (all of degree i when d^i = 0)."""
         return kernel_basis(self.d_matrix(i))
 
-    def cohomology(self, i):
-        """(dimension, representative cocycle vectors) in degree i."""
-        if not 0 <= i <= self.top_degree:
-            return 0, []
-        cyc = self.cocycles(i)
-        if i == 0:
-            img = []
-        else:
-            img = [self.d_matrix(i - 1).column(j)
-                   for j in range(self.dim(i - 1))]
-        reps = complete_to_basis(self.field, img, cyc, self.dim(i))
-        bnd_rank = rank(Matrix(self.field, img, ncols=self.dim(i))) if img else 0
-        return len(cyc) - bnd_rank, reps
-
     def betti(self, i):
-        return self.cohomology(i)[0]
+        """dim H^i = dim(i) - rank d^i - rank d^(i-1)."""
+        if not 0 <= i <= self.top_degree:
+            return 0
+        return (self.dim(i) - rank(self.d_matrix(i))
+                - rank(self.d_matrix(i - 1)))
 
     def euler_characteristic(self):
         """Alternating sum of basis dimensions (= of cohomology dimensions)."""

@@ -190,42 +190,12 @@ def pullback(morphism, conn):
 
 def tangent_dimension(conn):
     """Dimension of the solution space of the linearized flatness equation
-    at a flat connection: u -> du + [omega, u]."""
-    res = mc_residual(conn)
-    f = conn.cdga.field
-    if any(not f.is_zero(x) for x in res):
-        raise NotFlatError(res)
-    a, g = conn.cdga, conn.lie
-    n1, n2, dg = a.dim(1), a.dim(2), g.dim
-    if n2 == 0:
-        return n1 * dg
-    d1 = a.d_matrix(1)
-    ad = [None] * n1  # ad of each coefficient row
-    for k in range(n1):
-        cols = [g.bracket(conn.row(k), g.basis_vector(b)) for b in range(dg)]
-        ad[k] = cols  # ad[k][beta][m]
-    entries = [[f.zero] * (n1 * dg) for _ in range(n2 * dg)]
-    for l in range(n1):
-        for c in range(n2):
-            coef = d1[c, l]
-            if not f.is_zero(coef):
-                for beta in range(dg):
-                    entries[c * dg + beta][l * dg + beta] = f.add(
-                        entries[c * dg + beta][l * dg + beta], coef)
-        for k in range(n1):
-            prod = a.product_basis(1, k, 1, l)
-            if not prod:
-                continue
-            for c, coef in prod.items():
-                for beta in range(dg):
-                    col = ad[k][beta]
-                    for m in range(dg):
-                        if not f.is_zero(col[m]):
-                            entries[c * dg + m][l * dg + beta] = f.add(
-                                entries[c * dg + m][l * dg + beta],
-                                f.mul(coef, col[m]))
-    t = Matrix(f, entries, ncols=n1 * dg)
-    return n1 * dg - rank(t)
+    at a flat connection, u -> du + [omega, u]: the degree-1 cocycles of the
+    adjoint twisted complex.  Raises NotFlatError off the flat locus."""
+    from .aomoto import AomotoComplex
+    from .liealg import rep_adjoint
+    adjoint = AomotoComplex(conn, rep_adjoint(conn.lie))
+    return conn.cdga.dim(1) * conn.lie.dim - adjoint.rank(1)
 
 
 def weight_scale(conn, s):

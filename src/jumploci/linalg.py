@@ -58,10 +58,6 @@ class Matrix:
                    ncols=len(cols))
 
     @classmethod
-    def row_vector(cls, field, entries):
-        return cls(field, [list(entries)])
-
-    @classmethod
     def column_vector(cls, field, entries):
         return cls(field, [[x] for x in entries], ncols=1)
 
@@ -80,9 +76,6 @@ class Matrix:
 
     def column(self, j):
         return [r[j] for r in self.rows]
-
-    def columns(self):
-        return [self.column(j) for j in range(self.ncols)]
 
     def to_lists(self):
         return [list(r) for r in self.rows]
@@ -154,12 +147,6 @@ class Matrix:
                     acc = f.add(acc, f.mul(x, v))
             out.append(acc)
         return out
-
-    def transpose(self):
-        return Matrix(self.field,
-                      [[self.rows[i][j] for i in range(self.nrows)]
-                       for j in range(self.ncols)],
-                      ncols=self.nrows)
 
     def hstack(self, other):
         self._compat(other)
@@ -306,23 +293,3 @@ def invert(m):
     if len([p for p in pivots if p < n]) < n:
         return None
     return Matrix(f, [r[n:] for r in red.rows], ncols=n)
-
-
-def complete_to_basis(field, inside, candidates, dim):
-    """Greedily pick candidates independent of span(inside).
-
-    ``inside`` and ``candidates`` are lists of length-``dim`` vectors.  Returns
-    the (deterministic, order-respecting) sublist of candidates whose classes
-    are independent modulo span(inside).
-    """
-    picked = []
-    current = list(inside)
-    base_rank = rank(Matrix(field, current, ncols=dim)) if current else 0
-    r = base_rank
-    for c in candidates:
-        trial = Matrix(field, current + [c], ncols=dim)
-        if rank(trial) > r:
-            picked.append(c)
-            current.append(c)
-            r += 1
-    return picked

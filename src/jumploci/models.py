@@ -140,6 +140,12 @@ def curve_inclusion(field, g):
     return h, a, phi
 
 
+def _shuffle_sign(s, t):
+    """Sign of the shuffle sorting s + t, for disjoint sorted tuples."""
+    inv = sum(1 for x in s for y in t if x > y)
+    return -1 if inv % 2 else 1
+
+
 def build_torus_model(field, n, top=None, name=None):
     """Truncated exterior algebra on n degree-1 generators, d = 0.
 
@@ -160,10 +166,6 @@ def build_torus_model(field, n, top=None, name=None):
     basis = [["1"]] + [["".join(gens[i] for i in s) for s in subsets[k]]
                        for k in range(1, top + 1)]
 
-    def shuffle_sign(s, t):
-        inv = sum(1 for x in s for y in t if x > y)
-        return -1 if inv % 2 else 1
-
     mult = {}
     for i in range(1, top):
         for j in range(1, top + 1 - i):
@@ -172,7 +174,7 @@ def build_torus_model(field, n, top=None, name=None):
                     if set(s) & set(t):
                         continue
                     u = tuple(sorted(s + t))
-                    c = shuffle_sign(s, t)
+                    c = _shuffle_sign(s, t)
                     mult[(i, k, j, l)] = {
                         index[i + j][u]: field.coerce(c)}
     weights = [[k] * len(subsets[k]) for k in range(top + 1)]
@@ -240,10 +242,6 @@ def build_os_arrangement(field, normals, name=None):
            for k in range(top + 1)}
     index = {k: {s: i for i, s in enumerate(nbc[k])} for k in nbc}
 
-    def shuffle_sign(s, t):
-        inv = sum(1 for x in s for y in t if x > y)
-        return -1 if inv % 2 else 1
-
     def merge_sign(s):
         """Sign of the permutation sorting the tuple s (distinct entries)."""
         inv = sum(1 for a in range(len(s)) for b in range(a + 1, len(s))
@@ -286,7 +284,7 @@ def build_os_arrangement(field, normals, name=None):
                     u = tuple(sorted(s + t))
                     if not _independent(normals, u):
                         continue
-                    sign = shuffle_sign(s, t)
+                    sign = _shuffle_sign(s, t)
                     vec = {}
                     for base, c in express(u):
                         cc = field.coerce(sign * c)

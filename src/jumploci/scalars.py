@@ -5,8 +5,8 @@ arithmetic for one of two coefficient domains:
 
 * ``QQ`` — rationals, elements are ``fractions.Fraction`` (always normalized,
   positive denominator);
-* ``GF(p)`` — integers mod an odd prime ``p``, elements are plain ints in
-  ``range(p)``.
+* ``GF(p)`` — integers mod an odd prime ``p < MODULUS_BOUND``, elements are
+  plain ints in ``range(p)``.
 
 p = 2 is rejected on purpose: sign conventions (graded commutativity, odd
 squares) degenerate in characteristic 2 and nothing downstream supports it.
@@ -24,14 +24,32 @@ class ScalarError(ValueError):
     """Raised for malformed scalars, bad moduli, or field mismatches."""
 
 
+# The first 13 primes as Miller-Rabin bases decide primality exactly for
+# n < MODULUS_BOUND (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MODULUS_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n):
+    """Deterministic Miller-Rabin, exact for n < MODULUS_BOUND."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -116,6 +134,9 @@ class PrimeField:
     characteristic = None  # set per instance
 
     def __init__(self, p):
+        if isinstance(p, int) and p >= MODULUS_BOUND:
+            raise ScalarError(f"modulus {p} is not below the supported "
+                              f"bound {MODULUS_BOUND}")
         if not isinstance(p, int) or not _is_prime(p):
             raise ScalarError(f"modulus {p!r} is not prime")
         if p == 2:
@@ -227,9 +248,10 @@ def field_from_tag(tag):
         return QQ
     if tag.startswith("fp:"):
         try:
-            return GF(int(tag[3:]))
+            p = int(tag[3:])
         except ValueError as exc:
             raise ScalarError(f"bad field tag {tag!r}") from exc
+        return GF(p)
     if tag.startswith("f") and tag[1:].isdigit():
         return GF(int(tag[1:]))
     raise ScalarError(f"unknown field tag {tag!r}")

@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass
 from importlib import resources
 
-from .aomoto import build_aomoto, depth_gap, resonance_membership
+from .aomoto import AomotoComplex, depth_gap, resonance_membership
 from .cdga import tensor_product_with_inclusions
 from .flatconn import (FlatConnection, brute_force_flat, f1_membership,
                        is_flat, lex_index, mc_residual, pi_membership,
@@ -247,7 +247,7 @@ def run_pencil_resonance(seed=0, jobs=1, field=None):
             if all(f.is_zero(v) for v in lam):
                 lam[0], lam[-1] = f.one, f.neg(f.one)
             conn = FlatConnection.from_rows(A, ab, [[v] for v in lam])
-            comp = build_aomoto(conn, theta)
+            comp = AomotoComplex(conn, theta)
             if comp.betti(1) >= 1:
                 hits += 1
             kdims.add(len(kernel_basis(comp.matrix(1))))

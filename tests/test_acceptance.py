@@ -14,7 +14,7 @@ from time import perf_counter
 
 import numpy as np
 
-from jumploci.aomoto import (build_aomoto, aomoto_betti, depth_gap,
+from jumploci.aomoto import (AomotoComplex, aomoto_betti, depth_gap,
                              resonance_membership)
 from jumploci.cdga import tensor_product_with_inclusions
 from jumploci.flatconn import (FlatConnection, brute_force_flat,
@@ -233,7 +233,7 @@ def test_06_pencil_resonance_weights():
                     lam[0], lam[-1] = f.one, f.neg(f.one)
                 conn = FlatConnection.from_rows(A, ab, [[v] for v in lam])
                 assert resonance_membership(conn, theta, 1, 1)
-                comp = build_aomoto(conn, theta)
+                comp = AomotoComplex(conn, theta)
                 assert len(kernel_basis(comp.matrix(1))) == want_kernel[m]
             for _ in range(20):
                 while True:
@@ -392,7 +392,7 @@ def test_12_euler_characteristic_identities():
         for i in range(50):
             c = sample_flat(rng, a, g, span=3)
             theta = thetas[i % 2]
-            comp = build_aomoto(c, theta)
+            comp = AomotoComplex(c, theta)
             assert comp.euler() == chi * theta.dim
 
     for group in (free_group(2), free_group(3), surface_group(1),
@@ -447,7 +447,7 @@ def test_13_validation_suite():
         a = make(QQ)
         for _ in range(5):
             c = sample_flat(rng, a, g, span=3)
-            assert build_aomoto(c, theta).square_is_zero()
+            assert AomotoComplex(c, theta).square_is_zero()
 
     # Fox fundamental identity at sampled representations
     for group in (free_group(2), surface_group(1), surface_group(2)):

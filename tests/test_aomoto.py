@@ -2,8 +2,9 @@
 
 import pytest
 
-from jumploci.aomoto import (AomotoError, PreconditionError, aomoto_betti,
-                             build_aomoto, depth_gap, r01_common_kernel,
+import jumploci.aomoto as aomoto
+from jumploci.aomoto import (AomotoComplex, AomotoError, PreconditionError,
+                             aomoto_betti, depth_gap, r01_common_kernel,
                              resonance_membership)
 from jumploci.cdga import tensor_product_with_inclusions
 from jumploci.flatconn import FlatConnection, NotFlatError
@@ -24,7 +25,7 @@ def test_betti_hand_case():
     # D1(u, v) = theta(E)(v - 2u) has rank 1; so (1, 2, 1).
     a = build_compact_curve(QQ, 1)
     g = build_sl(QQ, 2)
-    cx = build_aomoto(conn(a, g, [[1, 0, 0], [2, 0, 0]]), rep_defining(g))
+    cx = AomotoComplex(conn(a, g, [[1, 0, 0], [2, 0, 0]]), rep_defining(g))
     assert cx.betti_all() == (1, 2, 1)
     assert cx.euler() == 0
     assert cx.square_is_zero()
@@ -33,7 +34,7 @@ def test_betti_hand_case():
 def test_trivial_rep_gives_untwisted_multiples():
     a = build_compact_curve(QQ, 2)
     g = build_sl(QQ, 2)
-    cx = build_aomoto(conn(a, g, [[0, 0, 0]] * 4), rep_trivial(g, 3))
+    cx = AomotoComplex(conn(a, g, [[0, 0, 0]] * 4), rep_trivial(g, 3))
     assert cx.betti_all() == (3, 12, 3)
 
 
@@ -41,10 +42,10 @@ def test_complex_rejects_bad_input():
     a = build_compact_curve(QQ, 1)
     g = build_sl(QQ, 2)
     with pytest.raises(NotFlatError):
-        build_aomoto(conn(a, g, [[1, 0, 0], [0, 1, 0]]), rep_defining(g))
+        AomotoComplex(conn(a, g, [[1, 0, 0], [0, 1, 0]]), rep_defining(g))
     with pytest.raises(AomotoError):
-        build_aomoto(conn(a, g, [[0, 0, 0], [0, 0, 0]]),
-                     rep_defining(build_sl(QQ, 3)))
+        AomotoComplex(conn(a, g, [[0, 0, 0], [0, 0, 0]]),
+                      rep_defining(build_sl(QQ, 3)))
 
 
 def test_resonance_membership_depths():
@@ -75,7 +76,7 @@ def test_open_curve_euler_identity():
     # chi = 1 - n and every connection is flat (no degree-2 targets)
     a = build_open_curve(QQ, 2)
     g = build_sl(QQ, 2)
-    cx = build_aomoto(conn(a, g, [[1, 0, 0], [0, 1, 0]]), rep_defining(g))
+    cx = AomotoComplex(conn(a, g, [[1, 0, 0], [0, 1, 0]]), rep_defining(g))
     assert cx.betti_all() == (0, 2, 0)
     assert cx.euler() == a.euler_characteristic() * 2 == -2
 
@@ -83,10 +84,32 @@ def test_open_curve_euler_identity():
 def test_surface_model_square_zero():
     a = build_surface_model(GF(5), 1)
     g = build_sl(GF(5), 2)
-    cx = build_aomoto(conn(a, g, [[1, 0, 0], [2, 0, 0], [0, 0, 0]]),
-                      rep_adjoint(g))
+    cx = AomotoComplex(conn(a, g, [[1, 0, 0], [2, 0, 0], [0, 0, 0]]),
+                       rep_adjoint(g))
     assert cx.square_is_zero()
     assert cx.euler() == 0
+
+
+def test_each_differential_built_and_ranked_once(monkeypatch):
+    ranked, built = [], []
+
+    def counting(fn, log):
+        def wrapper(*args):
+            log.append(args)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(aomoto, "rank", counting(aomoto.rank, ranked))
+    monkeypatch.setattr(aomoto, "aomoto_matrix",
+                        counting(aomoto.aomoto_matrix, built))
+    a = build_surface_model(QQ, 1)  # top degree 3: d0, d1, d2
+    g = build_sl(QQ, 2)
+    c = conn(a, g, [[1, 0, 0], [2, 0, 0], [0, 0, 0]])
+    betti = AomotoComplex(c, rep_adjoint(g)).betti_all()
+    assert len(ranked) == 3
+    built.clear()
+    assert AomotoComplex(c, rep_adjoint(g)).betti(1) == betti[1]
+    assert [args[2] for args in built] == [1, 0]
 
 
 def depth_gap_config(f):

@@ -1,6 +1,7 @@
 """Exit codes and output of the command-line entry point."""
 
 import json
+import re
 
 import pytest
 
@@ -36,8 +37,10 @@ def test_malformed_input_is_exit_2(capsys):
     capsys.readouterr()
     assert main(["cohomology", "--input", '{"model": "klein(1)"}']) == 2
     capsys.readouterr()
-    assert main(["mc-check", "--input", CURVE_FLAT, "--field", "f4"]) == 2
-    capsys.readouterr()
+    for tag in ("f4", "fp:1000000000000000001",
+                "fp:3317044064679887385961981"):
+        assert main(["mc-check", "--input", CURVE_FLAT, "--field", tag]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_is_usage_error():
@@ -110,7 +113,10 @@ def test_tangent_both_paths(capsys):
 
 def test_tangent_not_flat_is_exit_1(capsys):
     assert main(["tangent", "--input", CURVE_NONFLAT]) == 1
-    assert "not flat" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert "not flat" in err
+    assert re.search(r"\[\d+\] = ", err)
+    assert out == ""
 
 
 def test_depth_gap_default_json(capsys):
@@ -158,7 +164,7 @@ def test_fox_and_rep_check(capsys):
 
 
 def test_fp_field(capsys):
-    for tag in ("fp:7", "f7"):
+    for tag in ("fp:7", "f7", "fp:1000000000000000003"):
         assert main(["cohomology", "--input", '{"model": "torus(2)"}',
                      "--field", tag, "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["betti"] == [1, 2, 1]

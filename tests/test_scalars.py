@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from jumploci.scalars import GF, QQ, ScalarError, field_tag, same_field
+from jumploci.scalars import (GF, QQ, ScalarError, _is_prime, field_tag,
+                              same_field)
 
 
 def test_rational_arithmetic():
@@ -45,6 +46,20 @@ def test_gf_rejects_bad_moduli():
         GF(9)
     with pytest.raises(ScalarError):
         GF(1)
+
+
+def test_is_prime_against_trial_division():
+    def trial(n):
+        return n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+    assert [n for n in range(3000) if _is_prime(n)] == \
+        [n for n in range(3000) if trial(n)]
+    # strong pseudoprimes to the bases 2..7 and 2..37 respectively
+    assert not _is_prime(3215031751)
+    assert not _is_prime(318665857834031151167461)
+    assert _is_prime(2 ** 61 - 1) and _is_prime(2 ** 31 - 1)
+    # a strong pseudoprime to all 13 bases 2..41: the test's bound
+    with pytest.raises(ScalarError, match="bound"):
+        GF(3317044064679887385961981)
 
 
 def test_gf_cached_identity():
