@@ -269,7 +269,12 @@ def _scan(lmat, qmats, p, kdim, lo, hi):
     Yields (start, w, mask) per chunk of 2^17 candidates: the chunk's first
     position, its candidates as rows, and where every residual vanishes.
     Chunks bound the memory; the full candidate array is never built.
+    Raises FlatConnError when a residual could reach 2^63: the linear part
+    is below p^2·kdim and the quadratic part below p^3·kdim^2.
     """
+    if p * p * kdim + p ** 3 * kdim * kdim >= 1 << 63:
+        raise FlatConnError(f"residuals over F_{p} with {kdim} unknowns "
+                            "overflow 64-bit integers")
     import numpy as np
 
     rdim = len(lmat)

@@ -29,6 +29,7 @@ class LieError(ValueError):
 
 class LieAlgebra:
     family = None
+    _adjoint = None  # rep_adjoint's result, built and checked once
 
     def __init__(self, field, labels, brackets, name=""):
         """brackets: dict (i, j) with i < j -> dict index -> scalar."""
@@ -315,12 +316,18 @@ def rep_defining(g):
 
 
 def rep_adjoint(g):
-    """Adjoint representation: theta(x)y = [x, y]; columns are brackets."""
-    mats = []
-    for i in range(g.dim):
-        cols = [g.bracket_basis(i, j) for j in range(g.dim)]
-        mats.append(Matrix.from_columns(g.field, cols, nrows=g.dim))
-    return LieRep(g, mats, name="adjoint")
+    """Adjoint representation: theta(x)y = [x, y]; columns are brackets.
+
+    Built and bracket-checked on the first call for ``g``; later calls
+    return the same object, since the bracket table never changes.
+    """
+    if g._adjoint is None:
+        mats = []
+        for i in range(g.dim):
+            cols = [g.bracket_basis(i, j) for j in range(g.dim)]
+            mats.append(Matrix.from_columns(g.field, cols, nrows=g.dim))
+        g._adjoint = LieRep(g, mats, name="adjoint")
+    return g._adjoint
 
 
 def rep_trivial(g, m):

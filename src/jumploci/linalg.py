@@ -4,9 +4,18 @@ Matrices are dense, row-major lists over a single field object from
 ``scalars``.  Everything is computed by exact elimination — no floating
 point anywhere.  Kernel bases and solutions are deterministic: free columns
 are taken in increasing index order, so repeated runs give identical output.
+
+``rank`` stops at echelon form and has one kernel per field: over Q,
+fraction-free elimination on integer rows with the denominators cleared;
+over GF(p), plain ints reduced ``% p`` inline.  Neither creates a
+``Fraction`` or calls a field method per entry.  ``rref`` is the generic
+reduced form that ``kernel_basis``, ``solve`` and ``invert`` read; the
+tests use it as the oracle for ``rank``.
 """
 
 from __future__ import annotations
+
+from math import gcd, lcm
 
 from .scalars import same_field
 
@@ -211,8 +220,76 @@ def rref(m):
 
 
 def rank(m):
-    """Rank by exact elimination."""
-    return len(rref(m)[1])
+    """Rank by exact elimination to echelon form, without back-substitution."""
+    p = m.field.characteristic
+    return _rank_mod_p(m.rows, p) if p else _rank_rational(m.rows)
+
+
+def _rank_rational(rows):
+    """Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) on the rows
+    scaled to primitive integer vectors.  The pivot is an entry a of least
+    absolute value in the leading column; every other row with leading
+    entry b becomes (a/g)·row − (b/g)·pivot, g = gcd(a, b), divided by the
+    gcd of its entries.  Each update scales the row by a nonzero integer, so
+    the rank over Q is exact.  The leading column is dropped after each
+    step, and so are rows that reach zero."""
+    work = []
+    for r in rows:
+        den = lcm(*(x.denominator for x in r))
+        row = [x.numerator * (den // x.denominator) for x in r]
+        h = gcd(*row)
+        if h:
+            work.append([x // h for x in row] if h != 1 else row)
+    found = 0
+    while work and work[0]:
+        live = [r for r in work if r[0]]
+        if not live:
+            work = [r[1:] for r in work]
+            continue
+        piv = min(live, key=lambda r: abs(r[0]))
+        a, tail = piv[0], piv[1:]
+        found += 1
+        nxt = []
+        for r in work:
+            b = r[0]
+            if not b:
+                nxt.append(r[1:])
+            elif r is not piv:
+                g = gcd(a, b)
+                ca, cb = a // g, b // g
+                row = [ca * x - cb * y for x, y in zip(r[1:], tail)]
+                h = gcd(*row)
+                if h:
+                    nxt.append([x // h for x in row] if h != 1 else row)
+        work = nxt
+    return found
+
+
+def _rank_mod_p(rows, p):
+    """Gaussian elimination on residues in range(p), reduced inline: the
+    pivot row is scaled by pow(pivot, -1, p) and the leading column and the
+    rows that reach zero are dropped after each step."""
+    work = [r for r in rows if any(r)]
+    found = 0
+    while work and work[0]:
+        piv = next((r for r in work if r[0]), None)
+        if piv is None:
+            work = [r[1:] for r in work]
+            continue
+        inv = pow(piv[0], -1, p)
+        tail = [x * inv % p for x in piv[1:]]
+        found += 1
+        nxt = []
+        for r in work:
+            a = r[0]
+            if not a:
+                nxt.append(r[1:])
+            elif r is not piv:
+                row = [(x - a * y) % p for x, y in zip(r[1:], tail)]
+                if any(row):
+                    nxt.append(row)
+        work = nxt
+    return found
 
 
 def kernel_basis(m):

@@ -1,7 +1,11 @@
 """Exit codes and output of the command-line entry point."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -226,3 +230,23 @@ def test_pullback_round_trip(capsys):
     assert out["coeffs"][2] == ["0", "0", "0"]  # the t row stays zero
     assert main(["mc-check", "--input", json.dumps(out)]) == 0
     capsys.readouterr()
+
+
+def test_cohomology_and_rank_stay_numpy_free():
+    # A fresh interpreter, because other tests import numpy into this one.
+    code = "\n".join([
+        "import sys",
+        "from jumploci.cli import main",
+        "from jumploci.linalg import Matrix, rank",
+        "from jumploci.scalars import GF",
+        "assert main(['cohomology', '--input', "
+        "'{\"model\": \"surface(2)\"}']) == 0",
+        "assert rank(Matrix(GF(2 ** 31 - 1), [[1, 2], [3, 4], [4, 6]])) == 2",
+        "assert 'numpy' not in sys.modules, 'numpy was imported'",
+    ])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "betti" in done.stdout

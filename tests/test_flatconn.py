@@ -4,11 +4,11 @@ import pytest
 
 from jumploci.cdga import Cdga
 from jumploci.flatconn import (BruteForceBoundError, FlatConnection,
-                               FlatConnError, NotFlatError, brute_force_flat,
-                               f1_membership, is_flat, lex_index, mc_residual,
-                               pi_membership, pullback, tangent_dimension,
-                               weight_scale)
-from jumploci.liealg import build_abelian, build_sl, rep_defining
+                               FlatConnError, NotFlatError, _scan,
+                               brute_force_flat, f1_membership, is_flat,
+                               lex_index, mc_residual, pi_membership, pullback,
+                               tangent_dimension, weight_scale)
+from jumploci.liealg import LieRep, build_abelian, build_sl, rep_defining
 from jumploci.models import (build_compact_curve, build_surface_model,
                              build_torus_model, curve_inclusion)
 from jumploci.scalars import GF, QQ
@@ -123,6 +123,22 @@ def test_tangent_dimension_hand_cases():
         tangent_dimension(conn(a, g, [[1, 0, 0], [0, 1, 0]]))
 
 
+def test_tangent_dimension_checks_the_adjoint_once(monkeypatch):
+    checks = []
+    original = LieRep._compat_failures
+
+    def counted(rep):
+        checks.append(rep.name)
+        return original(rep)
+
+    monkeypatch.setattr(LieRep, "_compat_failures", counted)
+    a = build_compact_curve(QQ, 1)
+    g = build_sl(QQ, 2)
+    assert tangent_dimension(conn(a, g, [[1, 0, 0], [2, 0, 0]])) == 4
+    assert tangent_dimension(conn(a, g, [[0, 0, 0], [0, 0, 0]])) == 6
+    assert checks == ["adjoint"]
+
+
 def test_weight_scale():
     a = build_surface_model(QQ, 1)
     g = build_sl(QQ, 2)
@@ -179,3 +195,13 @@ def test_brute_force_guards():
     with pytest.raises(BruteForceBoundError):
         # 5^12 coefficient tuples is past the enumeration ceiling
         brute_force_flat(build_compact_curve(f5, 2), build_sl(f5, 2))
+
+
+def test_scan_refuses_int64_overflow():
+    # 2 unknowns over F_p, p = 2^31 - 1: a quadratic residual can reach
+    # about 4 p^3 > 2^63, so the scan refuses before it builds any array
+    p = 2 ** 31 - 1
+    lmat = [[1, 1]]
+    qmats = [[[0, 1], [0, 0]]]
+    with pytest.raises(FlatConnError, match="overflow"):
+        next(_scan(lmat, qmats, p, 2, 0, 1))

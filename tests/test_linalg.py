@@ -1,5 +1,6 @@
-"""Exact linear algebra: hand-checked small cases plus a couple of
-randomized structural properties (rank-nullity, double inversion)."""
+"""Exact linear algebra: hand-checked small cases plus randomized properties
+(rank-nullity, double inversion, and the per-field rank kernels against the
+generic rref)."""
 
 from fractions import Fraction
 
@@ -10,6 +11,9 @@ from hypothesis import strategies as st
 from jumploci.linalg import (LinalgError, Matrix, det, invert, kernel_basis,
                              rank, rref, solve, vstack_all)
 from jumploci.scalars import GF, QQ
+
+
+FIELDS = [QQ, GF(3), GF(5), GF(2 ** 31 - 1), GF(2 ** 61 - 1)]
 
 
 def qm(rows):
@@ -116,3 +120,56 @@ def test_double_inverse_gf5(rows):
         assert rank(m) < 3
         return
     assert invert(invert(m)) == m
+
+
+def _entries(f):
+    if f is QQ:
+        return st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+                         st.integers(1, 10 ** 6))
+    return st.integers(0, f.p - 1)
+
+
+@st.composite
+def dependent_matrices(draw, f):
+    """Rows that are free, zero, a repeat or a combination of two earlier
+    rows, so low ranks and cancellations are common."""
+    ncols = draw(st.integers(0, 7))
+    entry = st.one_of(st.just(f.zero), _entries(f))
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(
+            ("free", "free", "zero", "repeat", "combo")), max_size=8)):
+        if kind == "zero":
+            rows.append([f.zero] * ncols)
+        elif kind == "repeat" and rows:
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == "combo" and rows:
+            u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            a, b = f.coerce(draw(entry)), f.coerce(draw(entry))
+            rows.append([f.add(f.mul(a, x), f.mul(b, y))
+                         for x, y in zip(u, v)])
+        else:
+            rows.append(draw(st.lists(entry, min_size=ncols,
+                                      max_size=ncols)))
+    return Matrix(f, rows, ncols=ncols)
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=repr)
+@seed(20260818)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_rank_matches_rref_oracle(f, data):
+    m = data.draw(dependent_matrices(f))
+    assert rank(m) == len(rref(m)[1])
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=repr)
+def test_rank_edge_shapes(f):
+    one = f.coerce(7)
+    row = [one, f.coerce(2), f.zero]
+    cases = [Matrix(f, [], ncols=4), Matrix(f, [[], [], []], ncols=0),
+             Matrix(f, [[one]]), Matrix(f, [[f.zero]]),
+             Matrix.zero(f, 3, 5), Matrix(f, [row, row, row]),
+             Matrix(f, [[f.zero] * 3, row, [f.zero] * 3, row])]
+    for m in cases:
+        assert rank(m) == len(rref(m)[1])
+    assert [rank(m) for m in cases] == [0, 0, 1, 0, 0, 1, 1]
