@@ -18,6 +18,12 @@ weight-1 and a weight-2 component.
 
 ``family`` names the builder in ``models`` that made a model, with its
 parameters; decoded models and tensor products carry ``family = None``.
+
+``truncated`` marks a model cut off below the top degree of the algebra it
+stands for: a torus model with top < n, or a tensor product past degree 3.
+Its top degree lacks the outgoing differential and the products beyond, so
+only the degrees below the top give true (twisted) Betti numbers.  The
+flag travels with the model's JSON form.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ class CdgaError(ValueError):
 
 class Cdga:
     family = None
+    truncated = False
 
     def __init__(self, field, name, basis, diff, mult, weights=None):
         """
@@ -375,7 +382,8 @@ class CdgaMorphism:
 def tensor_product_with_inclusions(a, b, name=None):
     """Tensor product plus the two factor inclusions x -> x|1, y -> 1|y.
 
-    Truncated at degree 3 — everything downstream reads degrees <= 2 only.
+    Truncated at degree 3, and marked ``truncated`` when either factor is or
+    when the factors' top degrees add up past 3.
     Basis of degree d: pairs (x of degree i, y of degree d-i) ordered by i,
     then by the two factor indices.  Signs follow the usual rule
     (x|y)(x'|y') = (-1)^{|y||x'|} (xx')|(yy').
@@ -461,6 +469,8 @@ def tensor_product_with_inclusions(a, b, name=None):
 
     prod = Cdga(f, name or f"{a.name}(x){b.name}", basis, diff, mult,
                 weights=weights)
+    prod.truncated = (a.truncated or b.truncated
+                      or a.top_degree + b.top_degree > 3)
 
     def inclusion(factor, other_first):
         maps = {}

@@ -143,14 +143,26 @@ def _model_arg(f, obj):
     return resolve_model(f, obj)
 
 
+def _betti_report(label, model, betti_of):
+    """(payload, text line) for the Betti numbers of degrees 0..top.  On a
+    truncated model the top degree is not computed: it is null in JSON and
+    "n/a (truncated)" in text, and the Euler characteristic is left out."""
+    if model.truncated:
+        betti = [betti_of(i) for i in range(model.top_degree)]
+        shown = ", ".join([str(b) for b in betti] + ["n/a (truncated)"])
+        return {"betti": betti + [None]}, f"{label} = ({shown})"
+    betti = [betti_of(i) for i in range(model.top_degree + 1)]
+    euler = sum((-1) ** i * b for i, b in enumerate(betti))
+    return ({"betti": betti, "euler": euler},
+            f"{label} = {tuple(betti)}, euler = {euler}")
+
+
 def cmd_cohomology(args, f):
     obj = load_input(args)
     model = _model_arg(f, obj)
-    betti = [model.betti(i) for i in range(model.top_degree + 1)]
-    euler = sum((-1) ** i * b for i, b in enumerate(betti))
-    payload = {"model": model.name, "betti": betti, "euler": euler}
-    lines = [f"model {model.name}: betti = {tuple(betti)}, euler = {euler}"]
-    return 0, payload, lines
+    report, line = _betti_report(f"model {model.name}: betti", model,
+                                 model.betti)
+    return 0, {"model": model.name, **report}, [line]
 
 
 def _nonzero_residual(f, res):
@@ -285,11 +297,9 @@ def cmd_aomoto_betti(args, f):
     obj = load_input(args)
     conn, theta = _connection_and_twist(f, obj)
     comp = AomotoComplex(conn, theta)
-    betti = list(comp.betti_all())
-    payload = {"betti": betti, "euler": comp.euler()}
-    lines = [f"twisted betti numbers = {tuple(betti)}, "
-             f"euler = {comp.euler()}"]
-    return 0, payload, lines
+    report, line = _betti_report("twisted betti numbers", conn.cdga,
+                                 comp.betti)
+    return 0, report, [line]
 
 
 def cmd_resonance(args, f):

@@ -16,6 +16,12 @@ The rank-one locus consists of connections eta (x) x with d(eta) = 0; its
 determinant cut additionally demands det(theta(x)) = 0 for a chosen
 representation theta.  Rank-one factorizations are unique up to a scalar, so
 both memberships are well defined.
+
+Over a prime field the flat connections are listed exhaustively.  The
+bracket term is quadratic only between unknowns joined by a nonzero product
+and structure constant; fixing a vertex cover of those pairs leaves every
+residual affine in the remaining unknowns, so each fibre of the cover is a
+linear system mod p, solved exactly and batched across fibres.
 """
 
 from __future__ import annotations
@@ -262,52 +268,204 @@ def flatness_tensors(cdga, lie):
     return lmat, qmats
 
 
-def _scan(lmat, qmats, p, kdim, lo, hi):
-    """Evaluate residual_j = (L w)_j + w^T Q_j w mod p at the candidates
-    w in F_p^kdim with lexicographic positions lo..hi-1.
+def _place_values(p, k):
+    """p^(k-1), ..., p, 1 as a numpy int64 array: the weights of the k
+    digits of a lexicographic position."""
+    import numpy as np
+    return np.array([p ** (k - 1 - t) for t in range(k)], dtype=np.int64)
 
-    Yields (start, w, mask) per chunk of 2^17 candidates: the chunk's first
-    position, its candidates as rows, and where every residual vanishes.
-    Chunks bound the memory; the full candidate array is never built.
-    Raises FlatConnError when a residual could reach 2^63: the linear part
-    is below p^2·kdim and the quadratic part below p^3·kdim^2.
+
+def _vertex_cover(qnp):
+    """Sorted unknowns meeting every quadratic term of the reduced stack
+    ``qnp`` (rdim x kdim x kdim).  i and j != i are joined when some
+    Q_r[i][j] or Q_r[j][i] is nonzero; a nonzero Q_r[i][i] puts i in the
+    cover outright.  Greedy on the most uncovered edges, lowest index first;
+    then each greedy pick whose neighbours all lie in the cover is dropped
+    again, last pick first.  Deterministic; any cover gives the same zeros.
     """
-    if p * p * kdim + p ** 3 * kdim * kdim >= 1 << 63:
+    import numpy as np
+    kdim = qnp.shape[1]
+    support = qnp.any(axis=0)
+    edges = support | support.T
+    cover = set(np.flatnonzero(edges.diagonal()).tolist())
+    adj = [set(np.flatnonzero(row).tolist()) - {i}
+           for i, row in enumerate(edges)]
+    live = [set() if i in cover else adj[i] - cover for i in range(kdim)]
+    taken = []
+    while any(live):
+        v = max(range(kdim), key=lambda i: (len(live[i]), -i))
+        taken.append(v)
+        for j in live[v]:
+            live[j].discard(v)
+        live[v] = set()
+    cover.update(taken)
+    for v in reversed(taken):
+        if adj[v] <= cover:
+            cover.discard(v)
+    return sorted(cover)
+
+
+def _inverse_mod(x, p):
+    """Elementwise x^(p-2) mod p: the inverse of each nonzero residue."""
+    out = x * 0 + 1
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * x % p
+        x = x * x % p
+        e >>= 1
+    return out
+
+
+def _common_zeros(lmat, qmats, p, kdim, jobs=1):
+    """Sorted lexicographic positions, in F_p^kdim, of the common zeros of
+    residual_r = (L w)_r + w^T Q_r w mod p, as a numpy int64 array.
+
+    Fibred: once the unknowns of a vertex cover C of the quadratic terms
+    (``_vertex_cover``) are fixed, every residual is affine in the free
+    unknowns F, A(w_C) w_F + b(w_C).  The p^|C| fibres are taken in chunks;
+    each chunk's systems are assembled and reduced together mod p
+    (``_solve_fibres``).  ``jobs`` threads split the fibre range; the result
+    does not depend on it.  Raises FlatConnError before it builds any array
+    when a residual could reach 2^63 (its linear part is below p^2·kdim,
+    its quadratic part below p^3·kdim^2) or a position could (p^kdim).
+    """
+    if p * p * kdim + p ** 3 * kdim * kdim >= 1 << 63 or \
+            p ** kdim >= 1 << 63:
         raise FlatConnError(f"residuals over F_{p} with {kdim} unknowns "
                             "overflow 64-bit integers")
     import numpy as np
+    from concurrent.futures import ThreadPoolExecutor
 
+    lmat = lmat or [[0] * kdim]   # no residual reads as one zero residual
+    qmats = qmats or [[[0] * kdim] * kdim]
     rdim = len(lmat)
     lnp = np.array(lmat, dtype=np.int64).reshape(rdim, kdim) % p
-    qnp = [np.array(q, dtype=np.int64) % p for q in qmats]
-    place = np.array([p ** (kdim - 1 - t) for t in range(kdim)],
-                     dtype=np.int64)
-    chunk = 1 << 17
-    for start in range(lo, hi, chunk):
-        stop = min(start + chunk, hi)
-        idx = np.arange(start, stop, dtype=np.int64)
-        w = (idx[:, None] // place[None, :]) % p
-        if rdim == 0:
-            mask = np.ones(len(idx), dtype=bool)
-        else:
-            res = w @ lnp.T
-            for j in range(rdim):
-                res[:, j] += np.einsum("ni,ij,nj->n", w, qnp[j], w)
-            mask = ((res % p) == 0).all(axis=1)
-        yield start, w, mask
+    qnp = np.array(qmats, dtype=np.int64).reshape(rdim, kdim, kdim) % p
+    cover = _vertex_cover(qnp)
+    free = [i for i in range(kdim) if i not in cover]
+    c, nf = len(cover), len(free)
+    place = _place_values(p, kdim)
+    # residual_r = lf[r] . w_F + sum_a w_a (lc[r, a] + mix[a, r] . w_F
+    #                                       + qcc[a, r] . w_C)
+    lf, lc = lnp[:, free], lnp[:, cover]
+    sym = qnp + qnp.transpose(0, 2, 1)
+    mix = (sym[:, cover][:, :, free] % p).transpose(1, 0, 2)
+    qcc = qnp[:, cover][:, :, cover].transpose(1, 0, 2)
+    chunk = max(1, (1 << 20) // (rdim * (max(c, nf) + 1)))
+
+    def fibres(lo, hi):
+        parts = []
+        for start in range(lo, hi, chunk):
+            wc = (np.arange(start, min(start + chunk, hi), dtype=np.int64)
+                  [:, None] // _place_values(p, c)) % p
+            n = len(wc)
+            aug = np.empty((n, rdim, nf + 1), dtype=np.int64)
+            aug[:, :, :nf] = (wc @ mix.reshape(c, rdim * nf)).reshape(
+                n, rdim, nf) + lf
+            quad = (wc @ qcc.reshape(c, rdim * c)).reshape(n, rdim, c) % p
+            aug[:, :, nf] = wc @ lc.T + (quad * wc[:, None, :]).sum(axis=2)
+            aug %= p
+            parts.append(_solve_fibres(aug, p, wc @ place[cover],
+                                       place[free]))
+        return parts
+
+    nfib = p ** c
+    jobs = max(1, min(int(jobs), -(-nfib // chunk)))
+    bounds = [nfib * i // jobs for i in range(jobs + 1)]
+    if jobs == 1:
+        parts = [fibres(0, nfib)]
+    else:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            parts = list(pool.map(lambda se: fibres(*se),
+                                  zip(bounds[:-1], bounds[1:])))
+    return np.sort(np.concatenate([q for part in parts for q in part]))
+
+
+def _solve_fibres(aug, p, base, place_free):
+    """Lexicographic positions of every solution of the affine systems
+    aug[n] = [A | b], A w + b = 0 mod p, where fibre n sits at ``base[n]``
+    and ``place_free`` weighs the free unknowns.  All systems are brought to
+    reduced echelon form together, with pivots chosen per fibre and scaled
+    by Fermat inverses; inconsistent fibres drop out.  ``aug`` is reduced
+    in place.
+    """
+    import numpy as np
+    n, rdim, width = aug.shape
+    nf = width - 1
+    rows = np.arange(rdim)
+    rank = np.zeros(n, dtype=np.int64)
+    pivot_row = np.full((n, nf), -1, dtype=np.int64)
+    for col in range(nf):
+        cand = (aug[:, :, col] != 0) & (rows >= rank[:, None])
+        sel = np.flatnonzero(cand.any(axis=1))
+        if not len(sel):
+            continue
+        src, dst = cand[sel].argmax(axis=1), rank[sel]
+        top = aug[sel, src]
+        aug[sel, src] = aug[sel, dst]
+        top = top * _inverse_mod(top[:, col], p)[:, None] % p
+        block = aug[sel]
+        block -= block[:, :, col, None] * top[:, None, :]
+        block[np.arange(len(sel)), dst] = top
+        aug[sel] = block % p
+        pivot_row[sel, col] = dst
+        rank[sel] += 1
+    consistent = ~((aug[:, :, nf] != 0) & (rows >= rank[:, None])).any(axis=1)
+    out = [np.zeros(0, dtype=np.int64)]
+    for nullity in range(nf + 1):
+        pick = np.flatnonzero(consistent & (rank == nf - nullity))
+        if len(pick):
+            out.append(_list_solutions(aug[pick], pivot_row[pick], p,
+                                       nullity, base[pick], place_free))
+    return np.concatenate(out)
+
+
+def _list_solutions(aug, pivot_row, p, nullity, base, place_free):
+    """Positions of the p^nullity points of each reduced system's solution
+    space: the particular solution with the free unknowns at 0, plus every
+    combination of the kernel basis vectors, one per free unknown.  Fibres
+    and parameter tuples are taken in blocks of about 2^17 points, so
+    memory is bounded by the block, not by the hit count."""
+    import numpy as np
+    n, _, width = aug.shape
+    nf = width - 1
+    is_pivot = pivot_row >= 0
+    # the reduced row of each pivot unknown; free unknowns read row 0
+    reduced = np.take_along_axis(aug, np.maximum(pivot_row, 0)[:, :, None],
+                                 axis=1)
+    free_cols = np.argsort(is_pivot, axis=1, kind="stable")[:, :nullity]
+    x0 = np.where(is_pivot, -reduced[:, :, nf], 0) % p
+    coupling = np.take_along_axis(reduced[:, :, :nf],
+                                  free_cols[:, None, :].repeat(nf, axis=1),
+                                  axis=2)
+    unit = free_cols[:, None, :] == np.arange(nf)[None, :, None]
+    kernel = (np.where(is_pivot[:, :, None], -coupling, unit) % p
+              ).transpose(0, 2, 1)
+    block, params = 1 << 17, p ** nullity
+    per = max(1, block // params)
+    out = []
+    for lo in range(0, n, per):
+        for plo in range(0, params, block):
+            t = np.arange(plo, min(plo + block, params), dtype=np.int64)
+            digits = (t[:, None] // _place_values(p, nullity)) % p
+            pts = (x0[lo:lo + per, None, :]
+                   + digits @ kernel[lo:lo + per]) % p
+            out.append((base[lo:lo + per, None] + pts @ place_free).ravel())
+    return np.concatenate(out)
 
 
 def brute_force_flat(cdga, lie, jobs=1):
     """All flat connections over a prime field, in lexicographic order of
     the flattened (row-major) coefficient vector.
 
-    Guarded: p^(dim A^1 * dim lie) must not exceed 10^8.  ``jobs`` splits the
-    candidate range into contiguous slices evaluated independently; results
-    are concatenated in slice order, so the output is identical for any job
-    count.
+    Exhaustive and exact, but fibred rather than scanned: the unknowns of a
+    vertex cover of the bracket terms are enumerated and the residual,
+    affine in the rest, is solved mod p on each fibre (``_common_zeros``).
+    Guarded: p^(dim A^1 * dim lie) candidates must not exceed 10^8.
+    ``jobs`` threads split the fibre range; the output is identical for any
+    job count.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     f = cdga.field
     if not isinstance(f, PrimeField):
         raise FlatConnError("exhaustive search needs a prime field")
@@ -320,29 +478,11 @@ def brute_force_flat(cdga, lie, jobs=1):
             f"{p}^{kdim} = {total} candidates exceed the "
             f"{BRUTE_FORCE_CEILING} ceiling")
     lmat, qmats = flatness_tensors(cdga, lie)
-
-    def scan(lo, hi):
-        hits = []
-        for _, w, mask in _scan(lmat, qmats, p, kdim, lo, hi):
-            for row in w[mask]:
-                hits.append(tuple(int(v) for v in row))
-        return hits
-
-    jobs = max(1, int(jobs))
-    if jobs == 1 or total < (1 << 18):
-        found = scan(0, total)
-    else:
-        bounds = [total * i // jobs for i in range(jobs + 1)]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(lambda se: scan(*se),
-                                  zip(bounds[:-1], bounds[1:])))
-        found = [h for part in parts for h in part]
-
+    hits = _common_zeros(lmat, qmats, p, kdim, jobs)
     out = []
-    for flat_vec in found:
-        rows = [list(flat_vec[k * dg:(k + 1) * dg]) for k in range(n1)]
-        out.append(FlatConnection(cdga, lie,
-                                  Matrix(f, rows, ncols=dg)))
+    for flat_vec in ((hits[:, None] // _place_values(p, kdim)) % p).tolist():
+        rows = [flat_vec[k * dg:(k + 1) * dg] for k in range(n1)]
+        out.append(FlatConnection(cdga, lie, Matrix(f, rows, ncols=dg)))
     return out
 
 

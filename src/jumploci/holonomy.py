@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .flatconn import FlatConnection, _scan, is_flat
+from .flatconn import FlatConnection, _common_zeros, is_flat
 from .linalg import Matrix
 from .models import build_surface_model
 
@@ -264,7 +264,9 @@ def relation_tensors(pres, lie):
 
 def relation_check_mask(pres, lie, count):
     """Vectorized relation_check over the first ``count`` lexicographic
-    assignments of a prime field; returns a boolean numpy array."""
+    assignments of a prime field; returns a boolean numpy array.  The
+    satisfying assignments come from the census solver of ``flatconn``
+    and are scattered into the mask; positions past p^k are False."""
     import numpy as np
     from .scalars import PrimeField
     f = pres.field
@@ -272,7 +274,7 @@ def relation_check_mask(pres, lie, count):
         raise HolonomyError("mask evaluation needs a prime field")
     lmat, qmats = relation_tensors(pres, lie)
     kdim = len(pres.generators) * lie.dim
+    hits = _common_zeros(lmat, qmats, f.p, kdim)
     out = np.zeros(count, dtype=bool)
-    for start, _, mask in _scan(lmat, qmats, f.p, kdim, 0, count):
-        out[start:start + len(mask)] = mask
+    out[hits[hits < count]] = True
     return out

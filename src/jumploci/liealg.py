@@ -201,6 +201,15 @@ def sl_basis(n):
     return upper + lower + [(i, i) for i in range(1, n)]
 
 
+def sl_labels(n):
+    """Labels of the sl(n) basis in sl_basis order: H{i}, and E{i}{j} up to
+    n = 10.  From n = 11 on, concatenated indices collide (E111 would be both
+    E_{1,11} and E_{11,1}), so there the root vectors are written E{i}_{j}.
+    """
+    sep = "" if n <= 10 else "_"
+    return [f"H{i}" if i == j else f"E{i}{sep}{j}" for i, j in sl_basis(n)]
+
+
 def sl_matrices(n):
     """The sl(n) basis as n x n integer row lists, in sl_basis order."""
     out = []
@@ -233,7 +242,6 @@ def build_sl(field, n, name=None):
     """Traceless n x n matrices in the sl_basis order."""
     if n < 2:
         raise LieError("sl(n) needs n >= 2")
-    labels = [f"H{i}" if i == j else f"E{i}{j}" for i, j in sl_basis(n)]
     mats = sl_matrices(n)
     brackets = {}
     for a, x in enumerate(mats):
@@ -246,7 +254,7 @@ def build_sl(field, n, name=None):
                    enumerate(traceless_coordinates(comm)) if c != 0}
             if vec:
                 brackets[(a, b)] = vec
-    g = LieAlgebra(field, labels, brackets, name=name or f"sl{n}")
+    g = LieAlgebra(field, sl_labels(n), brackets, name=name or f"sl{n}")
     g.family = ("sl", n)
     return g
 

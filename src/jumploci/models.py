@@ -151,7 +151,7 @@ def build_torus_model(field, n, top=None, name=None):
 
     Degree-k basis: k-element index subsets, lex order, labelled by
     concatenating generator labels.  top defaults to min(n, 3) and is capped
-    at 3.
+    at 3; the model is marked ``truncated`` when top < n.
     """
     if n < 1:
         raise CdgaError("torus model needs n >= 1")
@@ -181,6 +181,7 @@ def build_torus_model(field, n, top=None, name=None):
     model = Cdga(field, name or f"torus_n{n}", basis, {}, mult,
                  weights=weights)
     model.family = ("torus", n, top)
+    model.truncated = top < n
     return model
 
 

@@ -115,6 +115,8 @@ def cdga_to_json(a):
            "basis": [list(b) for b in a.basis], "mult": mult, "diff": diff}
     if a.weights is not None:
         obj["weights"] = [list(w) for w in a.weights]
+    if a.truncated:
+        obj["truncated"] = True
     return obj
 
 
@@ -146,7 +148,12 @@ def cdga_from_json(field, obj):
             vec[term["idx"]] = decode_scalar(field, term["coef"])
         mult[(di, ki, dj, kj)] = vec
     weights = obj.get("weights")
-    return Cdga(field, obj["name"], basis, diff, mult, weights=weights)
+    truncated = obj.get("truncated", False)
+    if not isinstance(truncated, bool):
+        raise SerializeError("truncated must be true or false")
+    a = Cdga(field, obj["name"], basis, diff, mult, weights=weights)
+    a.truncated = truncated
+    return a
 
 
 def resolve_model(field, spec):

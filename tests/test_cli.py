@@ -62,6 +62,53 @@ def test_cohomology_json(capsys):
     assert payload["euler"] == 0
 
 
+def test_cohomology_of_truncated_models(capsys):
+    # Kunneth for (1, 2, 2, 1) x (1, 2, 2, 1) below degree 3; the cut-off
+    # degree 3 is not computed, so it is null and no Euler is claimed
+    product = '{"model": "tensor(surface(1),surface(1))"}'
+    assert main(["cohomology", "--input", product, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"model": "surface_g1(x)surface_g1",
+                       "betti": [1, 4, 8, None]}
+    assert main(["cohomology", "--input", product]) == 0
+    assert capsys.readouterr().out == (
+        "model surface_g1(x)surface_g1: betti = (1, 4, 8, n/a (truncated))\n")
+    # binomial(5, i) below the top of the degree-3 torus(5) model
+    assert main(["cohomology", "--input", '{"model": "torus(5)"}',
+                 "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["betti"] == [1, 5, 10, None]
+
+
+def test_untruncated_betti_output_unchanged(capsys):
+    assert main(["cohomology", "--input", '{"model": "surface(2)"}']) == 0
+    assert capsys.readouterr().out == \
+        "model surface_g2: betti = (1, 4, 4, 1), euler = 0\n"
+    conn = {"cdga": "compact_curve(2)", "lie": "sl(2)",
+            "coeffs": [["1", "0", "0"], ["0", "1", "0"], ["0", "1", "0"],
+                       ["1", "0", "0"]]}
+    doc = json.dumps({"connection": conn, "theta": "adjoint(sl(2))"})
+    assert main(["aomoto-betti", "--input", doc, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"betti": [0, 6, 0],
+                                                   "euler": -6}
+    assert main(["aomoto-betti", "--input", doc]) == 0
+    assert capsys.readouterr().out == \
+        "twisted betti numbers = (0, 6, 0), euler = -6\n"
+
+
+def test_aomoto_betti_of_a_truncated_model(capsys):
+    conn = {"cdga": "torus(4)", "lie": "sl(2)",
+            "coeffs": [["1", "0", "0"], ["2", "0", "0"], ["0", "0", "0"],
+                       ["0", "0", "0"]]}
+    doc = json.dumps({"connection": conn, "theta": "adjoint(sl(2))"})
+    assert main(["aomoto-betti", "--input", doc, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert "euler" not in payload and payload["betti"][-1] is None
+    assert len(payload["betti"]) == 4
+    assert main(["aomoto-betti", "--input", doc]) == 0
+    out = capsys.readouterr().out
+    assert "n/a (truncated)" in out and "euler" not in out
+
+
 def test_f1_and_pi(capsys):
     assert main(["f1", "--input", CURVE_FLAT]) == 0
     assert "rank-one" in capsys.readouterr().out

@@ -1,17 +1,24 @@
 """Flatness, the rank-one and determinant-cut loci, and exhaustive search."""
 
+import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from jumploci.cdga import Cdga
 from jumploci.flatconn import (BruteForceBoundError, FlatConnection,
-                               FlatConnError, NotFlatError, _scan,
-                               brute_force_flat, f1_membership, is_flat,
+                               FlatConnError, NotFlatError, _common_zeros,
+                               _vertex_cover, brute_force_flat,
+                               f1_membership, flatness_tensors, is_flat,
                                lex_index, mc_residual, pi_membership, pullback,
                                tangent_dimension, weight_scale)
-from jumploci.liealg import LieRep, build_abelian, build_sl, rep_defining
-from jumploci.models import (build_compact_curve, build_surface_model,
-                             build_torus_model, curve_inclusion)
+from jumploci.liealg import (LieRep, build_abelian, build_sl, build_sol2,
+                             rep_defining)
+from jumploci.models import (build_compact_curve, build_open_curve,
+                             build_surface_model, build_torus_model,
+                             curve_inclusion)
 from jumploci.scalars import GF, QQ
+from jumploci.scenarios import load_golden
 
 
 def conn(cdga, lie, rows):
@@ -199,9 +206,115 @@ def test_brute_force_guards():
 
 def test_scan_refuses_int64_overflow():
     # 2 unknowns over F_p, p = 2^31 - 1: a quadratic residual can reach
-    # about 4 p^3 > 2^63, so the scan refuses before it builds any array
+    # about 4 p^3 > 2^63, so the solver refuses before it builds any array
     p = 2 ** 31 - 1
     lmat = [[1, 1]]
     qmats = [[[0, 1], [0, 0]]]
     with pytest.raises(FlatConnError, match="overflow"):
-        next(_scan(lmat, qmats, p, 2, 0, 1))
+        _common_zeros(lmat, qmats, p, 2)
+
+
+# ---------------------------------------------------------------------------
+# the fibred solver against the full candidate scan
+
+
+def full_scan(lmat, qmats, p, kdim):
+    """Oracle: evaluate residual_j = (L w)_j + w^T Q_j w mod p at every w
+    in F_p^kdim, in chunks of 2^17 lexicographic positions, and return the
+    sorted positions where every residual vanishes."""
+    rdim = len(lmat)
+    lnp = np.array(lmat, dtype=np.int64).reshape(rdim, kdim) % p
+    qnp = [np.array(q, dtype=np.int64) % p for q in qmats]
+    place = np.array([p ** (kdim - 1 - t) for t in range(kdim)],
+                     dtype=np.int64)
+    total = p ** kdim
+    hits = []
+    for start in range(0, total, 1 << 17):
+        idx = np.arange(start, min(start + (1 << 17), total), dtype=np.int64)
+        w = (idx[:, None] // place[None, :]) % p
+        res = w @ lnp.T
+        for j in range(rdim):
+            res[:, j] += np.einsum("ni,ij,nj->n", w, qnp[j], w)
+        hits.append(idx[((res % p) == 0).all(axis=1)])
+    return np.concatenate(hits)
+
+
+@st.composite
+def sparse_systems(draw):
+    p = draw(st.sampled_from([3, 5, 7]))
+    kdim = draw(st.integers(1, 6))
+    rdim = draw(st.integers(1, 4))
+    density = draw(st.sampled_from([0.1, 0.25, 0.5]))
+
+    def entry():
+        return draw(st.integers(-2 * p, 2 * p)) if \
+            draw(st.floats(0, 1)) < density else 0
+
+    lmat = [[entry() for _ in range(kdim)] for _ in range(rdim)]
+    # off-diagonal and diagonal quadratic terms alike
+    qmats = [[[entry() for _ in range(kdim)] for _ in range(kdim)]
+             for _ in range(rdim)]
+    return lmat, qmats, p, kdim
+
+
+@seed(20261018)
+@settings(max_examples=120, deadline=None)
+@given(system=sparse_systems())
+def test_fibred_zeros_match_full_scan(system):
+    lmat, qmats, p, kdim = system
+    expected = full_scan(lmat, qmats, p, kdim)
+    for jobs in (1, 2):
+        got = _common_zeros(lmat, qmats, p, kdim, jobs)
+        assert got.tolist() == expected.tolist()
+
+
+@seed(20261018)
+@settings(max_examples=120, deadline=None)
+@given(system=sparse_systems())
+def test_vertex_cover_touches_every_quadratic_term(system):
+    lmat, qmats, p, kdim = system
+    qnp = np.array(qmats, dtype=np.int64) % p
+    cover = set(_vertex_cover(qnp))
+    for q in qnp:
+        for i, j in zip(*np.nonzero(q)):
+            assert i in cover or j in cover
+    assert _vertex_cover(qnp) == sorted(cover)
+
+
+@pytest.mark.parametrize("make, p", [
+    (lambda f: (build_compact_curve(f, 1), build_sl(f, 2)), 5),
+    (lambda f: (build_torus_model(f, 3), build_sol2(f)), 5),
+    (lambda f: (build_compact_curve(f, 2), build_sl(f, 2)), 3),
+    (lambda f: (build_open_curve(f, 2), build_sl(f, 2)), 3),
+    (lambda f: (build_torus_model(f, 1), build_abelian(f, 2)), 7),
+])
+def test_fibred_census_matches_full_scan(make, p):
+    model, lie = make(GF(p))
+    lmat, qmats = flatness_tensors(model, lie)
+    kdim = model.dim(1) * lie.dim
+    expected = full_scan(lmat, qmats, p, kdim).tolist()
+    for jobs in (1, 2):
+        assert [lex_index(c, p) for c in
+                brute_force_flat(model, lie, jobs)] == expected
+
+
+@pytest.mark.parametrize("golden, key, p, make", [
+    ("census_surface_g1_sl2_f3.json", None, 3,
+     lambda f: (build_surface_model(f, 1), build_sl(f, 2))),
+    ("census_surface_g1_sl2_f5.json", None, 5,
+     lambda f: (build_surface_model(f, 1), build_sl(f, 2))),
+    ("census_torus_n2_f3.json", "sl2", 3,
+     lambda f: (build_torus_model(f, 2), build_sl(f, 2))),
+    ("census_torus_n2_f3.json", "sol2", 3,
+     lambda f: (build_torus_model(f, 2), build_sol2(f))),
+])
+def test_census_goldens_come_back_unchanged(golden, key, p, make):
+    frozen = load_golden(golden)
+    if key is not None:
+        frozen = frozen[key]
+    model, lie = make(GF(p))
+    assert p ** (model.dim(1) * lie.dim) == frozen["candidates"]
+    for jobs in (1, 2, 3):
+        flats = brute_force_flat(model, lie, jobs)
+        assert len(flats) == frozen["count"]
+        assert [lex_index(c, p) for c in flats] == frozen["solution_indices"]

@@ -7,7 +7,8 @@ import pytest
 from jumploci.liealg import (LieAlgebra, LieError, LieRep, build_abelian,
                              build_sl, build_sol2, det_theta, rep_adjoint,
                              rep_defining, rep_direct_sum, rep_trivial,
-                             sl_coordinates, sl_root_index)
+                             sl_basis, sl_coordinates, sl_labels,
+                             sl_root_index)
 from jumploci.linalg import Matrix
 from jumploci.scalars import GF, QQ
 
@@ -157,6 +158,20 @@ def test_rep_defining_sl10():
     e = [[0] * 10 for _ in range(10)]
     e[0][9] = 1
     assert rep.matrices[sl_root_index(g, 1, 10)] == Matrix(QQ, e)
+
+
+def test_sl_labels_unique_and_stable():
+    for n in range(2, 14):
+        labels = sl_labels(n)
+        assert len(set(labels)) == len(labels) == n * n - 1
+        if n <= 10:
+            # the concatenated spelling every earlier label used
+            assert labels == [f"H{i}" if i == j else f"E{i}{j}"
+                              for i, j in sl_basis(n)]
+    eleven = sl_labels(11)
+    assert eleven[sl_basis(11).index((1, 11))] == "E1_11"
+    assert eleven[sl_basis(11).index((11, 1))] == "E11_1"
+    assert build_sl(GF(3), 4).labels == sl_labels(4)
 
 
 def test_sl_coordinates_round_trip():

@@ -8,7 +8,9 @@ rank-two arrangement.
 
 import pytest
 
-from jumploci.cdga import CdgaError
+from math import comb
+
+from jumploci.cdga import CdgaError, tensor_product_with_inclusions
 from jumploci.models import (build_compact_curve, build_open_curve,
                              build_os_arrangement, build_surface_model,
                              build_torus_model, curve_inclusion,
@@ -30,6 +32,40 @@ def test_torus_truncation():
     a = build_torus_model(QQ, 3, top=2)
     assert a.dims() == (1, 3, 3)
     assert a.validate() == []
+    assert a.truncated
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_truncated_torus_binomials_below_the_top(n):
+    a = build_torus_model(QQ, n)
+    assert a.truncated and a.top_degree == 3
+    assert [a.betti(i) for i in range(3)] == [comb(n, i) for i in range(3)]
+
+
+def test_truncated_flag():
+    assert not build_torus_model(QQ, 3).truncated
+    assert not build_surface_model(QQ, 2).truncated
+    curve, circle = build_compact_curve(QQ, 1), build_torus_model(QQ, 1)
+    prod, _, _ = tensor_product_with_inclusions(curve, circle)  # top 2 + 1
+    assert not prod.truncated
+    prod, _, _ = tensor_product_with_inclusions(curve, curve)   # top 2 + 2
+    assert prod.truncated
+    # a truncated factor truncates the product, whatever the degrees
+    prod, _, _ = tensor_product_with_inclusions(
+        build_torus_model(QQ, 2, top=1), build_torus_model(QQ, 1, top=0))
+    assert prod.top_degree == 1 and prod.truncated
+
+
+def test_kunneth_below_the_top_of_a_truncated_product():
+    s = build_surface_model(QQ, 1)
+    factor = [s.betti(i) for i in range(s.top_degree + 1)]
+    assert factor == [1, 2, 2, 1]
+    prod, _, _ = tensor_product_with_inclusions(s, s)
+    assert prod.truncated and prod.top_degree == 3
+    kunneth = [sum(factor[i] * factor[d - i] for i in range(d + 1))
+               for d in range(3)]
+    assert kunneth == [1, 4, 8]
+    assert [prod.betti(d) for d in range(3)] == kunneth
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])

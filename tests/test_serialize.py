@@ -2,6 +2,7 @@
 
 import pytest
 
+from jumploci.cdga import tensor_product_with_inclusions
 from jumploci.holonomy import (Relation, HolonomyPresentation,
                                holonomy_presentation, surface_presentations)
 from jumploci.liealg import build_sl, build_sol2, rep_adjoint, rep_defining
@@ -49,6 +50,18 @@ def test_cdga_round_trip(field):
     assert back.dims() == a.dims()
     for i in range(a.top_degree + 1):
         assert back.betti(i) == a.betti(i)
+
+
+def test_cdga_round_trip_keeps_truncation():
+    s = build_surface_model(QQ, 1)
+    prod, _, _ = tensor_product_with_inclusions(s, s)
+    obj = cdga_to_json(prod)
+    assert obj["truncated"] is True
+    assert cdga_from_json(QQ, obj).truncated
+    assert "truncated" not in cdga_to_json(s)
+    assert not cdga_from_json(QQ, cdga_to_json(s)).truncated
+    with pytest.raises(SerializeError):
+        cdga_from_json(QQ, dict(obj, truncated="yes"))
 
 
 def test_cdga_from_json_errors():
