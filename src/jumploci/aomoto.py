@@ -43,35 +43,28 @@ def aomoto_matrix(conn, rep, i):
 
     Block formula: D[(c, w), (b, v)] =
         d_i[c, b] delta_{w v} + sum_k prod(a_k, x_b)[c] theta(x_k)[w, v].
+    Rows are assembled sparse, from the nonzeros of d_i, of the products
+    and of each theta(x_k), and reduced once at the end.
     """
-    a, g = conn.cdga, conn.lie
-    f = a.field
+    a = conn.cdga
     dv = rep.dim
     ni, nj = a.dim(i), a.dim(i + 1)
-    theta = [rep.apply(conn.row(k)) for k in range(a.dim(1))]
-    entries = [[f.zero] * (ni * dv) for _ in range(nj * dv)]
-    di = a.d_matrix(i)
+    theta = [rep.apply(conn.row(k)).rows for k in range(a.dim(1))]
+    rows = [{} for _ in range(nj * dv)]
+    for c, drow in enumerate(a.d_matrix(i).rows):
+        for b, coef in drow.items():
+            for w in range(dv):
+                rows[c * dv + w][b * dv + w] = coef
     for b in range(ni):
-        for c in range(nj):
-            coef = di[c, b]
-            if not f.is_zero(coef):
-                for w in range(dv):
-                    entries[c * dv + w][b * dv + w] = f.add(
-                        entries[c * dv + w][b * dv + w], coef)
-        for k in range(a.dim(1)):
-            prod = a.product_basis(1, k, i, b)
-            if not prod:
-                continue
-            for c, coef in prod.items():
-                th = theta[k]
-                for w in range(dv):
-                    for v in range(dv):
-                        x = th[w, v]
-                        if not f.is_zero(x):
-                            entries[c * dv + w][b * dv + v] = f.add(
-                                entries[c * dv + w][b * dv + v],
-                                f.mul(coef, x))
-    return Matrix(f, entries, ncols=ni * dv)
+        for k, th in enumerate(theta):
+            for c, coef in a.product_basis(1, k, i, b).items():
+                for w, th_row in enumerate(th):
+                    row = rows[c * dv + w]
+                    for v, x in th_row.items():
+                        col = b * dv + v
+                        row[col] = row[col] + coef * x if col in row \
+                            else coef * x
+    return Matrix.from_sums(a.field, rows, ni * dv)
 
 
 class AomotoComplex:
@@ -237,12 +230,7 @@ def depth_gap(morphism, rep, conn, eta):
     target = target_complex.betti(1)
 
     # the advertised new kernel element
-    dv = rep.dim
-    vec = [f.zero] * (tgt.dim(1) * dv)
-    for k, c in enumerate(eta):
-        if not f.is_zero(c):
-            for w in range(dv):
-                vec[k * dv + w] = f.mul(c, v[w])
+    vec = [f.mul(c, x) for c in eta for x in v]
     image = target_complex.matrix(1).apply(vec)
     eta_ok = all(f.is_zero(x) for x in image)
 

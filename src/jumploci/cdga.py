@@ -28,7 +28,7 @@ flag travels with the model's JSON form.
 
 from __future__ import annotations
 
-from .linalg import Matrix, kernel_basis, rank
+from .linalg import Matrix, dense_vector, kernel_basis, rank
 from .scalars import same_field
 
 
@@ -127,21 +127,13 @@ class Cdga:
 
     def product(self, i, v, j, w):
         """Bilinear product of coordinate vectors; result in degree i+j."""
-        f = self.field
-        out_dim = self.dim(i + j)
-        out = [f.zero] * out_dim
-        if out_dim == 0:
-            return out
+        acc = {}
         for k, a in enumerate(v):
-            if f.is_zero(a):
-                continue
             for l, b in enumerate(w):
-                if f.is_zero(b):
-                    continue
-                coef = f.mul(a, b)
-                for m, c in self.product_basis(i, k, j, l).items():
-                    out[m] = f.add(out[m], f.mul(coef, c))
-        return out
+                if a and b:
+                    for m, c in self.product_basis(i, k, j, l).items():
+                        acc[m] = acc.get(m, 0) + a * b * c
+        return dense_vector(self.field, acc, self.dim(i + j))
 
     # -- cohomology ---------------------------------------------------------
 
@@ -184,25 +176,15 @@ class Cdga:
             if not comp.is_zero():
                 failures.append(f"d^{i + 1} d^{i} != 0")
 
-        def vec_eq(u, v):
-            return all(f.is_zero(f.sub(a, b)) for a, b in zip(u, v))
-
-        def as_vec(i, dct):
-            out = [f.zero] * self.dim(i)
-            for m, c in dct.items():
-                out[m] = c
-            return out
-
         # graded commutativity on stored-or-zero pairs
         for i in range(1, self.top_degree + 1):
             for j in range(i, self.top_degree + 1 - i):
                 for k in range(self.dim(i)):
                     for l in range(self.dim(j)):
-                        ab = as_vec(i + j, self.product_basis(i, k, j, l))
-                        ba = as_vec(i + j, self.product_basis(j, l, i, k))
+                        ba = self.product_basis(j, l, i, k)
                         if i * j % 2 == 1:
-                            ba = [f.neg(x) for x in ba]
-                        if not vec_eq(ab, ba):
+                            ba = {m: f.neg(c) for m, c in ba.items()}
+                        if self.product_basis(i, k, j, l) != ba:
                             failures.append(
                                 "graded commutativity fails on "
                                 f"({self.label(i, k)}, {self.label(j, l)})")
@@ -213,18 +195,18 @@ class Cdga:
                 if i + j + 1 > self.top_degree:
                     continue
                 for k in range(self.dim(i)):
-                    dx = self.d_apply(i, self._unit_vec(i, k))
+                    x = self._unit_vec(i, k)
+                    dx = self.d_apply(i, x)
                     for l in range(self.dim(j)):
                         y = self._unit_vec(j, l)
                         dy = self.d_apply(j, y)
-                        lhs = self.d_apply(
-                            i + j, as_vec(i + j, self.product_basis(i, k, j, l)))
+                        lhs = self.d_apply(i + j, self.product(i, x, j, y))
                         rhs = self.product(i + 1, dx, j, y)
-                        term = self.product(i, self._unit_vec(i, k), j + 1, dy)
+                        term = self.product(i, x, j + 1, dy)
                         if i % 2 == 1:
                             term = [f.neg(x) for x in term]
                         rhs = [f.add(a, b) for a, b in zip(rhs, term)]
-                        if not vec_eq(lhs, rhs):
+                        if lhs != rhs:
                             failures.append(
                                 "Leibniz fails on "
                                 f"({self.label(i, k)}, {self.label(j, l)})")
@@ -243,7 +225,7 @@ class Cdga:
                                 lhs = self.product(i + j, xy, q, z)
                                 rhs = self.product(
                                     i, x, j + q, self.product(j, y, q, z))
-                                if not vec_eq(lhs, rhs):
+                                if lhs != rhs:
                                     failures.append(
                                         "associativity fails on "
                                         f"({self.label(i, k)},"
@@ -271,11 +253,9 @@ class Cdga:
                     failures.append(
                         f"weight {w} of {self.label(i, k)} outside [{i},{2 * i}]")
         for i in range(self.top_degree):
-            d = self.d_matrix(i)
-            for c in range(d.nrows):
-                for k in range(d.ncols):
-                    if not f.is_zero(d[c, k]) and \
-                            self.weights[i + 1][c] != self.weights[i][k]:
+            for c, row in enumerate(self.d_matrix(i).rows):
+                for k in row:
+                    if self.weights[i + 1][c] != self.weights[i][k]:
                         failures.append(
                             f"d does not preserve weight on {self.label(i, k)}")
         for (i, k, j, l), vec in self._mult.items():
@@ -336,9 +316,6 @@ class CdgaMorphism:
             if lhs != rhs:
                 failures.append(f"does not commute with d at degree {i}")
 
-        def vec_eq(u, v):
-            return all(f.is_zero(f.sub(a, b)) for a, b in zip(u, v))
-
         # When i+j exceeds the source top the source product is truncated to
         # zero, so multiplicativity forces the image product to vanish too.
         for i in range(1, self.source.top_degree + 1):
@@ -348,26 +325,19 @@ class CdgaMorphism:
                     for l in range(self.source.dim(j)):
                         fy = self.maps[j].column(l)
                         rhs = self.target.product(i, fx, j, fy)
-                        src = self.source.product_basis(i, k, j, l) \
-                            if i + j <= self.source.top_degree else {}
-                        vec = [f.zero] * self.source.dim(i + j)
-                        for m, c in src.items():
-                            vec[m] = c
-                        lhs = self.apply(i + j, vec) \
-                            if i + j <= self.source.top_degree \
-                            else [f.zero] * self.target.dim(i + j)
-                        if not vec_eq(lhs, rhs):
+                        lhs = self.apply(i + j, self.source.product(
+                            i, self.source._unit_vec(i, k),
+                            j, self.source._unit_vec(j, l)))
+                        if lhs != rhs:
                             failures.append(
                                 "not multiplicative on "
                                 f"({self.source.label(i, k)}, "
                                 f"{self.source.label(j, l)})")
         if self.source.weights is not None and self.target.weights is not None:
             for i in range(1, self.source.top_degree + 1):
-                m = self.maps[i]
-                for c in range(m.nrows):
-                    for k in range(m.ncols):
-                        if not f.is_zero(m[c, k]) and \
-                                self.target.weights[i][c] != \
+                for c, row in enumerate(self.maps[i].rows):
+                    for k in row:
+                        if self.target.weights[i][c] != \
                                 self.source.weights[i][k]:
                             failures.append(
                                 "does not preserve weight on "
@@ -410,23 +380,21 @@ def tensor_product_with_inclusions(a, b, name=None):
 
     diff = {}
     for d in range(top):
-        cols = []
+        rows = [{} for _ in basis[d + 1]]
         for idx in range(len(basis[d])):
             i, k, j, l = pairs[(d, idx)]
-            col = [f.zero] * len(basis[d + 1])
-            da = a.d_matrix(i).column(k) if i < a.top_degree else []
-            for c, coef in enumerate(da):
-                if not f.is_zero(coef) and (i + 1, c, j, l) in index:
-                    _, t_idx = index[(i + 1, c, j, l)]
-                    col[t_idx] = f.add(col[t_idx], coef)
-            db = b.d_matrix(j).column(l) if j < b.top_degree else []
-            for c, coef in enumerate(db):
-                if not f.is_zero(coef) and (i, k, j + 1, c) in index:
-                    _, t_idx = index[(i, k, j + 1, c)]
-                    signed = f.neg(coef) if i % 2 == 1 else coef
-                    col[t_idx] = f.add(col[t_idx], signed)
-            cols.append(col)
-        diff[d] = Matrix.from_columns(f, cols, nrows=len(basis[d + 1]))
+            terms = []
+            if i < a.top_degree:
+                terms += [((i + 1, c, j, l), coef) for c, coef
+                          in enumerate(a.d_matrix(i).column(k)) if coef]
+            if j < b.top_degree:
+                sign = -1 if i % 2 == 1 else 1
+                terms += [((i, k, j + 1, c), sign * coef) for c, coef
+                          in enumerate(b.d_matrix(j).column(l)) if coef]
+            for key, coef in terms:
+                if key in index:
+                    rows[index[key][1]][idx] = coef
+        diff[d] = Matrix.from_sums(f, rows, len(basis[d]))
 
     mult = {}
     for d1 in range(1, top):
@@ -446,14 +414,9 @@ def tensor_product_with_inclusions(a, b, name=None):
                     for ka, ca in xa.items():
                         for lb, cb in yb.items():
                             key = index.get((i + p, ka, j + r, lb))
-                            if key is None:
-                                continue
-                            _, t_idx = key
-                            c = f.mul(ca, cb)
-                            if sign < 0:
-                                c = f.neg(c)
-                            vec[t_idx] = f.add(vec.get(t_idx, f.zero), c)
-                    vec = {m: c for m, c in vec.items() if not f.is_zero(c)}
+                            if key is not None:
+                                vec[key[1]] = (vec.get(key[1], 0)
+                                               + sign * ca * cb)
                     if vec:
                         mult[(d1, idx1, d2, idx2)] = vec
 
@@ -475,15 +438,12 @@ def tensor_product_with_inclusions(a, b, name=None):
     def inclusion(factor, other_first):
         maps = {}
         for i in range(factor.top_degree + 1):
-            cols = []
+            rows = [{} for _ in range(prod.dim(i))]
             for k in range(factor.dim(i)):
-                col = [f.zero] * prod.dim(i)
                 key = (i, k, 0, 0) if not other_first else (0, 0, i, k)
                 if key in index:
-                    _, idx = index[key]
-                    col[idx] = f.one
-                cols.append(col)
-            maps[i] = Matrix.from_columns(f, cols, nrows=prod.dim(i))
+                    rows[index[key][1]][k] = f.one
+            maps[i] = Matrix.sparse(f, rows, factor.dim(i))
         return maps
 
     incl_a = CdgaMorphism(a, prod, inclusion(a, False),

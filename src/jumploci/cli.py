@@ -4,7 +4,8 @@ Every subcommand reads JSON (a file path or an inline ``{...}`` literal via
 --input), runs one operation, and reports either human-readable lines or,
 with --json, a machine-readable document.  Exit codes: 0 when every asserted
 property holds, 1 when a property fails (the report names it), 2 for
-malformed input or an unknown subcommand / scenario name.
+malformed input or an unknown subcommand / scenario name, 3 for any other
+exception: input is checked where it is decoded, so that is a bug.
 """
 
 import argparse
@@ -43,25 +44,31 @@ class CliInputError(ValueError):
 
 MALFORMED = (CliInputError, SerializeError, ScenarioError, ScalarError,
              CdgaError, LieError, FlatConnError, HolonomyError, AomotoError,
-             GroupError, LinalgError, json.JSONDecodeError, OSError,
-             KeyError, TypeError)
+             GroupError, LinalgError)
 
 
-def load_input(args, required=True):
-    """--input accepts a file path or an inline JSON literal."""
+def load_input(args, *keys, required=True):
+    """--input accepts a file path or an inline JSON literal.  With ``keys``
+    the document must be a JSON object holding each of them."""
     raw = args.input
     if raw is None:
         if required:
             raise CliInputError("this subcommand needs --input")
         return None
     text = raw.strip()
-    if text[:1] not in ("{", "[", '"'):
-        with open(raw, "r", encoding="utf-8") as fh:
-            text = fh.read()
     try:
-        return json.loads(text)
+        if text[:1] not in ("{", "[", '"'):
+            with open(raw, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        obj = json.loads(text)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliInputError(f"cannot read {raw}: {exc}")
     except json.JSONDecodeError as exc:
         raise CliInputError(f"input is not valid JSON: {exc}")
+    if keys and (not isinstance(obj, dict) or any(k not in obj for k in keys)):
+        raise CliInputError("expected a JSON object with keys "
+                            + ", ".join(f'"{k}"' for k in keys))
+    return obj
 
 
 def _connection_and_twist(f, obj):
@@ -210,16 +217,14 @@ def cmd_pi(args, f):
 
 
 def cmd_pullback(args, f):
-    obj = load_input(args)
-    if "morphism" not in obj or "connection" not in obj:
-        raise CliInputError('expected {"morphism": ..., "connection": ...}')
+    obj = load_input(args, "morphism", "connection")
     phi = resolve_morphism(f, obj["morphism"])
     conn = connection_from_json(f, obj["connection"])
     out = pullback(phi, conn)
     payload = connection_to_json(out)
     lines = [f"pullback onto {out.cdga.name}:"]
     lines += ["  " + "  ".join(encode_scalar(f, v) for v in row)
-              for row in out.coeffs.rows]
+              for row in out.coeffs.to_lists()]
     return 0, payload, lines
 
 
@@ -243,9 +248,7 @@ def cmd_tangent(args, f):
 
 
 def cmd_brute_force(args, f):
-    obj = load_input(args)
-    if "cdga" not in obj or "lie" not in obj:
-        raise CliInputError('expected {"cdga": ..., "lie": ...}')
+    obj = load_input(args, "cdga", "lie")
     model = resolve_model(f, obj["cdga"])
     lie = resolve_lie(f, obj["lie"])
     p = getattr(f, "p", None)
@@ -271,15 +274,13 @@ def cmd_holonomy(args, f):
 
 
 def cmd_relation_check(args, f):
-    obj = load_input(args)
+    obj = load_input(args, "lie", "assignment")
     if "presentation" in obj:
         pres = presentation_from_json(f, obj["presentation"])
     elif "model" in obj:
         pres = holonomy_presentation(resolve_model(f, obj["model"]))
     else:
         raise CliInputError('expected a "presentation" or a "model" key')
-    if "lie" not in obj or "assignment" not in obj:
-        raise CliInputError('expected "lie" and "assignment" keys')
     lie = resolve_lie(f, obj["lie"])
     assignment = decode_matrix(f, obj["assignment"],
                                shape=(len(pres.generators), lie.dim))
@@ -307,6 +308,8 @@ def cmd_resonance(args, f):
     conn, theta = _connection_and_twist(f, obj)
     degree = obj.get("degree", 1)
     depth = obj.get("depth", 1)
+    if type(degree) is not int or type(depth) is not int:
+        raise CliInputError("degree and depth must be integers")
     member = resonance_membership(conn, theta, degree, depth)
     payload = {"member": member, "degree": degree, "depth": depth}
     lines = [(f"member of the degree-{degree} depth-{depth} resonance locus"
@@ -332,13 +335,13 @@ def _default_depth_gap(f):
 
 
 def cmd_depth_gap(args, f):
-    obj = load_input(args, required=False)
+    obj = load_input(args, "morphism", "theta", "connection", "eta",
+                     required=False)
     if obj is None:
         phi, theta, conn, eta = _default_depth_gap(f)
     else:
-        for key in ("morphism", "theta", "connection", "eta"):
-            if key not in obj:
-                raise CliInputError(f'missing key "{key}"')
+        if not isinstance(obj["eta"], list):
+            raise CliInputError("eta must be a list of scalars")
         phi = resolve_morphism(f, obj["morphism"])
         theta = resolve_rep(f, obj["theta"])
         conn = connection_from_json(f, obj["connection"])
@@ -369,6 +372,8 @@ def cmd_fox(args, f):
 
 def cmd_rep_check(args, f):
     obj = load_input(args)
+    if not isinstance(obj, dict):
+        raise CliInputError("expected a group or Lie representation document")
     if "group" in obj:
         rho = group_rep_from_json(f, obj)
         ok, bad = rep_check(rho)
@@ -444,7 +449,9 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="jumploci",
         description="Flat connections, jump loci, and holonomy on finite "
-                    "commutative differential graded models.")
+                    "commutative differential graded models.",
+        epilog="exit codes: 0 the property holds, 1 it fails, 2 malformed "
+               "input, 3 internal error (a bug; its traceback goes to stderr)")
     sub = parser.add_subparsers(dest="command", required=True)
     helps = {
         "validate": "check a JSON document against its schema and axioms",
@@ -488,6 +495,12 @@ def main(argv=None):
     except MALFORMED as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        import traceback  # only on this path: it costs the cold start
+        traceback.print_exc()
+        print("internal error: a bug in jumploci, not in the input",
+              file=sys.stderr)
+        return 3
     if args.json:
         print(json.dumps(payload, indent=2))
     else:

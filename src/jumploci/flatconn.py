@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Matrix, rank, kernel_basis, solve
+from .linalg import Matrix, dense_vector, rank, kernel_basis, solve
 from .scalars import PrimeField, same_field
 
 
@@ -80,36 +80,21 @@ class FlatConnection:
 
 def mc_residual(conn):
     """Maurer-Cartan residual as a vector in degree-2 (x) Lie coordinates,
-    flattened algebra-major: index = (degree-2 index) * dim_lie + lie index."""
+    flattened algebra-major: index = (degree-2 index) * dim_lie + lie index.
+    The linear part is d^1 times the coefficient matrix."""
     a, g = conn.cdga, conn.lie
-    f = a.field
-    n1, n2, dg = a.dim(1), a.dim(2), g.dim
-    out = [f.zero] * (n2 * dg)
-    if n2 == 0:
-        return out
-    d1 = a.d_matrix(1)
-    rows = [conn.row(k) for k in range(n1)]
-    for k in range(n1):
-        for c in range(n2):
-            coef = d1[c, k]
-            if f.is_zero(coef):
-                continue
-            for m in range(dg):
-                if not f.is_zero(rows[k][m]):
-                    out[c * dg + m] = f.add(out[c * dg + m],
-                                            f.mul(coef, rows[k][m]))
-    for k in range(n1):
-        for l in range(k + 1, n1):
+    rows = [conn.row(k) for k in range(a.dim(1))]
+    acc = (a.d_matrix(1) @ conn.coeffs).rows
+    for k in range(len(rows)):
+        for l in range(k + 1, len(rows)):
             prod = a.product_basis(1, k, 1, l)
-            if not prod:
-                continue
-            br = g.bracket(rows[k], rows[l])
+            br = g.bracket(rows[k], rows[l]) if prod else ()
             for c, coef in prod.items():
-                for m in range(dg):
-                    if not f.is_zero(br[m]):
-                        out[c * dg + m] = f.add(out[c * dg + m],
-                                                f.mul(coef, br[m]))
-    return out
+                for m, x in enumerate(br):
+                    if x:
+                        acc[c][m] = acc[c][m] + coef * x if m in acc[c] \
+                            else coef * x
+    return [x for row in acc for x in dense_vector(a.field, row, g.dim)]
 
 
 def is_flat(conn):
@@ -141,14 +126,8 @@ def f1_membership(conn):
                              x=[f.zero] * conn.lie.dim)
     if r > 1:
         return RankOneReport(False, f"coefficient rank {r} exceeds 1")
-    pk = pm = None
-    for k in range(conn.coeffs.nrows):
-        for m in range(conn.coeffs.ncols):
-            if not f.is_zero(conn.coeffs[k, m]):
-                pk, pm = k, m
-                break
-        if pk is not None:
-            break
+    pk = next(k for k, row in enumerate(conn.coeffs.rows) if row)
+    pm = min(conn.coeffs.rows[pk])
     eta = conn.coeffs.column(pm)
     pivot = conn.coeffs[pk, pm]
     x = [f.div(v, pivot) for v in conn.coeffs.row(pk)]
@@ -230,6 +209,7 @@ def weight_scale(conn, s):
 
 
 BRUTE_FORCE_CEILING = 10 ** 8
+EXACT_COVER_LIMIT = 30
 
 
 def flatness_tensors(cdga, lie):
@@ -246,11 +226,8 @@ def flatness_tensors(cdga, lie):
     qmats = [[[0] * kdim for _ in range(kdim)] for _ in range(rdim)]
     d1 = cdga.d_matrix(1)
     struct = lie.structure_tensor()
-    for k in range(n1):
-        for c in range(n2):
-            coef = d1[c, k]
-            if f.is_zero(coef):
-                continue
+    for c, drow in enumerate(d1.rows):
+        for k, coef in drow.items():
             for m in range(dg):
                 lmat[c * dg + m][k * dg + m] = int(coef)
     for k in range(n1):
@@ -281,16 +258,20 @@ def _vertex_cover(qnp):
     Q_r[i][j] or Q_r[j][i] is nonzero; a nonzero Q_r[i][i] puts i in the
     cover outright.  Greedy on the most uncovered edges, lowest index first;
     then each greedy pick whose neighbours all lie in the cover is dropped
-    again, last pick first.  Deterministic; any cover gives the same zeros.
+    again, last pick first.  On at most ``EXACT_COVER_LIMIT`` joined
+    unknowns a branch and bound then replaces the greedy picks by a minimum
+    cover, but only if that is strictly smaller.  Deterministic; any cover
+    gives the same zeros, and the fibres number p^(cover size).
     """
     import numpy as np
     kdim = qnp.shape[1]
     support = qnp.any(axis=0)
     edges = support | support.T
-    cover = set(np.flatnonzero(edges.diagonal()).tolist())
+    forced = set(np.flatnonzero(edges.diagonal()).tolist())
     adj = [set(np.flatnonzero(row).tolist()) - {i}
            for i, row in enumerate(edges)]
-    live = [set() if i in cover else adj[i] - cover for i in range(kdim)]
+    live = [set() if i in forced else adj[i] - forced for i in range(kdim)]
+    graph = {i: set(nb) for i, nb in enumerate(live) if nb}
     taken = []
     while any(live):
         v = max(range(kdim), key=lambda i: (len(live[i]), -i))
@@ -298,11 +279,37 @@ def _vertex_cover(qnp):
         for j in live[v]:
             live[j].discard(v)
         live[v] = set()
-    cover.update(taken)
+    cover = forced | set(taken)
     for v in reversed(taken):
         if adj[v] <= cover:
             cover.discard(v)
+    if len(graph) <= EXACT_COVER_LIMIT:
+        smaller = _smaller_cover(graph, len(cover) - len(forced))
+        if smaller is not None:
+            cover = forced | smaller
     return sorted(cover)
+
+
+def _smaller_cover(graph, bound):
+    """A minimum vertex cover of ``graph`` (vertex -> its nonempty set of
+    neighbours) if it has fewer than ``bound`` vertices, else None.  The
+    vertex v of most neighbours, lowest first, is in the cover or all its
+    neighbours are; a branch is cut once its edges, over the most any one
+    vertex covers, need ``bound`` vertices or more."""
+    if not graph:
+        return set() if bound > 0 else None
+    degree = max(map(len, graph.values()))
+    if sum(map(len, graph.values())) > 2 * degree * (bound - 1):
+        return None
+    v = max(graph, key=lambda i: len(graph[i]))
+    best = None
+    for take in ({v}, set(graph[v])):
+        rest = {i: left for i, nb in graph.items()
+                if i not in take and (left := nb - take)}
+        sub = _smaller_cover(rest, bound - len(take))
+        if sub is not None:
+            best, bound = take | sub, len(take) + len(sub)
+    return best
 
 
 def _inverse_mod(x, p):
@@ -481,8 +488,9 @@ def brute_force_flat(cdga, lie, jobs=1):
     hits = _common_zeros(lmat, qmats, p, kdim, jobs)
     out = []
     for flat_vec in ((hits[:, None] // _place_values(p, kdim)) % p).tolist():
-        rows = [flat_vec[k * dg:(k + 1) * dg] for k in range(n1)]
-        out.append(FlatConnection(cdga, lie, Matrix(f, rows, ncols=dg)))
+        rows = [{m: x for m, x in enumerate(flat_vec[k * dg:(k + 1) * dg])
+                 if x} for k in range(n1)]
+        out.append(FlatConnection(cdga, lie, Matrix.sparse(f, rows, dg)))
     return out
 
 
@@ -491,6 +499,6 @@ def lex_index(conn, p):
     ``brute_force_flat`` over a field with p elements."""
     v = 0
     for row in conn.coeffs.rows:
-        for x in row:
-            v = v * p + int(x)
+        for j in range(conn.coeffs.ncols):
+            v = v * p + int(row.get(j, 0))
     return v

@@ -231,21 +231,13 @@ def d0_matrix(rep):
 def d1_matrix(rep):
     """Fox Jacobian: one block row per relator, one block column per
     generator."""
-    f = rep.field
-    n, m = rep.group.n_generators, len(rep.group.relators)
-    if m == 0:
-        return Matrix.zero(f, 0, n * rep.dim)
-    block_rows = []
+    n, d = rep.group.n_generators, rep.dim
+    rows = []
     for r in rep.group.relators:
-        blocks = [fox_derivative(rep, r, i) for i in range(n)]
-        row = blocks[0]
-        for b in blocks[1:]:
-            row = row.hstack(b)
-        block_rows.append(row)
-    out = block_rows[0]
-    for b in block_rows[1:]:
-        out = out.vstack(b)
-    return out
+        blocks = [fox_derivative(rep, r, i).rows for i in range(n)]
+        rows += [{i * d + j: x for i, b in enumerate(blocks)
+                  for j, x in b[w].items()} for w in range(d)]
+    return Matrix.sparse(rep.field, rows, n * d)
 
 
 @dataclass
@@ -274,7 +266,7 @@ def adjoint_rep(rep):
         basis = [Matrix(f, m) for m in sl_matrices(rep.dim)]
 
         def coords(mat):
-            return traceless_coordinates(mat.rows)
+            return traceless_coordinates(mat.to_lists())
     elif rep.target == "Borel":
         basis = rep_defining(build_sol2(f)).matrices
 

@@ -119,20 +119,13 @@ def holonomy_presentation(cdga):
 
 def evaluate_relation(rel, lie, rows):
     """Value of a relation in the Lie algebra at generator images ``rows``."""
-    f = lie.field
-    out = [f.zero] * lie.dim
-    for k, c in rel.lin.items():
-        for m in range(lie.dim):
-            out[m] = f.add(out[m], f.mul(c, rows[k][m]))
-    for (k, l), c in rel.quad.items():
-        br = lie.bracket(rows[k], rows[l])
-        for m in range(lie.dim):
-            out[m] = f.add(out[m], f.mul(c, br[m]))
-    for (k, l, m_), c in rel.cubic.items():
-        br = lie.bracket(rows[k], lie.bracket(rows[l], rows[m_]))
-        for m in range(lie.dim):
-            out[m] = f.add(out[m], f.mul(c, br[m]))
-    return out
+    br = lie.bracket
+    terms = ([(c, rows[k]) for k, c in rel.lin.items()]
+             + [(c, br(rows[k], rows[l])) for (k, l), c in rel.quad.items()]
+             + [(c, br(rows[k], br(rows[l], rows[m])))
+                for (k, l, m), c in rel.cubic.items()])
+    return [lie.field.coerce(sum(c * v[m] for c, v in terms))
+            for m in range(lie.dim)]
 
 
 def relation_check(pres, lie, assignment):

@@ -19,7 +19,7 @@ construction: [theta(x_i), theta(x_j)] must equal theta([x_i, x_j]).
 
 from __future__ import annotations
 
-from .linalg import Matrix, det
+from .linalg import Matrix, dense_vector, det
 from .scalars import same_field
 
 
@@ -51,6 +51,8 @@ class LieAlgebra:
                 raise LieError("brackets must be keyed with i < j")
             clean = {m: field.coerce(c) for m, c in vec.items()
                      if not field.is_zero(field.coerce(c))}
+            if any(not 0 <= m < self.dim for m in clean):
+                raise LieError(f"bracket ({i},{j}) hits an index out of range")
             if clean:
                 norm[(i, j)] = clean
         self._brackets = norm
@@ -78,21 +80,15 @@ class LieAlgebra:
 
     def bracket(self, x, y):
         """Bilinear bracket of coordinate vectors."""
-        f = self.field
-        out = [f.zero] * self.dim
+        acc = {}
+        ys = [(j, yj) for j, yj in enumerate(y) if yj]
         for i, xi in enumerate(x):
-            if f.is_zero(xi):
-                continue
-            for j, yj in enumerate(y):
-                if f.is_zero(yj) or i == j:
-                    continue
-                coef = f.mul(xi, yj)
-                for m, c in self._brackets.get((min(i, j), max(i, j)), {}).items():
-                    term = f.mul(coef, c)
-                    if i > j:
-                        term = f.neg(term)
-                    out[m] = f.add(out[m], term)
-        return out
+            for j, yj in ys if xi else ():
+                coef = xi * yj if i < j else -(xi * yj)
+                for m, c in self._brackets.get((min(i, j), max(i, j)),
+                                               {}).items():
+                    acc[m] = acc[m] + coef * c if m in acc else coef * c
+        return dense_vector(self.field, acc, self.dim)
 
     def is_zero_vector(self, v):
         return all(self.field.is_zero(x) for x in v)
@@ -111,17 +107,14 @@ class LieAlgebra:
         Antisymmetry is structural here, so this checks the Jacobi identity
         on all basis triples, plus basic sanity of the stored table.
         """
-        f = self.field
         failures = []
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
                 for k in range(j + 1, self.dim):
                     xi, xj, xk = (self.basis_vector(t) for t in (i, j, k))
-                    acc = [f.zero] * self.dim
-                    for a, b, c in ((xi, xj, xk), (xj, xk, xi), (xk, xi, xj)):
-                        term = self.bracket(a, self.bracket(b, c))
-                        acc = [f.add(u, v) for u, v in zip(acc, term)]
-                    if not self.is_zero_vector(acc):
+                    terms = [self.bracket(a, self.bracket(b, c)) for a, b, c
+                             in ((xi, xj, xk), (xj, xk, xi), (xk, xi, xj))]
+                    if not self.is_zero_vector(map(sum, zip(*terms))):
                         failures.append(
                             f"jacobi fails on ({self.labels[i]},"
                             f"{self.labels[j]},{self.labels[k]})")
@@ -177,11 +170,14 @@ class LieRep:
     def apply(self, x):
         """theta(x) for a coordinate vector x, as a Matrix."""
         f = self.lie.field
-        acc = Matrix.zero(f, self.dim, self.dim)
-        for i, xi in enumerate(x):
-            if not f.is_zero(xi):
-                acc = acc + self.matrices[i].scale(xi)
-        return acc
+        rows = [{} for _ in range(self.dim)]
+        for c, m in zip(x, self.matrices):
+            if c:
+                c = f.coerce(c)
+                for acc, r in zip(rows, m.rows):
+                    for j, y in r.items():
+                        acc[j] = acc[j] + c * y if j in acc else c * y
+        return Matrix.from_sums(f, rows, self.dim)
 
     def __repr__(self):
         return f"LieRep({self.name}, lie={self.lie.name}, dim={self.dim})"
@@ -242,14 +238,18 @@ def build_sl(field, n, name=None):
     """Traceless n x n matrices in the sl_basis order."""
     if n < 2:
         raise LieError("sl(n) needs n >= 2")
-    mats = sl_matrices(n)
+    # each basis matrix has one or two nonzero entries (i, j, value)
+    mats = [[(i, j, v) for i, row in enumerate(m) for j, v in enumerate(row)
+             if v] for m in sl_matrices(n)]
     brackets = {}
     for a, x in enumerate(mats):
         for b in range(a + 1, len(mats)):
-            y = mats[b]
-            comm = [[sum(x[i][t] * y[t][j] - y[i][t] * x[t][j]
-                         for t in range(n))
-                     for j in range(n)] for i in range(n)]
+            comm = [[0] * n for _ in range(n)]
+            for left, right, sign in ((x, mats[b], 1), (mats[b], x, -1)):
+                for i, j, v in left:
+                    for k, l, w in right:
+                        if j == k:
+                            comm[i][l] += sign * v * w
             vec = {m: c for m, c in
                    enumerate(traceless_coordinates(comm)) if c != 0}
             if vec:
@@ -280,7 +280,7 @@ def sl_coordinates(g, m):
     n = _sl_size(g)
     if m.shape != (n, n):
         raise LieError(f"expected a {n}x{n} matrix, got {m.shape}")
-    return [g.field.coerce(c) for c in traceless_coordinates(m.rows)]
+    return [g.field.coerce(c) for c in traceless_coordinates(m.to_lists())]
 
 
 def build_sol2(field):
@@ -349,12 +349,11 @@ def rep_direct_sum(r1, r2):
     """Block-diagonal sum; both summands must be over the same algebra."""
     if not r1.lie.structurally_equal(r2.lie):
         raise LieError("direct sum of representations of different algebras")
-    f = r1.lie.field
-    mats = []
-    for a, b in zip(r1.matrices, r2.matrices):
-        top = a.hstack(Matrix.zero(f, r1.dim, r2.dim))
-        bot = Matrix.zero(f, r2.dim, r1.dim).hstack(b)
-        mats.append(top.vstack(bot))
+    n = r1.dim
+    mats = [Matrix.sparse(r1.lie.field, [dict(r) for r in a.rows]
+                          + [{n + j: x for j, x in r.items()} for r in b.rows],
+                          n + r2.dim)
+            for a, b in zip(r1.matrices, r2.matrices)]
     return LieRep(r1.lie, mats, name=f"{r1.name}+{r2.name}")
 
 

@@ -1,21 +1,26 @@
-"""Dense exact linear algebra over the rationals and odd prime fields.
+"""Sparse exact linear algebra over the rationals and odd prime fields.
 
-Matrices are dense, row-major lists over a single field object from
-``scalars``.  Everything is computed by exact elimination — no floating
-point anywhere.  Kernel bases and solutions are deterministic: free columns
-are taken in increasing index order, so repeated runs give identical output.
+A ``Matrix`` stores each row as a dict from column index to a nonzero entry
+of one field object from ``scalars``; products, sums and scalings walk the
+nonzeros only.  Everything is exact: no floating point anywhere.
 
-``rank`` stops at echelon form and has one kernel per field: over Q,
-fraction-free elimination on integer rows with the denominators cleared;
-over GF(p), plain ints reduced ``% p`` inline.  Neither creates a
-``Fraction`` or calls a field method per entry.  ``rref`` is the generic
-reduced form that ``kernel_basis``, ``solve`` and ``invert`` read; the
-tests use it as the oracle for ``rank``.
+Elimination has one kernel per field, neither of which creates a
+``Fraction`` or calls a field method per entry: over Q, fraction-free
+updates of primitive integer rows (``_echelon_q``); over GF(p), plain ints
+reduced ``% p`` inline (``_echelon_mod_p``).  Rows wait in buckets keyed by
+their leading column, and a bucket's pivot is its shortest row (over Q,
+least |leading entry| next), as in structured Gaussian elimination
+(LaMacchia and Odlyzko, 1990); the column order stays fixed.  ``rank`` and
+``det`` stop at echelon form, ``rank`` on the transpose of a matrix wider
+than tall.  ``rref``, ``kernel_basis``, ``solve`` and ``invert`` read the
+reduced form, which is unique, so their output does not depend on the pivot
+choice: kernel vectors come by increasing free column, with a 1 there.
 """
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from fractions import Fraction
+from math import gcd, lcm, prod
 
 from .scalars import same_field
 
@@ -25,50 +30,61 @@ class LinalgError(ValueError):
 
 
 class Matrix:
-    """Immutable-by-convention dense matrix over an exact field."""
+    """Immutable-by-convention matrix over an exact field.  ``rows[i]`` maps
+    column j to entry (i, j); zero entries are not stored."""
 
     __slots__ = ("field", "nrows", "ncols", "rows")
 
     def __init__(self, field, rows, ncols=None):
-        self.field = field
+        """Dense row lists; every entry is coerced into the field."""
         rows = [list(r) for r in rows]
-        if rows:
-            width = len(rows[0])
-            for r in rows:
-                if len(r) != width:
-                    raise LinalgError("ragged rows")
-        else:
-            width = 0 if ncols is None else ncols
-        if ncols is not None and rows and ncols != width:
+        width = len(rows[0]) if rows else (ncols or 0)
+        if any(len(r) != width for r in rows):
+            raise LinalgError("ragged rows")
+        if ncols is not None and ncols != width:
             raise LinalgError(f"declared {ncols} columns, rows have {width}")
-        self.nrows = len(rows)
-        self.ncols = width if rows else (ncols or 0)
-        self.rows = [[field.coerce(x) for x in r] for r in rows]
+        self.field, self.nrows, self.ncols = field, len(rows), width
+        coerce = field.coerce
+        self.rows = [{j: v for j, v in enumerate(map(coerce, r)) if v}
+                     for r in rows]
 
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def sparse(cls, field, rows, ncols):
+        """Trusted constructor: ``rows`` are dicts from column to a nonzero
+        entry already in the field, taken as they are, neither checked nor
+        copied."""
+        m = object.__new__(cls)
+        m.field, m.nrows, m.ncols, m.rows = field, len(rows), ncols, rows
+        return m
+
+    @classmethod
+    def from_sums(cls, field, rows, ncols):
+        """Trusted constructor for sparse rows of unreduced exact sums: over
+        GF(p) plain ints, reduced here ``% p``; over Q, Fractions.  Entries
+        that reach zero are dropped."""
+        p = field.characteristic
+        if p:
+            rows = [{j: w for j, v in r.items() if (w := v % p)}
+                    for r in rows]
+        else:
+            rows = [{j: v for j, v in r.items() if v} for r in rows]
+        return cls.sparse(field, rows, ncols)
+
+    @classmethod
     def zero(cls, field, nrows, ncols):
-        z = field.zero
-        return cls(field, [[z] * ncols for _ in range(nrows)], ncols=ncols)
+        return cls.sparse(field, [{} for _ in range(nrows)], ncols)
 
     @classmethod
     def identity(cls, field, n):
-        z, o = field.zero, field.one
-        return cls(field, [[o if i == j else z for j in range(n)]
-                           for i in range(n)], ncols=n)
+        return cls.sparse(field, [{i: field.one} for i in range(n)], n)
 
     @classmethod
     def from_columns(cls, field, cols, nrows=None):
         if not cols:
             return cls.zero(field, nrows or 0, 0)
-        nrows = len(cols[0])
-        return cls(field, [[c[i] for c in cols] for i in range(nrows)],
-                   ncols=len(cols))
-
-    @classmethod
-    def column_vector(cls, field, entries):
-        return cls(field, [[x] for x in entries], ncols=1)
+        return cls(field, list(zip(*cols)), ncols=len(cols))
 
     # -- access --------------------------------------------------------
 
@@ -78,21 +94,22 @@ class Matrix:
 
     def __getitem__(self, key):
         i, j = key
-        return self.rows[i][j]
+        if not 0 <= j < self.ncols:
+            raise IndexError(f"column {j} out of range")
+        return self.rows[i].get(j) or self.field.zero
 
     def row(self, i):
-        return list(self.rows[i])
+        z, r = self.field.zero, self.rows[i]
+        return [r.get(j, z) for j in range(self.ncols)]
 
     def column(self, j):
-        return [r[j] for r in self.rows]
+        z = self.field.zero
+        return [r.get(j, z) for r in self.rows]
 
     def to_lists(self):
-        return [list(r) for r in self.rows]
+        return [self.row(i) for i in range(self.nrows)]
 
     # -- algebra -------------------------------------------------------
-
-    def _compat(self, other):
-        same_field(self.field, other.field)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -102,45 +119,48 @@ class Matrix:
 
     def __hash__(self):
         return hash((self.field, self.nrows, self.ncols,
-                     tuple(tuple(r) for r in self.rows)))
+                     tuple(frozenset(r.items()) for r in self.rows)))
 
     def __add__(self, other):
-        self._compat(other)
+        same_field(self.field, other.field)
         if self.shape != other.shape:
             raise LinalgError(f"shape mismatch {self.shape} + {other.shape}")
-        f = self.field
-        return Matrix(f, [[f.add(a, b) for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.rows, other.rows)],
-                      ncols=self.ncols)
+        out = []
+        for r1, r2 in zip(self.rows, other.rows):
+            acc = dict(r1)
+            for j, y in r2.items():
+                acc[j] = acc[j] + y if j in acc else y
+            out.append(acc)
+        return Matrix.from_sums(self.field, out, self.ncols)
 
     def __sub__(self, other):
         return self + other.scale(other.field.neg(other.field.one))
 
-    def __neg__(self):
-        return self.scale(self.field.neg(self.field.one))
-
     def scale(self, c):
         f = self.field
         c = f.coerce(c)
-        return Matrix(f, [[f.mul(c, x) for x in r] for r in self.rows],
-                      ncols=self.ncols)
+        if not c:
+            return Matrix.zero(f, self.nrows, self.ncols)
+        p = f.characteristic
+        if p:
+            rows = [{j: x * c % p for j, x in r.items()} for r in self.rows]
+        else:
+            rows = [{j: x * c for j, x in r.items()} for r in self.rows]
+        return Matrix.sparse(f, rows, self.ncols)
 
     def __matmul__(self, other):
-        self._compat(other)
+        same_field(self.field, other.field)
         if self.ncols != other.nrows:
             raise LinalgError(f"shape mismatch {self.shape} @ {other.shape}")
-        f = self.field
+        right = other.rows
         out = []
         for r in self.rows:
-            row = []
-            for j in range(other.ncols):
-                acc = f.zero
-                for k, x in enumerate(r):
-                    if not f.is_zero(x):
-                        acc = f.add(acc, f.mul(x, other.rows[k][j]))
-                row.append(acc)
-            out.append(row)
-        return Matrix(f, out, ncols=other.ncols)
+            acc = {}
+            for k, x in r.items():
+                for j, y in right[k].items():
+                    acc[j] = acc[j] + x * y if j in acc else x * y
+            out.append(acc)
+        return Matrix.from_sums(self.field, out, other.ncols)
 
     def apply(self, vec):
         """Matrix-vector product, vec a plain list of length ncols."""
@@ -148,35 +168,33 @@ class Matrix:
         if len(vec) != self.ncols:
             raise LinalgError(f"vector length {len(vec)} vs {self.ncols} columns")
         vec = [f.coerce(x) for x in vec]
-        out = []
-        for r in self.rows:
-            acc = f.zero
-            for x, v in zip(r, vec):
-                if not f.is_zero(x):
-                    acc = f.add(acc, f.mul(x, v))
-            out.append(acc)
-        return out
+        out = [sum(x * vec[j] for j, x in r.items()) for r in self.rows]
+        p = f.characteristic
+        return [s % p for s in out] if p else [f.coerce(s) for s in out]
 
     def hstack(self, other):
-        self._compat(other)
+        same_field(self.field, other.field)
         if self.nrows != other.nrows:
             raise LinalgError("hstack with different row counts")
-        return Matrix(self.field,
-                      [r1 + r2 for r1, r2 in zip(self.rows, other.rows)],
-                      ncols=self.ncols + other.ncols)
-
-    def vstack(self, other):
-        self._compat(other)
-        if self.ncols != other.ncols:
-            raise LinalgError("vstack with different column counts")
-        return Matrix(self.field, self.rows + other.rows, ncols=self.ncols)
+        n = self.ncols
+        return Matrix.sparse(self.field, [
+            {**r1, **{n + j: x for j, x in r2.items()}}
+            for r1, r2 in zip(self.rows, other.rows)], n + other.ncols)
 
     def is_zero(self):
-        f = self.field
-        return all(f.is_zero(x) for r in self.rows for x in r)
+        return not any(self.rows)
 
     def __repr__(self):
         return f"Matrix({self.field!r}, {self.nrows}x{self.ncols})"
+
+
+def dense_vector(field, sums, n):
+    """The length-n vector of field elements with the exact sums ``sums``
+    (index -> unreduced sum) reduced into the field, zero elsewhere."""
+    out = [field.zero] * n
+    for j, v in sums.items():
+        out[j] = field.coerce(v)
+    return out
 
 
 def vstack_all(field, mats, ncols):
@@ -185,111 +203,156 @@ def vstack_all(field, mats, ncols):
         same_field(field, m.field)
         if m.ncols != ncols:
             raise LinalgError("vstack with different column counts")
-        rows.extend(m.rows)
-    return Matrix(field, rows, ncols=ncols)
+        rows.extend(dict(r) for r in m.rows)
+    return Matrix.sparse(field, rows, ncols)
+
+
+# -- elimination ---------------------------------------------------------
+
+
+def _echelon_mod_p(rows, ncols, p, reduced):
+    """Echelon form of sparse rows of residues in range(p), in place, as
+    (pivot column, row) pairs in increasing column.  Rows only lose
+    multiples of pivot rows, so the determinant is kept.  With ``reduced``
+    each pivot column is cleared from the earlier pivot rows too, and the
+    pivot rows are scaled to a leading 1: the reduced row echelon form."""
+    buckets = {}
+    for r in rows:
+        if r:
+            buckets.setdefault(min(r), []).append(r)
+    pivots = []
+    for c in range(ncols):
+        bucket = buckets.pop(c, None)
+        if bucket is None:
+            continue
+        piv = min(bucket, key=len)
+        inv = pow(piv[c], -1, p)
+        tail = [(j, y) for j, y in piv.items() if j != c]
+        for r in bucket:
+            if r is not piv:
+                _subtract_mod_p(r, r.pop(c) * inv % p, tail, p)
+                if r:
+                    buckets.setdefault(min(r), []).append(r)
+        for _, r in pivots if reduced else ():
+            if c in r:
+                _subtract_mod_p(r, r.pop(c) * inv % p, tail, p)
+        pivots.append((c, piv))
+    for c, r in pivots if reduced else ():
+        inv = pow(r[c], -1, p)
+        for j in r:
+            r[j] = r[j] * inv % p
+    return pivots
+
+
+def _subtract_mod_p(r, a, tail, p):
+    """r -= a * tail, in place, dropping the entries that reach zero."""
+    for j, y in tail:
+        v = (r.get(j, 0) - a * y) % p
+        if v:
+            r[j] = v
+        else:
+            del r[j]
+
+
+def _echelon_q(rows, ncols, reduced, log=None):
+    """Echelon form of sparse primitive integer rows, fraction-free and in
+    place, as (pivot column, row) pairs in increasing column.  A bucket's
+    pivot, leading entry a, leaves each other row of the bucket, leading
+    entry b, as (a/g)·row − (b/g)·pivot, g = gcd(a, b), divided by the gcd of
+    its entries: a nonzero rational multiple of a row operation, so ranks
+    and reduced forms over Q are exact.  Each such (multiplier, divisor)
+    goes to ``log`` when one is given.  With ``reduced`` each pivot column is
+    cleared from the earlier pivot rows too; a row over its leading entry is
+    then a row of the reduced row echelon form."""
+    buckets = {}
+    for r in rows:
+        if r:
+            buckets.setdefault(min(r), []).append(r)
+    pivots = []
+    for c in range(ncols):
+        bucket = buckets.pop(c, None)
+        if bucket is None:
+            continue
+        piv = min(bucket, key=lambda r: (len(r), abs(r[c])))
+        a = piv[c]
+        tail = [(j, y) for j, y in piv.items() if j != c]
+        for r in bucket:
+            if r is not piv:
+                _combine_q(r, a, r.pop(c), tail, log)
+                if r:
+                    buckets.setdefault(min(r), []).append(r)
+        for _, r in pivots if reduced else ():
+            if c in r:
+                _combine_q(r, a, r.pop(c), tail, log)
+        pivots.append((c, piv))
+    return pivots
+
+
+def _combine_q(r, a, b, tail, log):
+    """r <- (a/g)·r − (b/g)·tail, g = gcd(a, b), over the gcd of its entries;
+    in place, dropping the entries that reach zero."""
+    g = gcd(a, b)
+    ca, cb = a // g, b // g
+    if ca != 1:
+        for j in r:
+            r[j] *= ca
+    for j, y in tail:
+        v = r.get(j, 0) - cb * y
+        if v:
+            r[j] = v
+        else:
+            del r[j]
+    h = gcd(*r.values())
+    if h > 1:
+        for j in r:
+            r[j] //= h
+    if log is not None:
+        log.append((ca, h or 1))
+
+
+def _integer_rows(rows, log=None):
+    """Each rational sparse row times the lcm of its denominators, over the
+    gcd of the result: a primitive integer row on the same support.  Each
+    (multiplier, divisor) goes to ``log`` when one is given."""
+    out = []
+    for r in rows:
+        den = lcm(*(x.denominator for x in r.values()))
+        row = {j: x.numerator * (den // x.denominator) for j, x in r.items()}
+        h = gcd(*row.values()) or 1
+        out.append({j: x // h for j, x in row.items()} if h > 1 else row)
+        if log is not None:
+            log.append((den, h))
+    return out
+
+
+def _echelon(field, rows, ncols, reduced=False):
+    """Pivot rows of the (reduced) row echelon form of copies of sparse
+    rows, by the field's kernel.  Unreduced rows over Q stay integer."""
+    p = field.characteristic
+    if p:
+        return _echelon_mod_p([dict(r) for r in rows], ncols, p, reduced)
+    pivots = _echelon_q(_integer_rows(rows), ncols, reduced)
+    return [(c, {j: Fraction(x, r[c]) for j, x in r.items()})
+            for c, r in pivots] if reduced else pivots
+
+
+def rank(m):
+    """Rank by exact elimination to echelon form, without back-substitution;
+    a matrix wider than tall is eliminated as its transpose."""
+    rows, ncols = m.rows, m.ncols
+    if ncols > m.nrows:
+        rows, ncols = [{} for _ in range(ncols)], m.nrows
+        for i, r in enumerate(m.rows):
+            for j, x in r.items():
+                rows[j][i] = x
+    return len(_echelon(m.field, rows, ncols))
 
 
 def rref(m):
     """Reduced row echelon form.  Returns (R, pivot_columns)."""
-    f = m.field
-    rows = [list(r) for r in m.rows]
-    pivots = []
-    pr = 0  # pivot row
-    for pc in range(m.ncols):
-        # find a pivot in column pc at or below row pr
-        pivot = None
-        for i in range(pr, m.nrows):
-            if not f.is_zero(rows[i][pc]):
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[pr], rows[pivot] = rows[pivot], rows[pr]
-        inv = f.inv(rows[pr][pc])
-        rows[pr] = [f.mul(inv, x) for x in rows[pr]]
-        for i in range(m.nrows):
-            if i != pr and not f.is_zero(rows[i][pc]):
-                c = rows[i][pc]
-                rows[i] = [f.sub(x, f.mul(c, y))
-                           for x, y in zip(rows[i], rows[pr])]
-        pivots.append(pc)
-        pr += 1
-        if pr == m.nrows:
-            break
-    return Matrix(f, rows, ncols=m.ncols), pivots
-
-
-def rank(m):
-    """Rank by exact elimination to echelon form, without back-substitution."""
-    p = m.field.characteristic
-    return _rank_mod_p(m.rows, p) if p else _rank_rational(m.rows)
-
-
-def _rank_rational(rows):
-    """Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) on the rows
-    scaled to primitive integer vectors.  The pivot is an entry a of least
-    absolute value in the leading column; every other row with leading
-    entry b becomes (a/g)·row − (b/g)·pivot, g = gcd(a, b), divided by the
-    gcd of its entries.  Each update scales the row by a nonzero integer, so
-    the rank over Q is exact.  The leading column is dropped after each
-    step, and so are rows that reach zero."""
-    work = []
-    for r in rows:
-        den = lcm(*(x.denominator for x in r))
-        row = [x.numerator * (den // x.denominator) for x in r]
-        h = gcd(*row)
-        if h:
-            work.append([x // h for x in row] if h != 1 else row)
-    found = 0
-    while work and work[0]:
-        live = [r for r in work if r[0]]
-        if not live:
-            work = [r[1:] for r in work]
-            continue
-        piv = min(live, key=lambda r: abs(r[0]))
-        a, tail = piv[0], piv[1:]
-        found += 1
-        nxt = []
-        for r in work:
-            b = r[0]
-            if not b:
-                nxt.append(r[1:])
-            elif r is not piv:
-                g = gcd(a, b)
-                ca, cb = a // g, b // g
-                row = [ca * x - cb * y for x, y in zip(r[1:], tail)]
-                h = gcd(*row)
-                if h:
-                    nxt.append([x // h for x in row] if h != 1 else row)
-        work = nxt
-    return found
-
-
-def _rank_mod_p(rows, p):
-    """Gaussian elimination on residues in range(p), reduced inline: the
-    pivot row is scaled by pow(pivot, -1, p) and the leading column and the
-    rows that reach zero are dropped after each step."""
-    work = [r for r in rows if any(r)]
-    found = 0
-    while work and work[0]:
-        piv = next((r for r in work if r[0]), None)
-        if piv is None:
-            work = [r[1:] for r in work]
-            continue
-        inv = pow(piv[0], -1, p)
-        tail = [x * inv % p for x in piv[1:]]
-        found += 1
-        nxt = []
-        for r in work:
-            a = r[0]
-            if not a:
-                nxt.append(r[1:])
-            elif r is not piv:
-                row = [(x - a * y) % p for x, y in zip(r[1:], tail)]
-                if any(row):
-                    nxt.append(row)
-        work = nxt
-    return found
+    pivots = _echelon(m.field, m.rows, m.ncols, reduced=True)
+    rows = [r for _, r in pivots] + [{} for _ in range(m.nrows - len(pivots))]
+    return Matrix.sparse(m.field, rows, m.ncols), [c for c, _ in pivots]
 
 
 def kernel_basis(m):
@@ -299,17 +362,17 @@ def kernel_basis(m):
     the pivot columns; basis vectors are ordered by increasing free column.
     """
     f = m.field
-    red, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [j for j in range(m.ncols) if j not in pivot_set]
-    basis = []
-    for j in free:
-        v = [f.zero] * m.ncols
+    pivots = _echelon(f, m.rows, m.ncols, reduced=True)
+    pivot_cols = {c for c, _ in pivots}
+    basis = {j: [f.zero] * m.ncols for j in range(m.ncols)
+             if j not in pivot_cols}
+    for j, v in basis.items():
         v[j] = f.one
-        for r, pc in enumerate(pivots):
-            v[pc] = f.neg(red.rows[r][j])
-        basis.append(v)
-    return basis
+    for c, r in pivots:
+        for j, x in r.items():
+            if j != c:
+                basis[j][c] = f.neg(x)
+    return list(basis.values())
 
 
 def solve(m, b):
@@ -317,56 +380,46 @@ def solve(m, b):
     f = m.field
     if len(b) != m.nrows:
         raise LinalgError(f"rhs length {len(b)} vs {m.nrows} rows")
-    aug = m.hstack(Matrix.column_vector(f, [f.coerce(x) for x in b]))
-    red, pivots = rref(aug)
-    if m.ncols in pivots:
-        return None  # inconsistent: pivot in the augmented column
-    x = [f.zero] * m.ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red.rows[r][m.ncols]
+    n = m.ncols
+    rhs = [f.coerce(v) for v in b]
+    aug = [{**r, n: v} if v else r for r, v in zip(m.rows, rhs)]
+    x = [f.zero] * n
+    for c, r in _echelon(f, aug, n + 1, reduced=True):
+        if c == n:
+            return None  # inconsistent: pivot in the augmented column
+        x[c] = r.get(n, f.zero)
     return x
 
 
 def det(m):
-    """Determinant by fraction-free (Bareiss) elimination."""
+    """Determinant: the signed product of the leading entries of an echelon
+    form, over Q divided by the row scalings the elimination made."""
     if m.nrows != m.ncols:
         raise LinalgError("determinant of a non-square matrix")
-    f = m.field
-    n = m.nrows
-    if n == 0:
-        return f.one
-    a = [list(r) for r in m.rows]
-    sign = 1
-    prev = f.one
-    for k in range(n - 1):
-        if f.is_zero(a[k][k]):
-            swap = None
-            for i in range(k + 1, n):
-                if not f.is_zero(a[i][k]):
-                    swap = i
-                    break
-            if swap is None:
-                return f.zero
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = f.div(
-                    f.sub(f.mul(a[i][j], a[k][k]), f.mul(a[i][k], a[k][j])),
-                    prev)
-            a[i][k] = f.zero
-        prev = a[k][k]
-    d = a[n - 1][n - 1]
-    return f.neg(d) if sign < 0 else d
+    f, n = m.field, m.nrows
+    p, log = f.characteristic, []
+    rows = [dict(r) for r in m.rows] if p else _integer_rows(m.rows, log)
+    pivots = (_echelon_mod_p(rows, n, p, False) if p
+              else _echelon_q(rows, n, False, log))
+    if len(pivots) < n:
+        return f.zero
+    # in their own order the rows lead at a permutation of the columns
+    lead = [min(r) for r in rows]
+    swaps = sum(a > b for i, a in enumerate(lead) for b in lead[i + 1:])
+    value = (-1) ** swaps * prod(r[c] for c, r in pivots)
+    if p:
+        return value % p
+    return Fraction(value * prod(h for _, h in log), prod(a for a, _ in log))
 
 
 def invert(m):
     """Exact inverse, or None if singular."""
     if m.nrows != m.ncols:
         raise LinalgError("inverse of a non-square matrix")
-    f = m.field
-    n = m.nrows
-    red, pivots = rref(m.hstack(Matrix.identity(f, n)))
-    if len([p for p in pivots if p < n]) < n:
+    f, n = m.field, m.nrows
+    aug = [{**r, n + i: f.one} for i, r in enumerate(m.rows)]
+    pivots = _echelon(f, aug, 2 * n, reduced=True)
+    if sum(c < n for c, _ in pivots) < n:
         return None
-    return Matrix(f, [r[n:] for r in red.rows], ncols=n)
+    return Matrix.sparse(f, [{j - n: x for j, x in r.items() if j >= n}
+                             for _, r in pivots], n)

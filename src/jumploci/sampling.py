@@ -94,13 +94,8 @@ def rand_closed_coefficients(rng, cdga, span=4, nonzero=False):
             raise SamplingError(f"{cdga.name} has no closed one-forms")
         return [f.zero] * cdga.dim(1)
     for _ in range(64):
-        out = [f.zero] * cdga.dim(1)
-        for vec in basis:
-            c = rand_scalar(rng, f, span)
-            if f.is_zero(c):
-                continue
-            for k, v in enumerate(vec):
-                out[k] = f.add(out[k], f.mul(c, v))
+        coef = [rand_scalar(rng, f, span) for _ in basis]
+        out = Matrix.from_columns(f, basis).apply(coef)
         if not nonzero or any(not f.is_zero(v) for v in out):
             return out
     raise SamplingError("could not draw a nonzero closed one-form")
@@ -138,17 +133,10 @@ def flat_abelian(rng, cdga, lie, span=4):
     """
     sub = rng.choice(_abelian_subalgebras(rng, lie, span))
     f = cdga.field
-    n1 = cdga.dim(1)
-    rows = [[f.zero] * lie.dim for _ in range(n1)]
-    for u in sub:
-        col = rand_closed_coefficients(rng, cdga, span)
-        for k in range(n1):
-            c = col[k]
-            if f.is_zero(c):
-                continue
-            for i, ui in enumerate(u):
-                rows[k][i] = f.add(rows[k][i], f.mul(c, ui))
-    return FlatConnection.from_rows(cdga, lie, rows)
+    cols = [rand_closed_coefficients(rng, cdga, span) for _ in sub]
+    coeffs = (Matrix.from_columns(f, cols, nrows=cdga.dim(1))
+              @ Matrix(f, sub, ncols=lie.dim))
+    return FlatConnection(cdga, lie, coeffs)
 
 
 def _paired_rows(rng, cdga, lie, span):

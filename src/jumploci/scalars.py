@@ -58,6 +58,7 @@ class Rationals:
 
     name = "q"
     characteristic = 0
+    zero, one = Fraction(0), Fraction(1)
 
     def coerce(self, value):
         if isinstance(value, Fraction):
@@ -67,14 +68,6 @@ class Rationals:
         if isinstance(value, str):
             return self.parse(value)
         raise ScalarError(f"cannot coerce {value!r} into the rationals")
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
 
     def add(self, a, b):
         return a + b
@@ -132,6 +125,7 @@ class PrimeField:
     """Integers mod an odd prime, elements stored as ints in range(p)."""
 
     characteristic = None  # set per instance
+    zero, one = 0, 1
 
     def __init__(self, p):
         if isinstance(p, int) and p >= MODULUS_BOUND:
@@ -157,14 +151,6 @@ class PrimeField:
         if isinstance(value, str):
             return self.parse(value)
         raise ScalarError(f"cannot coerce {value!r} into GF({self.p})")
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
 
     def add(self, a, b):
         return (a + b) % self.p

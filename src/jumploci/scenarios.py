@@ -79,13 +79,6 @@ def load_golden(name):
         return json.load(fh)
 
 
-def _fsum(f, values):
-    total = f.zero
-    for v in values:
-        total = f.add(total, v)
-    return total
-
-
 # ----------------------------------------------------------- the catalog
 
 def run_sl3_witness(seed=0, jobs=1, field=None):
@@ -170,7 +163,7 @@ def run_g1_bruteforce(seed=0, jobs=1, field=None):
                 expected.add(tuple(x) + tuple(y) + (0,) * dg)
     got = set()
     for c in flats:
-        got.add(tuple(int(v) for row in c.coeffs.rows for v in row))
+        got.add(tuple(int(v) for row in c.coeffs.to_lists() for v in row))
     rep.check("flat set is {(x,y,0) : [x,y] = 0}", got == expected,
               f"{len(got)} computed vs {len(expected)} constructed")
     rep.check("every flat connection is rank-one here",
@@ -243,7 +236,7 @@ def run_pencil_resonance(seed=0, jobs=1, field=None):
         hits = 0
         for _ in range(20):
             lam = [rand_scalar(rng, f, 5) for _ in range(m - 1)]
-            lam.append(f.neg(_fsum(f, lam)))
+            lam.append(f.neg(sum(lam)))
             if all(f.is_zero(v) for v in lam):
                 lam[0], lam[-1] = f.one, f.neg(f.one)
             conn = FlatConnection.from_rows(A, ab, [[v] for v in lam])
@@ -260,7 +253,7 @@ def run_pencil_resonance(seed=0, jobs=1, field=None):
         for _ in range(20):
             while True:
                 lam = [rand_scalar(rng, f, 5) for _ in range(m)]
-                if not f.is_zero(_fsum(f, lam)):
+                if not f.is_zero(sum(lam)):
                     break
             conn = FlatConnection.from_rows(A, ab, [[v] for v in lam])
             if resonance_membership(conn, theta, 1, 1):
@@ -334,8 +327,7 @@ def run_weight_equivariance(seed=0, jobs=1, field=None):
               all_scaled, f"{len(flats)} flats")
     d1 = A3.d_matrix(1)
     n1 = A3.dim(1)
-    closed = [all(f3.is_zero(d1[j, k]) for j in range(A3.dim(2)))
-              for k in range(n1)]
+    closed = [not any(k in row for row in d1.rows) for k in range(n1)]
     w1_rows = [k for k in range(n1) if A3.weight(1, k) == 1]
     implication = True
     zero_w1 = 0

@@ -8,6 +8,7 @@ Wherever a schema says "name-or-inline", a string like ``surface(2)`` or
 ``defining(sl(2))`` picks a builder, and a dict is decoded literally.
 """
 
+import functools
 from fractions import Fraction
 
 from .cdga import Cdga, tensor_product_with_inclusions
@@ -26,6 +27,18 @@ class SerializeError(ValueError):
     pass
 
 
+def _decoder(fn):
+    """Report a document of the wrong shape, such as a missing key, a value
+    of the wrong type or a short list, as a SerializeError."""
+    @functools.wraps(fn)
+    def decode(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except (KeyError, TypeError, IndexError, AttributeError) as exc:
+            raise SerializeError(f"malformed document: {exc!r}") from exc
+    return decode
+
+
 # ------------------------------------------------------------- primitives
 
 def decode_scalar(field, text):
@@ -40,6 +53,7 @@ def encode_scalar(field, value):
     return field.format(value)
 
 
+@_decoder
 def decode_matrix(field, rows, shape=None):
     if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
         raise SerializeError("matrix must be a list of rows")
@@ -53,7 +67,13 @@ def decode_matrix(field, rows, shape=None):
 
 def encode_matrix(m):
     f = m.field
-    return [[f.format(v) for v in row] for row in m.rows]
+    return [[f.format(v) for v in row] for row in m.to_lists()]
+
+
+def _int(value):
+    if type(value) is not int:
+        raise SerializeError(f"expected an integer, got {value!r}")
+    return value
 
 
 def _expect(obj, *keys):
@@ -137,7 +157,9 @@ def cdga_from_json(field, obj):
     mult = {}
     for entry in obj.get("mult", []):
         _expect(entry, "i", "j", "out")
-        (di, ki), (dj, kj) = entry["i"], entry["j"]
+        if len(entry["i"]) != 2 or len(entry["j"]) != 2:
+            raise SerializeError("product keys are [degree, index] pairs")
+        di, ki, dj, kj = map(_int, entry["i"] + entry["j"])
         vec = {}
         for term in entry["out"]:
             _expect(term, "deg", "idx", "coef")
@@ -145,9 +167,11 @@ def cdga_from_json(field, obj):
                 raise SerializeError(
                     f"product ({di},{ki})*({dj},{kj}) lands in degree "
                     f"{term['deg']}, expected {di + dj}")
-            vec[term["idx"]] = decode_scalar(field, term["coef"])
+            vec[_int(term["idx"])] = decode_scalar(field, term["coef"])
         mult[(di, ki, dj, kj)] = vec
     weights = obj.get("weights")
+    if weights is not None:
+        weights = [[_int(w) for w in ws] for ws in weights]
     truncated = obj.get("truncated", False)
     if not isinstance(truncated, bool):
         raise SerializeError("truncated must be true or false")
@@ -156,6 +180,7 @@ def cdga_from_json(field, obj):
     return a
 
 
+@_decoder
 def resolve_model(field, spec):
     """Model from a builder name like "surface(2)" or an inline dict."""
     if isinstance(spec, dict):
@@ -188,6 +213,7 @@ def resolve_model(field, spec):
     raise SerializeError(f"unknown model {spec!r}")
 
 
+@_decoder
 def resolve_morphism(field, spec):
     """Named CDGA maps: curve_inclusion(g), tensor_left(A,B), tensor_right(A,B).
 
@@ -221,6 +247,7 @@ def lie_to_json(g):
     return {"dim": g.dim, "basis": list(g.labels), "brackets": brackets}
 
 
+@_decoder
 def lie_from_json(field, obj):
     _expect(obj, "dim", "basis", "brackets")
     labels = obj["basis"]
@@ -229,13 +256,14 @@ def lie_from_json(field, obj):
     brackets = {}
     for entry in obj["brackets"]:
         _expect(entry, "i", "j", "out")
-        vec = {t["idx"]: decode_scalar(field, t["coef"])
+        vec = {_int(t["idx"]): decode_scalar(field, t["coef"])
                for t in entry["out"]}
-        brackets[(entry["i"], entry["j"])] = vec
+        brackets[(_int(entry["i"]), _int(entry["j"]))] = vec
     return LieAlgebra(field, labels, brackets,
                       name=obj.get("name", "lie"))
 
 
+@_decoder
 def resolve_lie(field, spec):
     if isinstance(spec, dict):
         return lie_from_json(field, spec)
@@ -251,11 +279,7 @@ def resolve_lie(field, spec):
     raise SerializeError(f"unknown Lie algebra {spec!r}")
 
 
-def rep_to_json(rep):
-    return {"lie": lie_to_json(rep.lie), "dim": rep.dim,
-            "matrices": [encode_matrix(m) for m in rep.matrices]}
-
-
+@_decoder
 def resolve_rep(field, spec):
     """Representation from "defining(sl(2))", "adjoint(sol2)",
     "trivial(L,m)", "sum(R1,R2)", or an inline dict."""
@@ -301,6 +325,7 @@ def connection_to_json(conn):
             "coeffs": encode_matrix(conn.coeffs)}
 
 
+@_decoder
 def connection_from_json(field, obj):
     _expect(obj, "cdga", "lie", "coeffs")
     cdga = resolve_model(field, obj["cdga"])
@@ -329,6 +354,7 @@ def presentation_to_json(pres):
     return {"generators": list(pres.generators), "relations": rels}
 
 
+@_decoder
 def presentation_from_json(field, obj):
     _expect(obj, "generators", "relations")
     gens = obj["generators"]
@@ -364,6 +390,7 @@ def group_to_json(group):
     return obj
 
 
+@_decoder
 def group_from_json(obj):
     _expect(obj, "generators", "relators")
     return FpGroup(obj["generators"], obj["relators"],
@@ -390,6 +417,7 @@ def group_rep_to_json(rep):
             "matrices": [encode_matrix(m) for m in rep.matrices]}
 
 
+@_decoder
 def group_rep_from_json(field, obj):
     _expect(obj, "group", "target", "matrices")
     group = resolve_group(obj["group"])

@@ -1,6 +1,10 @@
 """Twisted complexes, resonance depth, and the product depth gap."""
 
+from collections import Counter
+
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import jumploci.aomoto as aomoto
 from jumploci.aomoto import (AomotoComplex, AomotoError, PreconditionError,
@@ -8,11 +12,15 @@ from jumploci.aomoto import (AomotoComplex, AomotoError, PreconditionError,
                              resonance_membership)
 from jumploci.cdga import tensor_product_with_inclusions
 from jumploci.flatconn import FlatConnection, NotFlatError
-from jumploci.liealg import (build_sl, rep_adjoint, rep_defining,
-                             rep_direct_sum, rep_trivial)
+from jumploci.liealg import (build_abelian, build_sl, rep_adjoint,
+                             rep_defining, rep_direct_sum, rep_trivial,
+                             sl_coordinates)
+from jumploci.linalg import Matrix
 from jumploci.models import (build_compact_curve, build_open_curve,
                              build_surface_model)
+from jumploci.sampling import surface_witness
 from jumploci.scalars import GF, QQ
+from jumploci.serialize import resolve_model
 
 
 def conn(cdga, lie, rows):
@@ -88,6 +96,10 @@ def test_surface_model_square_zero():
                        rep_adjoint(g))
     assert cx.square_is_zero()
     assert cx.euler() == 0
+    # a flat point whose t-row is nonzero, so that d(omega) != 0 and the
+    # d-term of the twisted differential enters its square
+    w = surface_witness(build_surface_model(QQ, 1), build_sl(QQ, 3))
+    assert AomotoComplex(w, rep_adjoint(w.lie)).square_is_zero()
 
 
 def test_each_differential_built_and_ranked_once(monkeypatch):
@@ -159,3 +171,36 @@ def test_depth_gap_preconditions():
     with pytest.raises(PreconditionError, match="rank-one"):
         depth_gap(incl_l, theta,
                   FlatConnection.from_rows(left, g, [E, E, E, E]), eta)
+
+
+@pytest.mark.parametrize("spec", [
+    "compact_curve(2)", "surface(1)",
+    "tensor(compact_curve(2),compact_curve(2))"])
+@seed(20261018)
+@settings(max_examples=12, deadline=None)
+@given(coef=st.lists(st.integers(-3, 3), min_size=8, max_size=8))
+def test_twisted_betti_splits_along_eigenvalues(spec, coef):
+    # At eta (x) x with theta(x) diagonal, the adjoint complex splits along
+    # the eigenspaces of ad x: b^i = sum_lambda mult(lambda) b^i(A, d +
+    # lambda eta).  x = diag(3, -1, -2) has ad-eigenvalues x_i - x_j on
+    # E_ij and 0 twice on the Cartan part.  Checked below the top degree.
+    model = resolve_model(QQ, spec)
+    eta = [sum(c * v for c, v in zip(coef, col))
+           for col in zip(*model.cocycles(1))]
+    g = build_sl(QQ, 3)
+    diag = (3, -1, -2)
+    x = sl_coordinates(g, Matrix(QQ, [[diag[i] if i == j else 0
+                                        for j in range(3)]
+                                       for i in range(3)]))
+    twisted = AomotoComplex(conn(model, g, [[e * v for v in x] for e in eta]),
+                            rep_adjoint(g))
+    mult = Counter(diag[i] - diag[j] for i in range(3) for j in range(3)
+                   if i != j)
+    mult[0] += 2
+    line = build_abelian(QQ, 1)
+    rank_one = {lam: AomotoComplex(conn(model, line, [[lam * e] for e in eta]),
+                                   rep_defining(line))
+                for lam in mult}
+    for i in range(model.top_degree):
+        assert twisted.betti(i) == sum(m * rank_one[lam].betti(i)
+                                       for lam, m in mult.items())

@@ -9,10 +9,12 @@ from pathlib import Path
 
 import pytest
 
+from jumploci import cli
 from jumploci.cli import main
 from jumploci.liealg import build_sl
+from jumploci.models import build_surface_model
 from jumploci.scalars import QQ
-from jumploci.serialize import lie_to_json
+from jumploci.serialize import cdga_to_json, lie_to_json
 
 
 CURVE_FLAT = json.dumps({
@@ -45,6 +47,34 @@ def test_malformed_input_is_exit_2(capsys):
                 "fp:3317044064679887385961981"):
         assert main(["mc-check", "--input", CURVE_FLAT, "--field", tag]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+def test_malformed_shapes_are_exit_2(capsys):
+    # Wrong types deep inside a document surface at the decoders as
+    # SerializeError, so they exit 2 like any other malformed input.
+    model = cdga_to_json(build_surface_model(QQ, 1))
+    bad_index = json.loads(json.dumps(model))
+    bad_index["mult"][0]["out"][0]["idx"] = 0.5
+    for argv in (
+            ["validate", "--input", json.dumps(dict(model, top_degree="x"))],
+            ["validate", "--input", json.dumps(bad_index)],
+            ["validate", "--input", '{"generators": ["a"], "relators": 5}'],
+            ["mc-check", "--input", json.dumps(
+                {"cdga": {"normals": 5}, "lie": "sl(2)", "coeffs": []})],
+            ["resonance", "--input", json.dumps(
+                {"connection": json.loads(CURVE_FLAT), "degree": "1"})]):
+        assert main(argv) == 2
+        assert "error:" in capsys.readouterr().err
+
+
+def test_internal_error_is_exit_3(monkeypatch, capsys):
+    # A KeyError raised past the decoders is a bug, not malformed input.
+    def broken(args, f):
+        raise KeyError("not a user's mistake")
+    monkeypatch.setitem(cli.HANDLERS, "cohomology", broken)
+    assert main(["cohomology", "--input", '{"model": "surface(1)"}']) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "internal error" in err
 
 
 def test_unknown_subcommand_is_usage_error():

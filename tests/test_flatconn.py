@@ -1,5 +1,7 @@
 """Flatness, the rank-one and determinant-cut loci, and exhaustive search."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -279,6 +281,45 @@ def test_vertex_cover_touches_every_quadratic_term(system):
         for i, j in zip(*np.nonzero(q)):
             assert i in cover or j in cover
     assert _vertex_cover(qnp) == sorted(cover)
+
+
+@st.composite
+def small_graphs(draw):
+    """A one-residual quadratic stack on up to 10 unknowns: random edges
+    and a few diagonal terms."""
+    n = draw(st.integers(1, 10))
+    q = np.zeros((1, n, n), dtype=np.int64)
+    for i in range(n):
+        for j in range(i, n):
+            if draw(st.integers(0, 9)) < (1 if i == j else 4):
+                q[0, i, j] = 1
+    return q
+
+
+@seed(20261018)
+@settings(max_examples=150, deadline=None)
+@given(qnp=small_graphs())
+def test_vertex_cover_is_minimum(qnp):
+    n = qnp.shape[1]
+    terms = list(zip(*np.nonzero(qnp[0])))
+    smallest = min(len(s) for k in range(n + 1)
+                   for s in itertools.combinations(range(n), k)
+                   if all(i in s or j in s for i, j in terms))
+    cover = _vertex_cover(qnp)
+    assert all(i in cover or j in cover for i, j in terms)
+    assert len(cover) == smallest
+
+
+def test_exact_cover_beats_greedy_only_when_smaller():
+    # [DERIVED by exhaustive search over subsets] torus(3) x sol2 needs 3
+    # unknowns, e.g. {0, 2, 4}; the greedy picks 4.  On surface(1) x sl2
+    # the greedy 6 of 9 is already minimum and stays as it was.
+    for (model, lie), want in (
+            ((build_torus_model(GF(5), 3), build_sol2(GF(5))), [0, 2, 4]),
+            ((build_surface_model(GF(5), 1), build_sl(GF(5), 2)),
+             [0, 1, 2, 3, 4, 5])):
+        qnp = np.array(flatness_tensors(model, lie)[1], dtype=np.int64) % 5
+        assert _vertex_cover(qnp) == want
 
 
 @pytest.mark.parametrize("make, p", [

@@ -1,6 +1,6 @@
 """Exact linear algebra: hand-checked small cases plus randomized properties
-(rank-nullity, double inversion, and the per-field rank kernels against the
-generic rref)."""
+(rank-nullity, double inversion, and the sparse per-field kernels against
+the generic dense Fraction elimination kept here as the oracle)."""
 
 from fractions import Fraction
 
@@ -173,3 +173,115 @@ def test_rank_edge_shapes(f):
     for m in cases:
         assert rank(m) == len(rref(m)[1])
     assert [rank(m) for m in cases] == [0, 0, 1, 0, 0, 1, 1]
+
+
+# -- the generic Fraction elimination, kept as the oracle of the sparse
+# -- per-field kernels: dense rows, one field method call per entry.
+
+def oracle_rref(f, rows, ncols):
+    """Reduced row echelon form of dense rows: (rows, pivot columns)."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    pr = 0
+    for pc in range(ncols):
+        pivot = next((i for i in range(pr, len(rows))
+                      if not f.is_zero(rows[i][pc])), None)
+        if pivot is None:
+            continue
+        rows[pr], rows[pivot] = rows[pivot], rows[pr]
+        inv = f.inv(rows[pr][pc])
+        rows[pr] = [f.mul(inv, x) for x in rows[pr]]
+        for i in range(len(rows)):
+            if i != pr and not f.is_zero(rows[i][pc]):
+                c = rows[i][pc]
+                rows[i] = [f.sub(x, f.mul(c, y))
+                           for x, y in zip(rows[i], rows[pr])]
+        pivots.append(pc)
+        pr += 1
+    return rows, pivots
+
+
+def oracle_kernel(f, rows, ncols):
+    red, pivots = oracle_rref(f, rows, ncols)
+    basis = []
+    for j in range(ncols):
+        if j not in pivots:
+            v = [f.zero] * ncols
+            v[j] = f.one
+            for r, pc in enumerate(pivots):
+                v[pc] = f.neg(red[r][j])
+            basis.append(v)
+    return basis
+
+
+def oracle_solve(f, rows, ncols, b):
+    red, pivots = oracle_rref(f, [r + [x] for r, x in zip(rows, b)],
+                              ncols + 1)
+    if ncols in pivots:
+        return None
+    x = [f.zero] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r][ncols]
+    return x
+
+
+def oracle_det(f, rows):
+    """Laplace expansion along the first row."""
+    if not rows:
+        return f.one
+    total = f.zero
+    for j, x in enumerate(rows[0]):
+        if not f.is_zero(x):
+            term = f.mul(x, oracle_det(f, [r[:j] + r[j + 1:]
+                                           for r in rows[1:]]))
+            total = f.add(total, f.neg(term) if j % 2 else term)
+    return total
+
+
+def oracle_invert(f, rows):
+    n = len(rows)
+    unit = [[f.one if i == j else f.zero for j in range(n)] for i in range(n)]
+    red, pivots = oracle_rref(f, [r + u for r, u in zip(rows, unit)], 2 * n)
+    if pivots[:n] != list(range(n)):
+        return None
+    return [r[n:] for r in red[:n]]
+
+
+@st.composite
+def shaped_matrices(draw, f):
+    """Wide, tall, square, empty and all-zero shapes, with dependent rows
+    from ``dependent_matrices`` or sparse random entries."""
+    kind = draw(st.sampled_from(("dependent", "sparse", "zero")))
+    if kind == "dependent":
+        return draw(dependent_matrices(f))
+    nrows, ncols = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    if kind == "zero":
+        return Matrix.zero(f, nrows, ncols)
+    entry = st.one_of(st.just(f.zero), st.just(f.zero), _entries(f))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    return Matrix(f, rows, ncols=ncols)
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=repr)
+@seed(20261018)
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_sparse_kernels_match_fraction_oracle(f, data):
+    m = data.draw(shaped_matrices(f))
+    dense, n = m.to_lists(), m.ncols
+    red, pivots = oracle_rref(f, dense, n)
+    assert rank(m) == len(pivots)
+    got, got_pivots = rref(m)
+    assert got_pivots == pivots and got.to_lists() == red
+    assert kernel_basis(m) == oracle_kernel(f, dense, n)
+    b = [f.coerce(x) for x in data.draw(st.lists(
+        _entries(f), min_size=m.nrows, max_size=m.nrows))]
+    assert solve(m, b) == oracle_solve(f, dense, n, b)
+    k = min(m.nrows, n, 6)
+    square = Matrix(f, [r[:k] for r in dense[:k]], ncols=k)
+    sq = square.to_lists()
+    assert det(square) == oracle_det(f, sq)
+    inv = invert(square)
+    assert (inv.to_lists() if inv is not None else None) == \
+        oracle_invert(f, sq)
