@@ -56,7 +56,7 @@ class Cdga:
         self.top_degree = len(self.basis) - 1
         if self.top_degree < 0:
             raise CdgaError("a model needs at least degree 0")
-        self._diff = {}
+        self._diff, self._ranks = {}, {}
         for i, m in diff.items():
             if not (0 <= i < self.top_degree):
                 if m.nrows == 0 and m.ncols == self.dim(i):
@@ -141,12 +141,18 @@ class Cdga:
         """Basis of ker d^i (all of degree i when d^i = 0)."""
         return kernel_basis(self.d_matrix(i))
 
+    def d_rank(self, i):
+        """Rank of d^i, computed once: the differentials are fixed at
+        construction."""
+        if i not in self._ranks:
+            self._ranks[i] = rank(self.d_matrix(i))
+        return self._ranks[i]
+
     def betti(self, i):
         """dim H^i = dim(i) - rank d^i - rank d^(i-1)."""
         if not 0 <= i <= self.top_degree:
             return 0
-        return (self.dim(i) - rank(self.d_matrix(i))
-                - rank(self.d_matrix(i - 1)))
+        return self.dim(i) - self.d_rank(i) - self.d_rank(i - 1)
 
     def euler_characteristic(self):
         """Alternating sum of basis dimensions (= of cohomology dimensions)."""

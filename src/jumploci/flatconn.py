@@ -147,21 +147,25 @@ class DetCutReport:
     det_value: object | None = None
 
 
-def pi_membership(conn, rep):
-    """Rank-one locus cut out by det(theta(x)) = 0."""
-    if not rep.lie.structurally_equal(conn.lie):
-        raise FlatConnError("representation is over a different Lie algebra")
-    from .liealg import det_theta
-    r1 = f1_membership(conn)
+def det_cut(r1, rep):
+    """Determinant cut det(theta(x)) = 0 of the rank-one locus, read off
+    the ``f1_membership`` report of a connection over rep's Lie algebra."""
     if not r1.member:
         return DetCutReport(False, r1.reason)
+    from .liealg import det_theta
     d = det_theta(rep, r1.x)
-    f = conn.cdga.field
-    if f.is_zero(d):
+    if rep.lie.field.is_zero(d):
         return DetCutReport(True, "rank-one with singular action",
                             eta=r1.eta, x=r1.x, det_value=d)
     return DetCutReport(False, "theta acts invertibly on the Lie factor",
                         eta=r1.eta, x=r1.x, det_value=d)
+
+
+def pi_membership(conn, rep):
+    """Rank-one locus cut out by det(theta(x)) = 0."""
+    if not rep.lie.structurally_equal(conn.lie):
+        raise FlatConnError("representation is over a different Lie algebra")
+    return det_cut(f1_membership(conn), rep)
 
 
 def pullback(morphism, conn):

@@ -4,22 +4,28 @@ A ``Matrix`` stores each row as a dict from column index to a nonzero entry
 of one field object from ``scalars``; products, sums and scalings walk the
 nonzeros only.  Everything is exact: no floating point anywhere.
 
-Elimination has one kernel per field, neither of which creates a
-``Fraction`` or calls a field method per entry: over Q, fraction-free
-updates of primitive integer rows (``_echelon_q``); over GF(p), plain ints
-reduced ``% p`` inline (``_echelon_mod_p``).  Rows wait in buckets keyed by
-their leading column, and a bucket's pivot is its shortest row (over Q,
-least |leading entry| next), as in structured Gaussian elimination
-(LaMacchia and Odlyzko, 1990); the column order stays fixed.  ``rank`` and
-``det`` stop at echelon form, ``rank`` on the transpose of a matrix wider
-than tall.  ``rref``, ``kernel_basis``, ``solve`` and ``invert`` read the
-reduced form, which is unique, so their output does not depend on the pivot
-choice: kernel vectors come by increasing free column, with a 1 there.
+Elimination is one pivot loop over a column index, which holds for each
+column the live rows with an entry there and follows fill-in and
+cancellation.  Each field supplies only its row update, which creates no
+``Fraction`` and calls no field method per entry: over Q, fraction-free
+updates of primitive integer rows; over GF(p), plain ints reduced ``% p``
+inline.  A column's pivot is its shortest live row, least |leading entry|
+next (over Q that keeps the multipliers small), as in structured Gaussian
+elimination (LaMacchia and Odlyzko, 1990).  ``rank`` and ``det`` stop at
+echelon form and take next the column with the fewest live rows, after
+Markowitz (1957); ``rank`` eliminates the transpose of a matrix wider than
+tall, and ``det`` reads its sign off the permutation row -> pivot column.
+``rref``, ``kernel_basis``, ``solve`` and ``invert`` take the columns in
+natural order and read the reduced form, which is unique, so their output
+does not depend on the pivot rows: kernel vectors come by increasing free
+column, with a 1 there.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm, prod
 
 from .scalars import same_field
@@ -210,104 +216,108 @@ def vstack_all(field, mats, ncols):
 # -- elimination ---------------------------------------------------------
 
 
-def _echelon_mod_p(rows, ncols, p, reduced):
-    """Echelon form of sparse rows of residues in range(p), in place, as
-    (pivot column, row) pairs in increasing column.  Rows only lose
-    multiples of pivot rows, so the determinant is kept.  With ``reduced``
-    each pivot column is cleared from the earlier pivot rows too, and the
-    pivot rows are scaled to a leading 1: the reduced row echelon form."""
-    buckets = {}
-    for r in rows:
-        if r:
-            buckets.setdefault(min(r), []).append(r)
-    pivots = []
-    for c in range(ncols):
-        bucket = buckets.pop(c, None)
-        if bucket is None:
-            continue
-        piv = min(bucket, key=len)
-        inv = pow(piv[c], -1, p)
-        tail = [(j, y) for j, y in piv.items() if j != c]
-        for r in bucket:
-            if r is not piv:
-                _subtract_mod_p(r, r.pop(c) * inv % p, tail, p)
-                if r:
-                    buckets.setdefault(min(r), []).append(r)
-        for _, r in pivots if reduced else ():
-            if c in r:
-                _subtract_mod_p(r, r.pop(c) * inv % p, tail, p)
-        pivots.append((c, piv))
-    for c, r in pivots if reduced else ():
-        inv = pow(r[c], -1, p)
+def _eliminate(rows, ncols, reduced, clear):
+    """Echelon form of sparse rows, in place: (pivot column, row id) pairs
+    in the order taken.  ``cols[j]`` holds the ids of the rows with an entry
+    in column j; ``clear(rows, ids, c, piv, cols)`` takes multiples of
+    ``piv`` from the rows ``ids`` until column c leaves them, and keeps
+    ``cols`` current.  Without ``reduced`` pivot rows leave the index and
+    the columns come fewest live rows first; with it they come in natural
+    order and pivot rows stay indexed, so each pivot column is cleared from
+    the earlier pivot rows too."""
+    cols = [set() for _ in range(ncols)]
+    for i, r in enumerate(rows):
         for j in r:
-            r[j] = r[j] * inv % p
+            cols[j].add(i)
+    pivots, done = [], set()
+    order = range(ncols) if reduced else _fewest_first(cols, rows, pivots)
+    for c in order:
+        live = cols[c] - done if reduced else cols[c]
+        if not live:
+            continue
+        pid = min(live, key=lambda i: (len(rows[i]), abs(rows[i][c])))
+        piv = rows[pid]
+        if reduced:
+            done.add(pid)
+            cols[c].discard(pid)
+        else:
+            for j in piv:
+                cols[j].discard(pid)
+        clear(rows, cols[c], c, piv, cols)
+        cols[c] = set()
+        pivots.append((c, pid))
     return pivots
 
 
-def _subtract_mod_p(r, a, tail, p):
-    """r -= a * tail, in place, dropping the entries that reach zero."""
-    for j, y in tail:
-        v = (r.get(j, 0) - a * y) % p
-        if v:
-            r[j] = v
-        else:
-            del r[j]
+def _fewest_first(cols, rows, pivots):
+    """Columns with live rows, fewest first (Markowitz), from a lazy
+    min-heap of (count, column).  Only the columns of a pivot row change
+    count in its step, so after each step those of the row last added to
+    ``pivots`` go in again, and an entry whose count is out of date is
+    passed over."""
+    heap = [(len(s), j) for j, s in enumerate(cols) if s]
+    heapify(heap)
+    while heap:
+        n, c = heappop(heap)
+        if n == len(cols[c]):
+            yield c
+            for j in rows[pivots[-1][1]]:
+                if cols[j]:
+                    heappush(heap, (len(cols[j]), j))
 
 
-def _echelon_q(rows, ncols, reduced, log=None):
-    """Echelon form of sparse primitive integer rows, fraction-free and in
-    place, as (pivot column, row) pairs in increasing column.  A bucket's
-    pivot, leading entry a, leaves each other row of the bucket, leading
-    entry b, as (a/g)·row − (b/g)·pivot, g = gcd(a, b), divided by the gcd of
-    its entries: a nonzero rational multiple of a row operation, so ranks
-    and reduced forms over Q are exact.  Each such (multiplier, divisor)
-    goes to ``log`` when one is given.  With ``reduced`` each pivot column is
-    cleared from the earlier pivot rows too; a row over its leading entry is
-    then a row of the reduced row echelon form."""
-    buckets = {}
-    for r in rows:
-        if r:
-            buckets.setdefault(min(r), []).append(r)
-    pivots = []
-    for c in range(ncols):
-        bucket = buckets.pop(c, None)
-        if bucket is None:
-            continue
-        piv = min(bucket, key=lambda r: (len(r), abs(r[c])))
-        a = piv[c]
-        tail = [(j, y) for j, y in piv.items() if j != c]
-        for r in bucket:
-            if r is not piv:
-                _combine_q(r, a, r.pop(c), tail, log)
-                if r:
-                    buckets.setdefault(min(r), []).append(r)
-        for _, r in pivots if reduced else ():
-            if c in r:
-                _combine_q(r, a, r.pop(c), tail, log)
-        pivots.append((c, piv))
-    return pivots
+def _clear_mod_p(p, rows, ids, c, piv, cols):
+    """Row update over GF(p), residues in range(p) reduced inline: each
+    row r loses (r[c]/piv[c])·piv, so the determinant is kept."""
+    inv = pow(piv[c], -1, p)
+    tail = [(j, y, cols[j]) for j, y in piv.items() if j != c]
+    for i in ids:
+        r = rows[i]
+        a = r.pop(c) * inv % p
+        for j, y, s in tail:
+            x = r.get(j)
+            if x is None:
+                r[j] = -a * y % p
+                s.add(i)
+            elif v := (x - a * y) % p:
+                r[j] = v
+            else:
+                del r[j]
+                s.discard(i)
 
 
-def _combine_q(r, a, b, tail, log):
-    """r <- (a/g)·r − (b/g)·tail, g = gcd(a, b), over the gcd of its entries;
-    in place, dropping the entries that reach zero."""
-    g = gcd(a, b)
-    ca, cb = a // g, b // g
-    if ca != 1:
-        for j in r:
-            r[j] *= ca
-    for j, y in tail:
-        v = r.get(j, 0) - cb * y
-        if v:
-            r[j] = v
-        else:
-            del r[j]
-    h = gcd(*r.values())
-    if h > 1:
-        for j in r:
-            r[j] //= h
-    if log is not None:
-        log.append((ca, h or 1))
+def _clear_q(log, rows, ids, c, piv, cols):
+    """Fraction-free row update of primitive integer rows: row r, leading
+    entry b, becomes (a/g)·r − (b/g)·piv, a = piv[c], g = gcd(a, b), over
+    the gcd of its entries.  That is a nonzero rational multiple of a row
+    operation, so ranks and reduced forms over Q are exact.  Each such
+    (multiplier, divisor) goes to ``log`` when one is given."""
+    a = piv[c]
+    tail = [(j, y, cols[j]) for j, y in piv.items() if j != c]
+    for i in ids:
+        r = rows[i]
+        b = r.pop(c)
+        g = gcd(a, b)
+        ca, cb = a // g, b // g
+        if ca != 1:
+            for j in r:
+                r[j] *= ca
+        for j, y, s in tail:
+            x = r.get(j)
+            if x is None:
+                r[j] = -cb * y
+                s.add(i)
+            elif v := x - cb * y:
+                r[j] = v
+            else:
+                del r[j]
+                s.discard(i)
+        h = gcd(*r.values())
+        if h > 1:
+            for j in r:
+                r[j] //= h
+        if log is not None:
+            log.append((ca, h or 1))
 
 
 def _integer_rows(rows, log=None):
@@ -325,15 +335,28 @@ def _integer_rows(rows, log=None):
     return out
 
 
+def _working_rows(field, rows, log=None):
+    """Copies of sparse rows for the field's row update, and that update."""
+    p = field.characteristic
+    if p:
+        return [dict(r) for r in rows], partial(_clear_mod_p, p)
+    return _integer_rows(rows, log), partial(_clear_q, log)
+
+
 def _echelon(field, rows, ncols, reduced=False):
     """Pivot rows of the (reduced) row echelon form of copies of sparse
     rows, by the field's kernel.  Unreduced rows over Q stay integer."""
+    rows, clear = _working_rows(field, rows)
+    pivots = [(c, rows[i]) for c, i in _eliminate(rows, ncols, reduced, clear)]
     p = field.characteristic
-    if p:
-        return _echelon_mod_p([dict(r) for r in rows], ncols, p, reduced)
-    pivots = _echelon_q(_integer_rows(rows), ncols, reduced)
-    return [(c, {j: Fraction(x, r[c]) for j, x in r.items()})
-            for c, r in pivots] if reduced else pivots
+    if reduced and not p:
+        return [(c, {j: Fraction(x, r[c]) for j, x in r.items()})
+                for c, r in pivots]
+    for c, r in pivots if reduced else ():
+        inv = pow(r[c], -1, p)
+        for j in r:
+            r[j] = r[j] * inv % p
+    return pivots
 
 
 def rank(m):
@@ -398,15 +421,14 @@ def det(m):
         raise LinalgError("determinant of a non-square matrix")
     f, n = m.field, m.nrows
     p, log = f.characteristic, []
-    rows = [dict(r) for r in m.rows] if p else _integer_rows(m.rows, log)
-    pivots = (_echelon_mod_p(rows, n, p, False) if p
-              else _echelon_q(rows, n, False, log))
+    rows, clear = _working_rows(f, m.rows, log)
+    pivots = _eliminate(rows, n, False, clear)
     if len(pivots) < n:
         return f.zero
-    # in their own order the rows lead at a permutation of the columns
-    lead = [min(r) for r in rows]
+    # row i ends up leading at column lead[i]: the sign is that permutation's
+    lead = [c for _, c in sorted((i, c) for c, i in pivots)]
     swaps = sum(a > b for i, a in enumerate(lead) for b in lead[i + 1:])
-    value = (-1) ** swaps * prod(r[c] for c, r in pivots)
+    value = (-1) ** swaps * prod(rows[i][c] for c, i in pivots)
     if p:
         return value % p
     return Fraction(value * prod(h for _, h in log), prod(a for a, _ in log))

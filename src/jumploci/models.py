@@ -23,6 +23,7 @@ Each builder records its family and parameters in ``Cdga.family``, e.g.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
 from .cdga import Cdga, CdgaError, CdgaMorphism
@@ -189,18 +190,12 @@ def build_torus_model(field, n, top=None, name=None):
 # Orlik-Solomon algebra of a central arrangement given by normal vectors
 
 
-def _independent(normals, subset):
-    m = Matrix(QQ, [list(normals[i]) for i in subset], ncols=3)
-    return rank(m) == len(subset)
-
-
-def _circuits(normals):
-    """Minimal dependent subsets, as sorted tuples, lex order."""
-    m = len(normals)
+def _circuits(m, independent):
+    """Minimal dependent subsets of range(m), as sorted tuples, lex order."""
     circuits = []
     for size in range(2, min(m, 4) + 1):
         for s in combinations(range(m), size):
-            if _independent(normals, s):
+            if independent(s):
                 continue
             if any(set(c) <= set(s) for c in circuits):
                 continue
@@ -224,13 +219,20 @@ def build_os_arrangement(field, normals, name=None):
             raise CdgaError("normals must have 3 coordinates")
         if all(x == 0 for x in v):
             raise CdgaError("zero normal vector")
+
+    @lru_cache(maxsize=None)
+    def independent(subset):
+        """Are the normals at the sorted tuple ``subset`` independent?"""
+        rows = [list(normals[i]) for i in subset]
+        return rank(Matrix(QQ, rows, ncols=3)) == len(subset)
+
     for i in range(m):
         for j in range(i + 1, m):
-            if not _independent(normals, (i, j)):
+            if not independent((i, j)):
                 raise CdgaError(
                     f"normals {i + 1} and {j + 1} are proportional")
 
-    circuits = _circuits(normals)
+    circuits = _circuits(m, independent)
     broken = [(c[0], tuple(c[1:])) for c in circuits]  # (min elt, circuit rest)
     top = rank(Matrix(QQ, [list(v) for v in normals], ncols=3))
 
@@ -239,7 +241,7 @@ def build_os_arrangement(field, normals, name=None):
         return any(set(b) <= ss for _, b in broken)
 
     nbc = {k: [s for s in combinations(range(m), k)
-               if _independent(normals, s) and not has_broken(s)]
+               if independent(s) and not has_broken(s)]
            for k in range(top + 1)}
     index = {k: {s: i for i, s in enumerate(nbc[k])} for k in nbc}
 
@@ -248,8 +250,6 @@ def build_os_arrangement(field, normals, name=None):
         inv = sum(1 for a in range(len(s)) for b in range(a + 1, len(s))
                   if s[a] > s[b])
         return -1 if inv % 2 else 1
-
-    from functools import lru_cache
 
     @lru_cache(maxsize=None)
     def express(u):
@@ -268,7 +268,7 @@ def build_os_arrangement(field, normals, name=None):
             if set(rest) & set(repl):
                 continue
             merged = tuple(sorted(rest + repl))
-            if not _independent(normals, merged):
+            if not independent(merged):
                 continue
             coef = sigma * (-1) ** (j + 1) * merge_sign(rest + repl)
             for base, c in express(merged):
@@ -283,7 +283,7 @@ def build_os_arrangement(field, normals, name=None):
                     if set(s) & set(t):
                         continue
                     u = tuple(sorted(s + t))
-                    if not _independent(normals, u):
+                    if not independent(u):
                         continue
                     sign = _shuffle_sign(s, t)
                     vec = {}

@@ -14,8 +14,8 @@ from importlib import resources
 
 from .aomoto import AomotoComplex, depth_gap, resonance_membership
 from .cdga import tensor_product_with_inclusions
-from .flatconn import (FlatConnection, brute_force_flat, f1_membership,
-                       is_flat, lex_index, mc_residual, pi_membership,
+from .flatconn import (FlatConnection, brute_force_flat, det_cut,
+                       f1_membership, is_flat, lex_index, mc_residual,
                        pullback, tangent_dimension, weight_scale)
 from .grouprep import GroupRep, surface_group, tangent_dimension_rep
 from .holonomy import (build_counterexample_rho, holonomy_presentation,
@@ -107,10 +107,9 @@ def run_sl3_witness(seed=0, jobs=1, field=None):
                   any(not f.is_zero(x) for x in t_row))
         _, _, incl = curve_inclusion(f, g)
         m1 = incl.map(1)
-        stacked = m1.hstack(w.coeffs)
+        r1, r2 = rank(m1), rank(m1.hstack(w.coeffs))
         rep.check(f"{tag}: not a pullback from the genus-{g} curve",
-                  rank(stacked) > rank(m1),
-                  f"rank {rank(m1)} -> {rank(stacked)}")
+                  r2 > r1, f"rank {r1} -> {r2}")
         p_h, p_a = surface_presentations(f, g)
         assignment, rho_r, lie = build_counterexample_rho(f, 3, g)
         rep.check(f"{tag}: eliminated surface relations hold",
@@ -408,12 +407,12 @@ def run_torus_pi_r11(seed=0, jobs=1, field=None):
             idxs = [lex_index(c, p) for c in flats]
             rep.check(f"{key}: flat set matches the frozen census",
                       idxs == golden[key]["solution_indices"])
+        rank_one = [f1_membership(c) for c in flats]
         rep.check(f"{key}: every flat connection is rank-one",
-                  all(f1_membership(c).member for c in flats))
+                  all(r1.member for r1 in rank_one))
         agree = all(
-            pi_membership(c, theta).member
-            == resonance_membership(c, theta, 1, 1)
-            for c in flats)
+            det_cut(r1, theta).member == resonance_membership(c, theta, 1, 1)
+            for c, r1 in zip(flats, rank_one))
         rep.check(f"{key}: determinant cut = first resonance, pointwise",
                   agree, f"{len(flats)} points")
         rep.data[f"{key}_count"] = len(flats)

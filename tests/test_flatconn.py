@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from jumploci.cdga import Cdga
 from jumploci.flatconn import (BruteForceBoundError, FlatConnection,
                                FlatConnError, NotFlatError, _common_zeros,
-                               _vertex_cover, brute_force_flat,
+                               _vertex_cover, brute_force_flat, det_cut,
                                f1_membership, flatness_tensors, is_flat,
                                lex_index, mc_residual, pi_membership, pullback,
                                tangent_dimension, weight_scale)
@@ -89,8 +89,10 @@ def test_pi_membership():
     in_pi = pi_membership(conn(a, g, [[1, 0, 0], [2, 0, 0]]), theta)
     assert in_pi.member and QQ.is_zero(in_pi.det_value)
     # semisimple factor: det theta(H) = -1
-    out = pi_membership(conn(a, g, [[0, 0, 1], [0, 0, 2]]), theta)
+    semisimple = conn(a, g, [[0, 0, 1], [0, 0, 2]])
+    out = pi_membership(semisimple, theta)
     assert not out.member and out.det_value == QQ.coerce(-1)
+    assert det_cut(f1_membership(semisimple), theta) == out
     # rank > 1 never qualifies
     r2 = pi_membership(conn(a, g, [[1, 0, 0], [0, 1, 0]]), theta)
     assert not r2.member

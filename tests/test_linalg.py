@@ -2,6 +2,7 @@
 (rank-nullity, double inversion, and the sparse per-field kernels against
 the generic dense Fraction elimination kept here as the oracle)."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -285,3 +286,82 @@ def test_sparse_kernels_match_fraction_oracle(f, data):
     inv = invert(square)
     assert (inv.to_lists() if inv is not None else None) == \
         oracle_invert(f, sq)
+
+
+# -- shapes on which the fewest-live-rows column order of ``rank`` and
+# -- ``det`` departs from the natural order that the reduced forms keep.
+
+STRUCTURED_FIELDS = [QQ, GF(3), GF(2 ** 31 - 1)]
+
+
+def _nonzero(rng):
+    return rng.choice((-1, 1)) * rng.randint(1, 9)
+
+
+def arrow(rng, n):
+    """Dense first row and column on a diagonal: column 0 holds n rows,
+    every other column two."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[0][i], rows[i][0], rows[i][i] = (_nonzero(rng), _nonzero(rng),
+                                             _nonzero(rng))
+    return rows
+
+
+def permuted_diagonal(rng, n):
+    """One entry per row and column, at a random permutation."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    rows = [[0] * n for _ in range(n)]
+    for i, j in enumerate(perm):
+        rows[i][j] = _nonzero(rng)
+    return rows
+
+
+def kronecker(rng, k, l, r):
+    """d (x) I + L (x) theta, as the twisted differentials are assembled:
+    sparse k x l blocks d and L, a dense r x r theta."""
+    def block(h, w):
+        return [[_nonzero(rng) if rng.random() < 0.5 else 0
+                 for _ in range(w)] for _ in range(h)]
+    d, L, theta = block(k, l), block(k, l), block(r, r)
+    return [[d[a][b] * (s == t) + L[a][b] * theta[s][t]
+             for b in range(l) for t in range(r)]
+            for a in range(k) for s in range(r)]
+
+
+def structured_cases(seed):
+    rng = random.Random(seed)
+    cases = [arrow(rng, n) for n in range(2, 7)]
+    cases += [permuted_diagonal(rng, n) for n in range(1, 7)]
+    cases += [kronecker(rng, k, l, r)
+              for k, l, r in ((2, 2, 2), (3, 3, 2), (2, 2, 3), (3, 2, 2))]
+    # arrows with their head at the last row and column
+    cases += [[r[::-1] for r in arrow(rng, n)[::-1]] for n in (4, 6)]
+    return cases + [[list(c) for c in zip(*m)] for m in cases]
+
+
+@pytest.mark.parametrize("f", STRUCTURED_FIELDS, ids=repr)
+@pytest.mark.parametrize("case_seed", range(4))
+def test_rank_and_det_on_structured_shapes(f, case_seed):
+    for rows in structured_cases(case_seed):
+        m = Matrix(f, rows)
+        dense = m.to_lists()
+        assert rank(m) == len(oracle_rref(f, dense, m.ncols)[1])
+        if m.nrows == m.ncols:
+            assert det(m) == oracle_det(f, dense)
+
+
+@pytest.mark.parametrize("f", STRUCTURED_FIELDS, ids=repr)
+def test_reduced_forms_keep_natural_column_order(f):
+    rng = random.Random(5)
+    for rows in (arrow(rng, 5), [r + [0] for r in arrow(rng, 5)],
+                 kronecker(rng, 3, 2, 2), kronecker(rng, 2, 3, 2)):
+        m = Matrix(f, rows)
+        dense, n = m.to_lists(), m.ncols
+        red, pivots = oracle_rref(f, dense, n)
+        got, got_pivots = rref(m)
+        assert got_pivots == pivots == sorted(pivots)
+        assert got.to_lists() == red
+        assert kernel_basis(m) == oracle_kernel(f, dense, n)
+
