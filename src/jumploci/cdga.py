@@ -6,10 +6,9 @@ multiplication table between positive-degree basis elements, one differential
 matrix per degree (columns are images of the source basis), and an optional
 integer weight per basis element.
 
-Truncation semantics: everything above ``top_degree`` is zero.  The axioms
-(graded commutativity, Leibniz, associativity, d*d = 0) are checked by
-``validate`` under that convention, i.e. a check whose target degree exceeds
-the top is vacuous.
+Everything above ``top_degree`` is zero.  ``validate`` checks the axioms
+(graded commutativity, Leibniz, associativity, d*d = 0) from the nonzero
+products and differentials: a check whose terms all vanish is skipped.
 
 Weights, when present, must satisfy: the unit has weight 0, a degree-i
 element has weight between i and 2i, and both multiplication and the
@@ -19,11 +18,8 @@ weight-1 and a weight-2 component.
 ``family`` names the builder in ``models`` that made a model, with its
 parameters; decoded models and tensor products carry ``family = None``.
 
-``truncated`` marks a model cut off below the top degree of the algebra it
-stands for: a torus model with top < n, or a tensor product past degree 3.
-Its top degree lacks the outgoing differential and the products beyond, so
-only the degrees below the top give true (twisted) Betti numbers.  The
-flag travels with the model's JSON form.
+Every model is whole: the builders and tensor products go up to the true
+top degree, so each Betti number and Euler characteristic is exact.
 """
 
 from __future__ import annotations
@@ -38,7 +34,6 @@ class CdgaError(ValueError):
 
 class Cdga:
     family = None
-    truncated = False
 
     def __init__(self, field, name, basis, diff, mult, weights=None):
         """
@@ -127,13 +122,19 @@ class Cdga:
 
     def product(self, i, v, j, w):
         """Bilinear product of coordinate vectors; result in degree i+j."""
+        return dense_vector(self.field, self._times(
+            i, {k: a for k, a in enumerate(v) if a},
+            j, {l: b for l, b in enumerate(w) if b}), self.dim(i + j))
+
+    def _times(self, i, u, j, w):
+        """Product of sparse vectors (index -> nonzero scalar) of degrees i
+        and j, as unreduced sums."""
         acc = {}
-        for k, a in enumerate(v):
-            for l, b in enumerate(w):
-                if a and b:
-                    for m, c in self.product_basis(i, k, j, l).items():
-                        acc[m] = acc.get(m, 0) + a * b * c
-        return dense_vector(self.field, acc, self.dim(i + j))
+        for k, a in u.items():
+            for l, b in w.items():
+                for m, c in self.product_basis(i, k, j, l).items():
+                    acc[m] = acc.get(m, 0) + a * b * c
+        return acc
 
     # -- cohomology ---------------------------------------------------------
 
@@ -169,7 +170,7 @@ class Cdga:
 
     def validate(self):
         """Check every axiom; return a list of failure strings (empty = valid)."""
-        f = self.field
+        f, top = self.field, self.top_degree
         failures = []
         if self.dim(0) != 1:
             failures.append(f"degree 0 has dimension {self.dim(0)}, want 1")
@@ -177,66 +178,76 @@ class Cdga:
             failures.append("unit has nonzero differential")
 
         # d after d = 0
-        for i in range(self.top_degree - 1):
+        for i in range(top - 1):
             comp = self.d_matrix(i + 1) @ self.d_matrix(i)
             if not comp.is_zero():
                 failures.append(f"d^{i + 1} d^{i} != 0")
 
-        # graded commutativity on stored-or-zero pairs
-        for i in range(1, self.top_degree + 1):
-            for j in range(i, self.top_degree + 1 - i):
-                for k in range(self.dim(i)):
-                    for l in range(self.dim(j)):
-                        ba = self.product_basis(j, l, i, k)
-                        if i * j % 2 == 1:
-                            ba = {m: f.neg(c) for m, c in ba.items()}
-                        if self.product_basis(i, k, j, l) != ba:
-                            failures.append(
-                                "graded commutativity fails on "
-                                f"({self.label(i, k)}, {self.label(j, l)})")
+        # graded commutativity: xy = (-1)^{ij} yx, on pairs with a stored
+        # product in either order
+        stored = set(self._mult) | {(j, l, i, k) for i, k, j, l in self._mult}
+        for i, j, k, l in sorted((i, j, k, l) for i, k, j, l in stored
+                                 if i <= j):
+            ba = self.product_basis(j, l, i, k)
+            if i * j % 2 == 1:
+                ba = {m: f.neg(c) for m, c in ba.items()}
+            if self.product_basis(i, k, j, l) != ba:
+                failures.append(
+                    "graded commutativity fails on "
+                    f"({self.label(i, k)}, {self.label(j, l)})")
 
-        # Leibniz: d(xy) = (dx)y + (-1)^i x(dy), binding when i+j+1 <= top
-        for i in range(1, self.top_degree + 1):
-            for j in range(1, self.top_degree + 1 - i):
-                if i + j + 1 > self.top_degree:
-                    continue
-                for k in range(self.dim(i)):
-                    x = self._unit_vec(i, k)
-                    dx = self.d_apply(i, x)
-                    for l in range(self.dim(j)):
-                        y = self._unit_vec(j, l)
-                        dy = self.d_apply(j, y)
-                        lhs = self.d_apply(i + j, self.product(i, x, j, y))
-                        rhs = self.product(i + 1, dx, j, y)
-                        term = self.product(i, x, j + 1, dy)
-                        if i % 2 == 1:
-                            term = [f.neg(x) for x in term]
-                        rhs = [f.add(a, b) for a, b in zip(rhs, term)]
-                        if lhs != rhs:
-                            failures.append(
-                                "Leibniz fails on "
-                                f"({self.label(i, k)}, {self.label(j, l)})")
+        # Leibniz: d(xy) = (dx)y + (-1)^i x(dy), binding when i+j+1 <= top;
+        # every term vanishes unless d(xy), dx or dy is nonzero
+        dx = {}   # (i, k) -> d of basis element k of degree i, if nonzero
+        for i in range(1, top):
+            for c, row in enumerate(self.d_matrix(i).rows):
+                for k, coef in row.items():
+                    dx.setdefault((i, k), {})[c] = coef
+        pairs = {(i, k, j, l) for (i, k, j, l), vec in self._mult.items()
+                 if any((i + j, m) in dx for m in vec)}
+        for i, k in dx:
+            for j in range(1, top - i):
+                for l in range(self.dim(j)):
+                    pairs.update([(i, k, j, l), (j, l, i, k)])
+        for i, j, k, l in sorted((i, j, k, l) for i, k, j, l in pairs):
+            lhs = {}
+            for m, c in self.product_basis(i, k, j, l).items():
+                for r, e in dx.get((i + j, m), {}).items():
+                    lhs[r] = lhs.get(r, 0) + c * e
+            rhs = self._times(i + 1, dx.get((i, k), {}), j, {l: f.one})
+            for r, c in self._times(i, {k: f.one},
+                                    j + 1, dx.get((j, l), {})).items():
+                rhs[r] = rhs.get(r, 0) + (-c if i % 2 == 1 else c)
+            n = self.dim(i + j + 1)
+            if dense_vector(f, lhs, n) != dense_vector(f, rhs, n):
+                failures.append(
+                    "Leibniz fails on "
+                    f"({self.label(i, k)}, {self.label(j, l)})")
 
-        # associativity on positive-degree triples
-        for i in range(1, self.top_degree + 1):
-            for j in range(1, self.top_degree + 1 - i):
-                for q in range(1, self.top_degree + 1 - i - j):
-                    for k in range(self.dim(i)):
-                        x = self._unit_vec(i, k)
-                        for l in range(self.dim(j)):
-                            y = self._unit_vec(j, l)
-                            xy = self.product(i, x, j, y)
-                            for r in range(self.dim(q)):
-                                z = self._unit_vec(q, r)
-                                lhs = self.product(i + j, xy, q, z)
-                                rhs = self.product(
-                                    i, x, j + q, self.product(j, y, q, z))
-                                if lhs != rhs:
-                                    failures.append(
-                                        "associativity fails on "
-                                        f"({self.label(i, k)},"
-                                        f"{self.label(j, l)},"
-                                        f"{self.label(q, r)})")
+        # associativity: (xy)z = x(yz) on positive-degree triples where a
+        # side can be nonzero: z multiplies a term of xy, or x one of yz
+        right, left = {}, {}
+        for i, k, j, l in self._mult:
+            right.setdefault((i, k), []).append((j, l))
+            left.setdefault((j, l), []).append((i, k))
+        triples = set()
+        for (i, k, j, l), vec in self._mult.items():
+            for m in vec:
+                triples.update((i, j, q, k, l, r)
+                               for q, r in right.get((i + j, m), ()))
+                triples.update((p, i, j, s, k, l)
+                               for p, s in left.get((i + j, m), ()))
+        for i, j, q, k, l, r in sorted(triples):
+            n = self.dim(i + j + q)
+            lhs = self._times(i + j, self.product_basis(i, k, j, l),
+                              q, {r: f.one})
+            rhs = self._times(i, {k: f.one},
+                              j + q, self.product_basis(j, l, q, r))
+            if dense_vector(f, lhs, n) != dense_vector(f, rhs, n):
+                failures.append(
+                    "associativity fails on "
+                    f"({self.label(i, k)},{self.label(j, l)},"
+                    f"{self.label(q, r)})")
 
         failures.extend(self._validate_weights())
         return failures
@@ -322,8 +333,8 @@ class CdgaMorphism:
             if lhs != rhs:
                 failures.append(f"does not commute with d at degree {i}")
 
-        # When i+j exceeds the source top the source product is truncated to
-        # zero, so multiplicativity forces the image product to vanish too.
+        # When i+j exceeds the source top the source product is zero, so
+        # multiplicativity forces the image product to vanish too.
         for i in range(1, self.source.top_degree + 1):
             for j in range(1, self.source.top_degree + 1):
                 for k in range(self.source.dim(i)):
@@ -355,105 +366,82 @@ class CdgaMorphism:
                 f"{self.target.name})")
 
 
+def _products(m):
+    """Every nonzero product of two basis elements of m, units included, as
+    ((i, k), (j, l), product vector in degree i + j)."""
+    one = m.field.one
+    out = [((0, 0), (j, l), {l: one})
+           for j in range(m.top_degree + 1) for l in range(m.dim(j))]
+    out += [((i, k), (0, 0), {k: one})
+            for i in range(1, m.top_degree + 1) for k in range(m.dim(i))]
+    out += [((i, k), (j, l), vec) for (i, k, j, l), vec in m._mult.items()]
+    return out
+
+
 def tensor_product_with_inclusions(a, b, name=None):
     """Tensor product plus the two factor inclusions x -> x|1, y -> 1|y.
 
-    Truncated at degree 3, and marked ``truncated`` when either factor is or
-    when the factors' top degrees add up past 3.
+    The product is whole: its top degree is a.top_degree + b.top_degree.
     Basis of degree d: pairs (x of degree i, y of degree d-i) ordered by i,
-    then by the two factor indices.  Signs follow the usual rule
+    then by the two factor indices.  The table is the product of the two
+    factors' nonzero product lists, units included, with the usual sign
     (x|y)(x'|y') = (-1)^{|y||x'|} (xx')|(yy').
     """
     same_field(a.field, b.field)
     f = a.field
-    top = min(3, a.top_degree + b.top_degree)
-    pairs = {}   # (deg, idx) -> (i, k, j, l)
-    index = {}   # (i, k, j, l) -> (deg, idx)
-    basis = []
-    for d in range(top + 1):
-        labels = []
-        for i in range(d + 1):
-            j = d - i
-            if i > a.top_degree or j > b.top_degree:
-                continue
-            for k in range(a.dim(i)):
-                for l in range(b.dim(j)):
-                    idx = len(labels)
-                    labels.append(f"{a.label(i, k)}|{b.label(j, l)}")
-                    pairs[(d, idx)] = (i, k, j, l)
-                    index[(i, k, j, l)] = (d, idx)
-        basis.append(labels)
+    top = a.top_degree + b.top_degree
+    pairs = [[] for _ in range(top + 1)]   # degree -> [(i, k, j, l)]
+    for i in range(a.top_degree + 1):
+        for j in range(b.top_degree + 1):
+            pairs[i + j] += [(i, k, j, l) for k in range(a.dim(i))
+                             for l in range(b.dim(j))]
+    index = {key: n for keys in pairs for n, key in enumerate(keys)}
+    basis = [[f"{a.label(i, k)}|{b.label(j, l)}" for i, k, j, l in keys]
+             for keys in pairs]
 
     diff = {}
     for d in range(top):
-        rows = [{} for _ in basis[d + 1]]
-        for idx in range(len(basis[d])):
-            i, k, j, l = pairs[(d, idx)]
-            terms = []
-            if i < a.top_degree:
-                terms += [((i + 1, c, j, l), coef) for c, coef
-                          in enumerate(a.d_matrix(i).column(k)) if coef]
-            if j < b.top_degree:
-                sign = -1 if i % 2 == 1 else 1
-                terms += [((i, k, j + 1, c), sign * coef) for c, coef
-                          in enumerate(b.d_matrix(j).column(l)) if coef]
-            for key, coef in terms:
-                if key in index:
-                    rows[index[key][1]][idx] = coef
-        diff[d] = Matrix.from_sums(f, rows, len(basis[d]))
+        rows = [{} for _ in pairs[d + 1]]
+        for n, (i, k, j, l) in enumerate(pairs[d]):
+            for c, coef in enumerate(a.d_matrix(i).column(k)):
+                if coef:
+                    rows[index[(i + 1, c, j, l)]][n] = coef
+            sign = -1 if i % 2 == 1 else 1
+            for c, coef in enumerate(b.d_matrix(j).column(l)):
+                if coef:
+                    rows[index[(i, k, j + 1, c)]][n] = sign * coef
+        diff[d] = Matrix.from_sums(f, rows, len(pairs[d]))
 
     mult = {}
-    for d1 in range(1, top):
-        for d2 in range(1, top + 1 - d1):
-            for idx1 in range(len(basis[d1])):
-                i, k, j, l = pairs[(d1, idx1)]
-                for idx2 in range(len(basis[d2])):
-                    p, q, r, s = pairs[(d2, idx2)]
-                    if i + p > a.top_degree or j + r > b.top_degree:
-                        continue
-                    xa = a.product_basis(i, k, p, q)
-                    yb = b.product_basis(j, l, r, s)
-                    if not xa or not yb:
-                        continue
-                    sign = -1 if (j * p) % 2 == 1 else 1
-                    vec = {}
-                    for ka, ca in xa.items():
-                        for lb, cb in yb.items():
-                            key = index.get((i + p, ka, j + r, lb))
-                            if key is not None:
-                                vec[key[1]] = (vec.get(key[1], 0)
-                                               + sign * ca * cb)
-                    if vec:
-                        mult[(d1, idx1, d2, idx2)] = vec
+    right = _products(b)
+    for (i, k), (p, q), xa in _products(a):
+        for (j, l), (r, s), yb in right:
+            if i + j and p + r:
+                sign = -1 if j * p % 2 == 1 else 1
+                mult[(i + j, index[(i, k, j, l)], p + r,
+                      index[(p, q, r, s)])] = {
+                    index[(i + p, ka, j + r, lb)]: sign * ca * cb
+                    for ka, ca in xa.items() for lb, cb in yb.items()}
 
     weights = None
     if a.weights is not None and b.weights is not None:
-        weights = []
-        for d in range(top + 1):
-            ws = []
-            for idx in range(len(basis[d])):
-                i, k, j, l = pairs[(d, idx)]
-                ws.append(a.weights[i][k] + b.weights[j][l])
-            weights.append(ws)
+        weights = [[a.weights[i][k] + b.weights[j][l] for i, k, j, l in keys]
+                   for keys in pairs]
 
     prod = Cdga(f, name or f"{a.name}(x){b.name}", basis, diff, mult,
                 weights=weights)
-    prod.truncated = (a.truncated or b.truncated
-                      or a.top_degree + b.top_degree > 3)
 
-    def inclusion(factor, other_first):
+    def inclusion(factor, place):
         maps = {}
         for i in range(factor.top_degree + 1):
             rows = [{} for _ in range(prod.dim(i))]
             for k in range(factor.dim(i)):
-                key = (i, k, 0, 0) if not other_first else (0, 0, i, k)
-                if key in index:
-                    rows[index[key][1]][k] = f.one
+                rows[index[place(i, k)]][k] = f.one
             maps[i] = Matrix.sparse(f, rows, factor.dim(i))
         return maps
 
-    incl_a = CdgaMorphism(a, prod, inclusion(a, False),
+    incl_a = CdgaMorphism(a, prod, inclusion(a, lambda i, k: (i, k, 0, 0)),
                           name=f"{a.name}->|{prod.name}")
-    incl_b = CdgaMorphism(b, prod, inclusion(b, True),
+    incl_b = CdgaMorphism(b, prod, inclusion(b, lambda i, k: (0, 0, i, k)),
                           name=f"{b.name}->|{prod.name}")
     return prod, incl_a, incl_b

@@ -150,15 +150,10 @@ def _model_arg(f, obj):
     return resolve_model(f, obj)
 
 
-def _betti_report(label, model, betti_of):
-    """(payload, text line) for the Betti numbers of degrees 0..top.  On a
-    truncated model the top degree is not computed: it is null in JSON and
-    "n/a (truncated)" in text, and the Euler characteristic is left out."""
-    if model.truncated:
-        betti = [betti_of(i) for i in range(model.top_degree)]
-        shown = ", ".join([str(b) for b in betti] + ["n/a (truncated)"])
-        return {"betti": betti + [None]}, f"{label} = ({shown})"
-    betti = [betti_of(i) for i in range(model.top_degree + 1)]
+def _betti_report(label, betti):
+    """(payload, text line) for Betti numbers and their Euler
+    characteristic."""
+    betti = list(betti)
     euler = sum((-1) ** i * b for i, b in enumerate(betti))
     return ({"betti": betti, "euler": euler},
             f"{label} = {tuple(betti)}, euler = {euler}")
@@ -167,8 +162,9 @@ def _betti_report(label, model, betti_of):
 def cmd_cohomology(args, f):
     obj = load_input(args)
     model = _model_arg(f, obj)
-    report, line = _betti_report(f"model {model.name}: betti", model,
-                                 model.betti)
+    report, line = _betti_report(
+        f"model {model.name}: betti",
+        [model.betti(i) for i in range(model.top_degree + 1)])
     return 0, {"model": model.name, **report}, [line]
 
 
@@ -297,9 +293,8 @@ def cmd_relation_check(args, f):
 def cmd_aomoto_betti(args, f):
     obj = load_input(args)
     conn, theta = _connection_and_twist(f, obj)
-    comp = AomotoComplex(conn, theta)
-    report, line = _betti_report("twisted betti numbers", conn.cdga,
-                                 comp.betti)
+    report, line = _betti_report("twisted betti numbers",
+                                 AomotoComplex(conn, theta).betti_all())
     return 0, report, [line]
 
 

@@ -106,6 +106,7 @@ def is_flat(conn):
 class RankOneReport:
     member: bool
     reason: str
+    rank: int                 # rank of the coefficient matrix
     eta: list | None = None   # degree-1 coefficient vector
     x: list | None = None     # Lie coordinate vector
 
@@ -121,11 +122,11 @@ def f1_membership(conn):
     f = a.field
     r = rank(conn.coeffs)
     if r == 0:
-        return RankOneReport(True, "zero connection",
+        return RankOneReport(True, "zero connection", r,
                              eta=[f.zero] * a.dim(1),
                              x=[f.zero] * conn.lie.dim)
     if r > 1:
-        return RankOneReport(False, f"coefficient rank {r} exceeds 1")
+        return RankOneReport(False, f"coefficient rank {r} exceeds 1", r)
     pk = next(k for k, row in enumerate(conn.coeffs.rows) if row)
     pm = min(conn.coeffs.rows[pk])
     eta = conn.coeffs.column(pm)
@@ -134,8 +135,9 @@ def f1_membership(conn):
     deta = a.d_apply(1, eta)
     if any(not f.is_zero(v) for v in deta):
         return RankOneReport(
-            False, "rank one, but the one-form factor is not closed")
-    return RankOneReport(True, "rank-one with closed factor", eta=eta, x=x)
+            False, "rank one, but the one-form factor is not closed", r)
+    return RankOneReport(True, "rank-one with closed factor", r,
+                         eta=eta, x=x)
 
 
 @dataclass

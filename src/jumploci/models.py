@@ -11,7 +11,7 @@ each).  Conventions fixed here, used by everything downstream:
 * the one-relator surface kernel model (``build_surface_model``): the
   compact-surface algebra extended by a degree-1 generator t of weight 2
   with dt = om; degree-2 basis om, a1 t, b1 t, ...; degree-3 basis om t;
-* torus model: truncated exterior algebra on n degree-1 generators, d = 0,
+* torus model: the whole exterior algebra on n degree-1 generators, d = 0,
   basis in each degree the sorted index subsets in lex order;
 * arrangement Orlik-Solomon algebra from a list of normal vectors in 3
   coordinates: circuit relations, no-broken-circuit basis under the input
@@ -147,42 +147,34 @@ def _shuffle_sign(s, t):
     return -1 if inv % 2 else 1
 
 
-def build_torus_model(field, n, top=None, name=None):
-    """Truncated exterior algebra on n degree-1 generators, d = 0.
+def build_torus_model(field, n, name=None):
+    """Exterior algebra on n degree-1 generators, d = 0, degrees 0..n.
 
     Degree-k basis: k-element index subsets, lex order, labelled by
-    concatenating generator labels.  top defaults to min(n, 3) and is capped
-    at 3; the model is marked ``truncated`` when top < n.
+    concatenating generator labels.  The table lists each product of
+    disjoint subsets, found by running t over the subsets of the complement
+    of s.
     """
     if n < 1:
         raise CdgaError("torus model needs n >= 1")
-    if top is None:
-        top = min(n, 3)
-    if not 0 <= top <= 3:
-        raise CdgaError("torus top degree must lie in 0..3")
-    top = min(top, n)
     gens = [f"e{i}" for i in range(1, n + 1)]
-    subsets = {k: list(combinations(range(n), k)) for k in range(top + 1)}
-    index = {k: {s: i for i, s in enumerate(subsets[k])} for k in subsets}
-    basis = [["1"]] + [["".join(gens[i] for i in s) for s in subsets[k]]
-                       for k in range(1, top + 1)]
+    subsets = [list(combinations(range(n), k)) for k in range(n + 1)]
+    index = {s: i for level in subsets for i, s in enumerate(level)}
+    basis = [["1"]] + [["".join(gens[i] for i in s) for s in level]
+                       for level in subsets[1:]]
 
     mult = {}
-    for i in range(1, top):
-        for j in range(1, top + 1 - i):
-            for k, s in enumerate(subsets[i]):
-                for l, t in enumerate(subsets[j]):
-                    if set(s) & set(t):
-                        continue
-                    u = tuple(sorted(s + t))
-                    c = _shuffle_sign(s, t)
-                    mult[(i, k, j, l)] = {
-                        index[i + j][u]: field.coerce(c)}
-    weights = [[k] * len(subsets[k]) for k in range(top + 1)]
+    for s in (s for level in subsets[1:] for s in level):
+        rest = [x for x in range(n) if x not in s]
+        for j in range(1, len(rest) + 1):
+            for t in combinations(rest, j):
+                mult[(len(s), index[s], j, index[t])] = {
+                    index[tuple(sorted(s + t))]:
+                        field.coerce(_shuffle_sign(s, t))}
+    weights = [[k] * len(level) for k, level in enumerate(subsets)]
     model = Cdga(field, name or f"torus_n{n}", basis, {}, mult,
                  weights=weights)
-    model.family = ("torus", n, top)
-    model.truncated = top < n
+    model.family = ("torus", n)
     return model
 
 

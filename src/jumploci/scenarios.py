@@ -97,9 +97,9 @@ def run_sl3_witness(seed=0, jobs=1, field=None):
         res = mc_residual(w)
         rep.check(f"{tag}: Maurer-Cartan residual is zero",
                   all(f.is_zero(x) for x in res))
-        r = rank(w.coeffs)
-        rep.check(f"{tag}: coefficient rank is 3", r == 3, f"rank {r}")
         f1 = f1_membership(w)
+        rep.check(f"{tag}: coefficient rank is 3", f1.rank == 3,
+                  f"rank {f1.rank}")
         rep.check(f"{tag}: outside the rank-one locus", not f1.member,
                   f1.reason)
         t_row = w.coeffs.row(A.dim(1) - 1)

@@ -135,13 +135,21 @@ def cdga_to_json(a):
            "basis": [list(b) for b in a.basis], "mult": mult, "diff": diff}
     if a.weights is not None:
         obj["weights"] = [list(w) for w in a.weights]
-    if a.truncated:
-        obj["truncated"] = True
     return obj
+
+
+CDGA_KEYS = {"name", "top_degree", "basis", "mult", "diff", "weights"}
+
+# Largest number of basis elements a model named in the grammar may have.
+MAX_BASIS = 256
 
 
 def cdga_from_json(field, obj):
     _expect(obj, "name", "top_degree", "basis")
+    unknown = set(obj) - CDGA_KEYS
+    if unknown:
+        raise SerializeError(
+            f"unknown model keys: {', '.join(sorted(unknown))}")
     basis = obj["basis"]
     if not isinstance(basis, list) or len(basis) != obj["top_degree"] + 1:
         raise SerializeError("basis must list labels for degrees 0..top")
@@ -172,12 +180,21 @@ def cdga_from_json(field, obj):
     weights = obj.get("weights")
     if weights is not None:
         weights = [[_int(w) for w in ws] for ws in weights]
-    truncated = obj.get("truncated", False)
-    if not isinstance(truncated, bool):
-        raise SerializeError("truncated must be true or false")
-    a = Cdga(field, obj["name"], basis, diff, mult, weights=weights)
-    a.truncated = truncated
-    return a
+    return Cdga(field, obj["name"], basis, diff, mult, weights=weights)
+
+
+def _bounded_tensor(field, spec, head, args):
+    """tensor_product_with_inclusions of two named models, refused before it
+    is built when the product would pass MAX_BASIS basis elements."""
+    if len(args) != 2:
+        raise SerializeError(f"{head}(...) takes two models")
+    left = resolve_model(field, args[0])
+    right = resolve_model(field, args[1])
+    size = sum(left.dims()) * sum(right.dims())
+    if size > MAX_BASIS:
+        raise SerializeError(
+            f"{spec} has {size} basis elements; the limit is {MAX_BASIS}")
+    return tensor_product_with_inclusions(left, right)
 
 
 @_decoder
@@ -198,17 +215,20 @@ def resolve_model(field, spec):
     if head == "surface":
         return build_surface_model(field, _int_arg(args, 0, head))
     if head == "torus":
-        top = _int_arg(args, 1, head) if len(args) > 1 else None
-        return build_torus_model(field, _int_arg(args, 0, head), top=top)
+        if len(args) != 1:
+            raise SerializeError("torus(...) takes one integer")
+        n = _int_arg(args, 0, head)
+        # the first test keeps 2 ** n from being computed for a huge n
+        if n > MAX_BASIS or 2 ** n > MAX_BASIS:
+            raise SerializeError(
+                f"torus({n}) has 2^{n} basis elements; the limit is "
+                f"{MAX_BASIS}")
+        return build_torus_model(field, n)
     if head == "pencil":
         return build_os_arrangement(field,
                                     pencil_normals(_int_arg(args, 0, head)))
     if head == "tensor":
-        if len(args) != 2:
-            raise SerializeError("tensor(...) takes two models")
-        left = resolve_model(field, args[0])
-        right = resolve_model(field, args[1])
-        prod, _, _ = tensor_product_with_inclusions(left, right)
+        prod, _, _ = _bounded_tensor(field, spec, head, args)
         return prod
     raise SerializeError(f"unknown model {spec!r}")
 
@@ -227,11 +247,7 @@ def resolve_morphism(field, spec):
         _, _, phi = curve_inclusion(field, _int_arg(args, 0, head))
         return phi
     if head in ("tensor_left", "tensor_right"):
-        if len(args) != 2:
-            raise SerializeError(f"{head}(...) takes two models")
-        left = resolve_model(field, args[0])
-        right = resolve_model(field, args[1])
-        _, incl_left, incl_right = tensor_product_with_inclusions(left, right)
+        _, incl_left, incl_right = _bounded_tensor(field, spec, head, args)
         return incl_left if head == "tensor_left" else incl_right
     raise SerializeError(f"unknown morphism {spec!r}")
 

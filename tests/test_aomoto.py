@@ -1,5 +1,6 @@
 """Twisted complexes, resonance depth, and the product depth gap."""
 
+import random
 from collections import Counter
 
 import pytest
@@ -183,7 +184,7 @@ def test_twisted_betti_splits_along_eigenvalues(spec, coef):
     # At eta (x) x with theta(x) diagonal, the adjoint complex splits along
     # the eigenspaces of ad x: b^i = sum_lambda mult(lambda) b^i(A, d +
     # lambda eta).  x = diag(3, -1, -2) has ad-eigenvalues x_i - x_j on
-    # E_ij and 0 twice on the Cartan part.  Checked below the top degree.
+    # E_ij and 0 twice on the Cartan part.  Checked in every degree.
     model = resolve_model(QQ, spec)
     eta = [sum(c * v for c, v in zip(coef, col))
            for col in zip(*model.cocycles(1))]
@@ -201,6 +202,32 @@ def test_twisted_betti_splits_along_eigenvalues(spec, coef):
     rank_one = {lam: AomotoComplex(conn(model, line, [[lam * e] for e in eta]),
                                    rep_defining(line))
                 for lam in mult}
-    for i in range(model.top_degree):
+    for i in range(model.top_degree + 1):
         assert twisted.betti(i) == sum(m * rank_one[lam].betti(i)
                                        for lam, m in mult.items())
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2 ** 31 - 1)])
+@pytest.mark.parametrize("g, h", [(1, 1), (2, 1), (3, 3)])
+def test_top_degree_of_a_product_of_curves(g, h, field):
+    # The product of closed surfaces of genus g and h is a Poincare duality
+    # space of dimension 4 with Euler number (2 - 2g)(2 - 2h).  With the
+    # self-dual adjoint coefficients, at any flat point, its twisted Betti
+    # numbers satisfy b^i = b^(4-i), and their alternating sum is dim V
+    # times that Euler number (Macinic-Papadima-Popescu-Suciu, "Flat
+    # connections and resonance varieties: from rank one to higher ranks").
+    model = resolve_model(
+        field, f"tensor(compact_curve({g}),compact_curve({h}))")
+    chi = (2 - 2 * g) * (2 - 2 * h)
+    assert model.euler_characteristic() == chi
+    rng = random.Random(10 * g + h)
+    for n in (2, 3):
+        lie = build_sl(field, n)
+        eta = [rng.choice((-1, 1)) * rng.randint(1, 5)
+               for _ in range(model.dim(1))]
+        x = [rng.randint(-5, 5) for _ in range(lie.dim)]
+        cx = AomotoComplex(conn(model, lie, [[e * v for v in x] for e in eta]),
+                           rep_adjoint(lie))
+        betti = cx.betti_all()
+        assert len(betti) == 5 and betti == betti[::-1], betti
+        assert cx.euler() == lie.dim * chi

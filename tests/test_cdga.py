@@ -5,6 +5,8 @@ Corruptions are applied through the JSON codec so that only the public
 surface is exercised.
 """
 
+import random
+
 import pytest
 
 from jumploci.cdga import Cdga, CdgaError, tensor_product_with_inclusions
@@ -132,8 +134,9 @@ def test_tensor_product_shape_and_validity():
     left = build_compact_curve(QQ, 2)
     right = build_compact_curve(QQ, 1)
     prod, incl_l, incl_r = tensor_product_with_inclusions(left, right)
-    # degree 3 pairs: (1-forms x 2-forms) 4*1 + (2-forms x 1-forms) 1*2
-    assert prod.dims() == (1, 6, 10, 6)  # truncated at degree 3
+    # degree 3 pairs: (1-forms x 2-forms) 4*1 + (2-forms x 1-forms) 1*2;
+    # the product is whole, up to degree 2 + 2
+    assert prod.dims() == (1, 6, 10, 6, 1)
     assert prod.validate() == []
     assert incl_l.validate() == []
     assert incl_r.validate() == []
@@ -163,3 +166,141 @@ def test_morphism_validate_catches_non_multiplicativity():
     twisted[1] = ident[1].scale(QQ.coerce(2))
     bad = CdgaMorphism(a, a, twisted)
     assert bad.validate() != []
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (2, 3)])
+def test_tensor_of_tori_is_the_bigger_torus(m, n):
+    # Lambda(e1..em) (x) Lambda(e1..en) = Lambda(e1..e(m+n)) with x|y sent to
+    # x y', y' the labels of y shifted by m; no sign, as x's generators come
+    # first.  The torus builder's shuffle signs are the oracle for the
+    # tensor product's table and sign rule.
+    prod, _, _ = tensor_product_with_inclusions(
+        build_torus_model(QQ, m), build_torus_model(QQ, n))
+    torus = build_torus_model(QQ, m + n)
+
+    def subset(label):
+        x, y = label.split("|")
+        ids = [int(g) for g in x.split("e")[1:]]
+        return tuple(ids + [int(g) + m for g in y.split("e")[1:]])
+
+    where = {}
+    for d in range(torus.top_degree + 1):
+        for k, label in enumerate(torus.basis[d]):
+            where[tuple(int(g) for g in label.split("e")[1:])] = k
+    assert prod.dims() == torus.dims()
+    for i in range(1, prod.top_degree + 1):
+        for j in range(1, prod.top_degree + 1 - i):
+            for k, x in enumerate(prod.basis[i]):
+                for l, y in enumerate(prod.basis[j]):
+                    got = {where[subset(prod.label(i + j, c))]: v for c, v
+                           in prod.product_basis(i, k, j, l).items()}
+                    want = torus.product_basis(i, where[subset(x)],
+                                               j, where[subset(y)])
+                    assert got == want
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2 ** 31 - 1)])
+def test_validate_catches_a_flipped_product_sign(field):
+    # Flip the stored sign of (1|a1)(1|b1) = 1|om.  Then
+    # ((1|a1)(1|b1))(a1|1) and (1|a1)((1|b1)(a1|1)) differ in sign, so the
+    # nonzero-driven associativity check must still see it.
+    prod, _, _ = tensor_product_with_inclusions(
+        build_compact_curve(field, 2), build_compact_curve(field, 1))
+    assert prod.validate() == []
+
+    def tweak(obj):
+        entry = next(e for e in obj["mult"]
+                     if e["i"] == [1, 0] and e["j"] == [1, 1])
+        entry["out"][0]["coef"] = "-" + entry["out"][0]["coef"]
+
+    failures = reload_with(prod, tweak).validate()
+    assert any("associativity" in msg for msg in failures)
+    assert any("graded commutativity" in msg for msg in failures)
+
+
+def dense_axiom_failures(a):
+    """The product axioms checked on every pair and triple of basis
+    elements, with dense vectors: the oracle for the sparse ``validate``."""
+    f, top = a.field, a.top_degree
+    basis = [(i, k) for i in range(1, top + 1) for k in range(a.dim(i))]
+
+    def unit(i, k):
+        return [f.one if m == k else f.zero for m in range(a.dim(i))]
+
+    out = []
+    for i, k in basis:
+        for j, l in basis:
+            if i > j or i + j > top:
+                continue
+            ba = [f.neg(c) if i * j % 2 else c
+                  for c in a.product(j, unit(j, l), i, unit(i, k))]
+            if a.product(i, unit(i, k), j, unit(j, l)) != ba:
+                out.append("graded commutativity fails on "
+                           f"({a.label(i, k)}, {a.label(j, l)})")
+    for i, k in basis:
+        for j, l in basis:
+            if i + j + 1 > top:
+                continue
+            x, y = unit(i, k), unit(j, l)
+            lhs = a.d_apply(i + j, a.product(i, x, j, y))
+            term = a.product(i, x, j + 1, a.d_apply(j, y))
+            rhs = [f.add(p, f.neg(t) if i % 2 else t) for p, t in
+                   zip(a.product(i + 1, a.d_apply(i, x), j, y), term)]
+            if lhs != rhs:
+                out.append("Leibniz fails on "
+                           f"({a.label(i, k)}, {a.label(j, l)})")
+    for i, k in basis:
+        for j, l in basis:
+            for q, r in basis:
+                if i + j + q > top:
+                    continue
+                x, y, z = unit(i, k), unit(j, l), unit(q, r)
+                if a.product(i + j, a.product(i, x, j, y), q, z) != \
+                        a.product(i, x, j + q, a.product(j, y, q, z)):
+                    out.append("associativity fails on "
+                               f"({a.label(i, k)},{a.label(j, l)},"
+                               f"{a.label(q, r)})")
+    return sorted(out)
+
+
+@pytest.mark.parametrize("spec", [
+    "torus(3)", "surface(1)", "tensor(compact_curve(1),torus(1))",
+    "tensor(surface(1),torus(1))"])
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+def test_sparse_validate_matches_the_dense_oracle(spec, field):
+    # Seeded one-entry corruptions of the product table or of d: change a
+    # stored coefficient, store a product where there was none, or set an
+    # entry of d.  The sparse checks must report exactly the dense ones.
+    from jumploci.serialize import resolve_model
+    model = resolve_model(field, spec)
+    rng = random.Random(spec)
+    axioms = ("graded", "Leibniz", "associativity")
+    for trial in range(30):
+        obj = cdga_to_json(model)
+        kind = trial % 3
+        if kind == 0:
+            rng.choice(obj["mult"])["out"][0]["coef"] = str(rng.randint(-2, 2))
+        elif kind == 1:
+            i = rng.randint(1, model.top_degree - 1)
+            j = rng.randint(1, model.top_degree - i)
+            if not model.dim(i + j):
+                continue
+            obj["mult"].append({
+                "i": [i, rng.randrange(model.dim(i))],
+                "j": [j, rng.randrange(model.dim(j))],
+                "out": [{"deg": i + j, "idx": rng.randrange(model.dim(i + j)),
+                         "coef": str(rng.randint(1, 2))}]})
+        else:
+            i = rng.randint(1, model.top_degree - 1)
+            if not model.dim(i + 1):
+                continue
+            m = [[field.format(v) for v in row]
+                 for row in model.d_matrix(i).to_lists()]
+            m[rng.randrange(len(m))][rng.randrange(model.dim(i))] = \
+                str(rng.randint(-2, 2))
+            obj["diff"] = [e for e in obj["diff"] if e["deg"] != i]
+            obj["diff"].append({"deg": i, "matrix": m})
+        broken = cdga_from_json(field, obj)
+        got = sorted(msg for msg in broken.validate()
+                     if msg.startswith(axioms))
+        assert got == dense_axiom_failures(broken)

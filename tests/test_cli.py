@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -93,20 +94,22 @@ def test_cohomology_json(capsys):
 
 
 def test_cohomology_of_truncated_models(capsys):
-    # Kunneth for (1, 2, 2, 1) x (1, 2, 2, 1) below degree 3; the cut-off
-    # degree 3 is not computed, so it is null and no Euler is claimed
+    # models once cut off at degree 3 are whole: Kunneth for
+    # (1, 2, 2, 1) x (1, 2, 2, 1) in every degree, and the Euler number
     product = '{"model": "tensor(surface(1),surface(1))"}'
     assert main(["cohomology", "--input", product, "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload == {"model": "surface_g1(x)surface_g1",
-                       "betti": [1, 4, 8, None]}
+                       "betti": [1, 4, 8, 10, 8, 4, 1], "euler": 0}
     assert main(["cohomology", "--input", product]) == 0
     assert capsys.readouterr().out == (
-        "model surface_g1(x)surface_g1: betti = (1, 4, 8, n/a (truncated))\n")
-    # binomial(5, i) below the top of the degree-3 torus(5) model
+        "model surface_g1(x)surface_g1: betti = (1, 4, 8, 10, 8, 4, 1), "
+        "euler = 0\n")
+    # binomial(5, i) through the top of torus(5)
     assert main(["cohomology", "--input", '{"model": "torus(5)"}',
                  "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["betti"] == [1, 5, 10, None]
+    assert json.loads(capsys.readouterr().out) == {
+        "model": "torus_n5", "betti": [1, 5, 10, 10, 5, 1], "euler": 0}
 
 
 def test_untruncated_betti_output_unchanged(capsys):
@@ -126,17 +129,84 @@ def test_untruncated_betti_output_unchanged(capsys):
 
 
 def test_aomoto_betti_of_a_truncated_model(capsys):
+    # eta (x) E with eta = e1 + 2 e2 on torus(4): in a basis f1 = eta, f2,
+    # f3, f4 the complex is Lambda(f2, f3, f4) copies of
+    # (1 (x) V -> f1 (x) V, ad E), and ad E on sl(2) is one nilpotent
+    # Jordan block of size 3, with kernel and cokernel of dimension 1.  So
+    # b^i = binomial(3, i) + binomial(3, i - 1) = binomial(4, i).
     conn = {"cdga": "torus(4)", "lie": "sl(2)",
             "coeffs": [["1", "0", "0"], ["2", "0", "0"], ["0", "0", "0"],
                        ["0", "0", "0"]]}
     doc = json.dumps({"connection": conn, "theta": "adjoint(sl(2))"})
     assert main(["aomoto-betti", "--input", doc, "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert "euler" not in payload and payload["betti"][-1] is None
-    assert len(payload["betti"]) == 4
+    assert payload == {"betti": [1, 4, 6, 4, 1], "euler": 0}
     assert main(["aomoto-betti", "--input", doc]) == 0
-    out = capsys.readouterr().out
-    assert "n/a (truncated)" in out and "euler" not in out
+    assert capsys.readouterr().out == \
+        "twisted betti numbers = (1, 4, 6, 4, 1), euler = 0\n"
+
+
+@pytest.mark.parametrize("model", [
+    "torus(9)", "torus(1000)", "tensor(torus(8),torus(1))"])
+def test_models_past_the_size_limit_are_exit_2(model, capsys):
+    doc = json.dumps({"model": model})
+    assert main(["cohomology", "--input", doc]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "the limit is 256" in err
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("pullback", {"morphism": "tensor_left(torus(8),torus(8))",
+                  "connection": {}}),
+    ("depth-gap", {"morphism": "tensor_left(torus(8),torus(8))",
+                   "theta": "adjoint(sl(2))", "connection": {}, "eta": []}),
+])
+def test_morphisms_past_the_size_limit_are_exit_2(command, doc, capsys):
+    assert main([command, "--input", json.dumps(doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "the limit is 256" in err
+
+
+def test_cut_off_model_document_is_exit_2(capsys):
+    model = dict(cdga_to_json(build_surface_model(QQ, 1)), truncated=True)
+    assert main(["cohomology", "--input", json.dumps(model)]) == 2
+    assert "unknown model keys: truncated" in capsys.readouterr().err
+
+
+def readme_examples():
+    """(argv, stdout) for each `$ jumploci ...` example in the README: the
+    command runs on until its quotes close, and its output is the lines
+    after it, up to a blank line or the end of the block."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8").splitlines()
+    examples, pos = [], 0
+    while pos < len(lines):
+        if not lines[pos].startswith("$ jumploci "):
+            pos += 1
+            continue
+        command = lines[pos][len("$ jumploci "):]
+        pos += 1
+        while True:
+            try:
+                argv = shlex.split(command)
+                break
+            except ValueError:   # an open quote: the command goes on
+                command += "\n" + lines[pos]
+                pos += 1
+        out = []
+        while pos < len(lines) and lines[pos].strip() not in ("", "```"):
+            out.append(lines[pos])
+            pos += 1
+        examples.append((argv, "".join(line + "\n" for line in out)))
+    return examples
+
+
+def test_readme_examples_print_what_the_readme_shows(capsys):
+    examples = readme_examples()
+    assert len(examples) >= 7
+    for argv, stdout in examples:
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().out == stdout, argv
 
 
 def test_f1_and_pi(capsys):

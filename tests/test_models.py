@@ -29,43 +29,51 @@ def test_torus_betti(n, want):
 
 
 def test_torus_truncation():
-    a = build_torus_model(QQ, 3, top=2)
-    assert a.dims() == (1, 3, 3)
+    # torus models are never cut off: torus(n) runs through degree n
+    a = build_torus_model(QQ, 3)
+    assert a.dims() == (1, 3, 3, 1)
     assert a.validate() == []
-    assert a.truncated
+    assert a.family == ("torus", 3)
+    assert a.product_basis(1, 0, 2, 2) == {0: QQ.one}   # e1 * e2e3
 
 
-@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_truncated_torus_binomials_below_the_top(n):
+    # binomial(n, i) in every degree, the top included, and Euler 0
     a = build_torus_model(QQ, n)
-    assert a.truncated and a.top_degree == 3
-    assert [a.betti(i) for i in range(3)] == [comb(n, i) for i in range(3)]
+    assert a.top_degree == n
+    assert [a.betti(i) for i in range(n + 1)] == \
+        [comb(n, i) for i in range(n + 1)]
+    assert a.euler_characteristic() == 0
 
 
 def test_truncated_flag():
-    assert not build_torus_model(QQ, 3).truncated
-    assert not build_surface_model(QQ, 2).truncated
+    # no model carries a cut-off flag: a product's top degree is the sum of
+    # its factors' top degrees
+    assert not hasattr(build_torus_model(QQ, 3), "truncated")
     curve, circle = build_compact_curve(QQ, 1), build_torus_model(QQ, 1)
     prod, _, _ = tensor_product_with_inclusions(curve, circle)  # top 2 + 1
-    assert not prod.truncated
+    assert prod.top_degree == 3 and not hasattr(prod, "truncated")
     prod, _, _ = tensor_product_with_inclusions(curve, curve)   # top 2 + 2
-    assert prod.truncated
-    # a truncated factor truncates the product, whatever the degrees
+    assert prod.dims() == (1, 4, 6, 4, 1)
     prod, _, _ = tensor_product_with_inclusions(
-        build_torus_model(QQ, 2, top=1), build_torus_model(QQ, 1, top=0))
-    assert prod.top_degree == 1 and prod.truncated
+        build_torus_model(QQ, 2), build_torus_model(QQ, 1))
+    assert prod.dims() == build_torus_model(QQ, 3).dims()
 
 
 def test_kunneth_below_the_top_of_a_truncated_product():
+    # Kunneth in every degree of the whole product, the top included
     s = build_surface_model(QQ, 1)
     factor = [s.betti(i) for i in range(s.top_degree + 1)]
     assert factor == [1, 2, 2, 1]
     prod, _, _ = tensor_product_with_inclusions(s, s)
-    assert prod.truncated and prod.top_degree == 3
-    kunneth = [sum(factor[i] * factor[d - i] for i in range(d + 1))
-               for d in range(3)]
-    assert kunneth == [1, 4, 8]
-    assert [prod.betti(d) for d in range(3)] == kunneth
+    assert prod.top_degree == 6
+    kunneth = [sum(factor[i] * factor[d - i] for i in range(d + 1)
+                   if i <= 3 and d - i <= 3) for d in range(7)]
+    assert kunneth == [1, 4, 8, 10, 8, 4, 1]
+    assert [prod.betti(d) for d in range(7)] == kunneth
+    assert prod.euler_characteristic() == 0
+    assert prod.validate() == []
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])

@@ -53,15 +53,18 @@ def test_cdga_round_trip(field):
 
 
 def test_cdga_round_trip_keeps_truncation():
+    # a whole product round-trips with every degree; a document that marks
+    # its model as cut off (or carries any other unknown key) is refused
     s = build_surface_model(QQ, 1)
     prod, _, _ = tensor_product_with_inclusions(s, s)
     obj = cdga_to_json(prod)
-    assert obj["truncated"] is True
-    assert cdga_from_json(QQ, obj).truncated
-    assert "truncated" not in cdga_to_json(s)
-    assert not cdga_from_json(QQ, cdga_to_json(s)).truncated
-    with pytest.raises(SerializeError):
-        cdga_from_json(QQ, dict(obj, truncated="yes"))
+    assert "truncated" not in obj
+    back = cdga_from_json(QQ, obj)
+    assert back.dims() == prod.dims() and back.top_degree == 6
+    assert [back.betti(i) for i in range(7)] == [1, 4, 8, 10, 8, 4, 1]
+    for extra in ({"truncated": True}, {"truncated": False}, {"note": "x"}):
+        with pytest.raises(SerializeError):
+            cdga_from_json(QQ, dict(obj, **extra))
 
 
 def test_cdga_from_json_errors():
@@ -135,7 +138,9 @@ def test_resolve_model_names():
     assert resolve_model(QQ, "open_curve(3)").dim(1) == 3
     assert resolve_model(QQ, "surface(1)").dim(1) == 3
     assert resolve_model(QQ, "torus(2)").dim(2) == 1
-    assert resolve_model(QQ, "torus(3, 2)").dim(3) == 0
+    assert resolve_model(QQ, "torus(3)").dims() == (1, 3, 3, 1)
+    with pytest.raises(SerializeError):
+        resolve_model(QQ, "torus(3, 2)")  # no cut-off form any more
     assert resolve_model(QQ, "pencil(3)").betti(1) == 3
     prod = resolve_model(QQ, "tensor(compact_curve(1), compact_curve(1))")
     assert prod.dim(1) == 4
