@@ -14,27 +14,24 @@ import sys
 
 from .aomoto import (AomotoComplex, AomotoError, depth_gap,
                      resonance_membership)
-from .cdga import CdgaError, tensor_product_with_inclusions
-from .flatconn import (FlatConnection, FlatConnError, NotFlatError,
-                       brute_force_flat, f1_membership, lex_index,
-                       mc_residual, pi_membership, pullback,
-                       tangent_dimension)
+from .cdga import CdgaError
+from .flatconn import (FlatConnError, NotFlatError, brute_force_flat,
+                       f1_membership, lex_index, mc_residual, pi_membership,
+                       pullback, tangent_dimension)
 from .grouprep import (GroupError, rep_check, tangent_dimension_rep,
                        twisted_cohomology)
 from .holonomy import HolonomyError, evaluate_relation, holonomy_presentation
-from .liealg import LieError, build_sl, rep_adjoint, rep_defining, \
-    rep_direct_sum, rep_trivial
+from .liealg import LieError, rep_defining
 from .linalg import LinalgError
-from .models import build_compact_curve
 from .scalars import (MODULUS_BOUND, QQ, ScalarError, field_from_tag,
                       field_tag)
-from .scenarios import (ScenarioError, describe_scenarios, run_all,
-                        run_scenario, scenario_names)
+from .scenarios import (ScenarioError, depth_gap_setup, describe_scenarios,
+                        run_all, run_scenario)
 from .serialize import (SerializeError, connection_from_json,
                         connection_to_json, decode_matrix, decode_scalar,
-                        encode_scalar, group_from_json, group_rep_from_json,
-                        lie_from_json, presentation_from_json,
-                        presentation_to_json, resolve_lie, resolve_model,
+                        encode_scalar, group_rep_from_json,
+                        presentation_from_json, presentation_to_json,
+                        resolve_group, resolve_lie, resolve_model,
                         resolve_morphism, resolve_rep)
 
 
@@ -99,7 +96,7 @@ def cmd_validate(args, f):
     elif "relators" in obj:
         kind = "group"
         try:
-            group = group_from_json(obj)
+            group = resolve_group(obj)
             extra["generators"] = list(group.generators)
         except GroupError as exc:
             problems = [str(exc)]
@@ -130,7 +127,7 @@ def cmd_validate(args, f):
             problems = [str(exc)]
     elif "brackets" in obj or ("dim" in obj and "basis" in obj):
         kind = "lie-algebra"
-        lie = lie_from_json(f, obj)
+        lie = resolve_lie(f, obj)
         problems = lie.validate()
     else:
         raise CliInputError(
@@ -313,27 +310,11 @@ def cmd_resonance(args, f):
     return (0 if member else 1), payload, lines
 
 
-def _default_depth_gap(f):
-    """The product-of-curves configuration: genus-2 base included into its
-    product with a genus-1 factor, trivial + adjoint sl2 coefficients, the
-    standard (E, F, F, E) flat connection, and the first one-form of the
-    second factor as the extra closed direction."""
-    left = build_compact_curve(f, 2)
-    right = build_compact_curve(f, 1)
-    _, incl_l, incl_r = tensor_product_with_inclusions(left, right)
-    sl2 = build_sl(f, 2)
-    theta = rep_direct_sum(rep_trivial(sl2, 1), rep_adjoint(sl2))
-    E, F = sl2.basis_vector("E12"), sl2.basis_vector("E21")
-    conn = FlatConnection.from_rows(left, sl2, [E, F, F, E])
-    eta = incl_r.map(1).apply([f.one] + [f.zero] * (right.dim(1) - 1))
-    return incl_l, theta, conn, eta
-
-
 def cmd_depth_gap(args, f):
     obj = load_input(args, "morphism", "theta", "connection", "eta",
                      required=False)
     if obj is None:
-        phi, theta, conn, eta = _default_depth_gap(f)
+        phi, theta, conn, eta = depth_gap_setup(f)
     else:
         if not isinstance(obj["eta"], list):
             raise CliInputError("eta must be a list of scalars")

@@ -142,7 +142,8 @@ def curve_inclusion(field, g):
 
 
 def _shuffle_sign(s, t):
-    """Sign of the shuffle sorting s + t, for disjoint sorted tuples."""
+    """Sign of the permutation sorting s + t, for disjoint sorted tuples: the
+    torus and Orlik-Solomon products both multiply e_s by e_t this way."""
     inv = sum(1 for x in s for y in t if x > y)
     return -1 if inv % 2 else 1
 
@@ -237,12 +238,6 @@ def build_os_arrangement(field, normals, name=None):
            for k in range(top + 1)}
     index = {k: {s: i for i, s in enumerate(nbc[k])} for k in nbc}
 
-    def merge_sign(s):
-        """Sign of the permutation sorting the tuple s (distinct entries)."""
-        inv = sum(1 for a in range(len(s)) for b in range(a + 1, len(s))
-                  if s[a] > s[b])
-        return -1 if inv % 2 else 1
-
     @lru_cache(maxsize=None)
     def express(u):
         """Coordinates of e_u (u sorted independent tuple) in the nbc basis."""
@@ -254,7 +249,7 @@ def build_os_arrangement(field, normals, name=None):
         circ = tuple(sorted((c0,) + b))
         # e_b = sum_{j>=1} (-1)^{j+1} e_{circ minus its j-th element}
         out = {}
-        sigma = merge_sign(rest + b)  # e_u = sigma * e_rest ^ e_b
+        sigma = _shuffle_sign(rest, b)  # e_u = sigma * e_rest ^ e_b
         for j in range(1, len(circ)):
             repl = circ[:j] + circ[j + 1:]
             if set(rest) & set(repl):
@@ -262,7 +257,7 @@ def build_os_arrangement(field, normals, name=None):
             merged = tuple(sorted(rest + repl))
             if not independent(merged):
                 continue
-            coef = sigma * (-1) ** (j + 1) * merge_sign(rest + repl)
+            coef = sigma * (-1) ** (j + 1) * _shuffle_sign(rest, repl)
             for base, c in express(merged):
                 out[base] = out.get(base, 0) + coef * c
         return tuple((k, v) for k, v in sorted(out.items()) if v != 0)

@@ -175,6 +175,22 @@ def run_g1_bruteforce(seed=0, jobs=1, field=None):
     return rep
 
 
+def depth_gap_setup(f):
+    """(phi, theta, conn, eta) for the product-of-curves configuration: the
+    genus-2 curve model included into its product with a genus-1 one,
+    trivial + adjoint sl(2) coefficients, the flat connection with rows
+    (E, F, F, E), and the first one-form of the second factor as eta."""
+    left = build_compact_curve(f, 2)
+    right = build_compact_curve(f, 1)
+    _, incl_l, incl_r = tensor_product_with_inclusions(left, right)
+    sl2 = build_sl(f, 2)
+    theta = rep_direct_sum(rep_trivial(sl2, 1), rep_adjoint(sl2))
+    E, F = sl2.basis_vector("E12"), sl2.basis_vector("E21")
+    conn = FlatConnection.from_rows(left, sl2, [E, F, F, E])
+    eta = incl_r.map(1).apply([f.one] + [f.zero] * (right.dim(1) - 1))
+    return incl_l, theta, conn, eta
+
+
 def run_depth_gap_product(seed=0, jobs=1, field=None):
     """Strict depth increase along a curve-into-product inclusion.
 
@@ -183,15 +199,7 @@ def run_depth_gap_product(seed=0, jobs=1, field=None):
     exact values and a trivial-coefficient control."""
     f = field or QQ
     rep = ScenarioReport("depth-gap-product")
-    left = build_compact_curve(f, 2)
-    right = build_compact_curve(f, 1)
-    prod, incl_l, incl_r = tensor_product_with_inclusions(left, right)
-    sl2 = build_sl(f, 2)
-    theta = rep_direct_sum(rep_trivial(sl2, 1), rep_adjoint(sl2))
-    E = sl2.basis_vector("E12")
-    F = sl2.basis_vector("E21")
-    conn = FlatConnection.from_rows(left, sl2, [E, F, F, E])
-    eta = incl_r.map(1).apply([f.one] + [f.zero] * (right.dim(1) - 1))
+    incl_l, theta, conn, eta = depth_gap_setup(f)
     report = depth_gap(incl_l, theta, conn, eta)
     golden = load_golden("depth_gap_product.json")
     rep.check("base depth s >= 1", report.base_positive,
@@ -204,7 +212,7 @@ def run_depth_gap_product(seed=0, jobs=1, field=None):
               report.base_betti == golden["s"])
     rep.check(f"r = {golden['r']} exactly",
               report.target_betti == golden["r"])
-    control = depth_gap(incl_l, rep_trivial(sl2, 1), conn, eta)
+    control = depth_gap(incl_l, rep_trivial(conn.lie, 1), conn, eta)
     rep.check(
         f"trivial-coefficient control: s = {golden['control_s']}, "
         f"r = {golden['control_r']}",

@@ -1,15 +1,17 @@
-"""JSON codecs and name resolvers for every object the CLI touches.
+"""JSON codecs and the name grammar for every object the CLI touches.
 
 Payloads never embed the coefficient field; decoders take it explicitly
 (the CLI passes its --field flag) and scalars travel as strings — "3",
 "-7/2" over the rationals, "4" or "4 mod 5" over a prime field.
 
 Wherever a schema says "name-or-inline", a string like ``surface(2)`` or
-``defining(sl(2))`` picks a builder, and a dict is decoded literally.
+``defining(sl(2))`` names a builder, and a dict is an inline document.  Both
+go through one table, ``GRAMMAR``, and one resolver, which checks the exact
+arity and then the size of the result against its kind's limit before
+anything is built.
 """
 
 import functools
-from fractions import Fraction
 
 from .cdga import Cdga, tensor_product_with_inclusions
 from .flatconn import FlatConnection
@@ -84,42 +86,6 @@ def _expect(obj, *keys):
         raise SerializeError(f"missing keys: {', '.join(missing)}")
 
 
-def _parse_call(text):
-    """Split "head(arg1,arg2)" into (head, [args]); args may nest calls."""
-    text = text.strip()
-    if "(" not in text:
-        return text, []
-    head, _, rest = text.partition("(")
-    if not rest.endswith(")"):
-        raise SerializeError(f"unbalanced parentheses in {text!r}")
-    inner, args, depth, cur = rest[:-1], [], 0, []
-    for ch in inner:
-        if ch == "," and depth == 0:
-            args.append("".join(cur).strip())
-            cur = []
-            continue
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise SerializeError(f"unbalanced parentheses in {text!r}")
-        cur.append(ch)
-    if depth != 0:
-        raise SerializeError(f"unbalanced parentheses in {text!r}")
-    tail = "".join(cur).strip()
-    if tail:
-        args.append(tail)
-    return head.strip(), args
-
-
-def _int_arg(args, pos, what):
-    try:
-        return int(args[pos])
-    except (IndexError, ValueError) as exc:
-        raise SerializeError(f"{what} needs an integer argument") from exc
-
-
 # ------------------------------------------------------------------ CDGA
 
 def cdga_to_json(a):
@@ -139,9 +105,6 @@ def cdga_to_json(a):
 
 
 CDGA_KEYS = {"name", "top_degree", "basis", "mult", "diff", "weights"}
-
-# Largest number of basis elements a model named in the grammar may have.
-MAX_BASIS = 256
 
 
 def cdga_from_json(field, obj):
@@ -183,75 +146,6 @@ def cdga_from_json(field, obj):
     return Cdga(field, obj["name"], basis, diff, mult, weights=weights)
 
 
-def _bounded_tensor(field, spec, head, args):
-    """tensor_product_with_inclusions of two named models, refused before it
-    is built when the product would pass MAX_BASIS basis elements."""
-    if len(args) != 2:
-        raise SerializeError(f"{head}(...) takes two models")
-    left = resolve_model(field, args[0])
-    right = resolve_model(field, args[1])
-    size = sum(left.dims()) * sum(right.dims())
-    if size > MAX_BASIS:
-        raise SerializeError(
-            f"{spec} has {size} basis elements; the limit is {MAX_BASIS}")
-    return tensor_product_with_inclusions(left, right)
-
-
-@_decoder
-def resolve_model(field, spec):
-    """Model from a builder name like "surface(2)" or an inline dict."""
-    if isinstance(spec, dict):
-        if "normals" in spec:
-            return build_os_arrangement(
-                field, [tuple(v) for v in spec["normals"]])
-        return cdga_from_json(field, spec)
-    if not isinstance(spec, str):
-        raise SerializeError(f"bad model spec {spec!r}")
-    head, args = _parse_call(spec)
-    if head == "compact_curve":
-        return build_compact_curve(field, _int_arg(args, 0, head))
-    if head == "open_curve":
-        return build_open_curve(field, _int_arg(args, 0, head))
-    if head == "surface":
-        return build_surface_model(field, _int_arg(args, 0, head))
-    if head == "torus":
-        if len(args) != 1:
-            raise SerializeError("torus(...) takes one integer")
-        n = _int_arg(args, 0, head)
-        # the first test keeps 2 ** n from being computed for a huge n
-        if n > MAX_BASIS or 2 ** n > MAX_BASIS:
-            raise SerializeError(
-                f"torus({n}) has 2^{n} basis elements; the limit is "
-                f"{MAX_BASIS}")
-        return build_torus_model(field, n)
-    if head == "pencil":
-        return build_os_arrangement(field,
-                                    pencil_normals(_int_arg(args, 0, head)))
-    if head == "tensor":
-        prod, _, _ = _bounded_tensor(field, spec, head, args)
-        return prod
-    raise SerializeError(f"unknown model {spec!r}")
-
-
-@_decoder
-def resolve_morphism(field, spec):
-    """Named CDGA maps: curve_inclusion(g), tensor_left(A,B), tensor_right(A,B).
-
-    tensor_left includes the first factor into the tensor product, tensor_right
-    the second.
-    """
-    if not isinstance(spec, str):
-        raise SerializeError("morphisms are referenced by name only")
-    head, args = _parse_call(spec)
-    if head == "curve_inclusion":
-        _, _, phi = curve_inclusion(field, _int_arg(args, 0, head))
-        return phi
-    if head in ("tensor_left", "tensor_right"):
-        _, incl_left, incl_right = _bounded_tensor(field, spec, head, args)
-        return incl_left if head == "tensor_left" else incl_right
-    raise SerializeError(f"unknown morphism {spec!r}")
-
-
 # ------------------------------------------------------------ Lie algebra
 
 def lie_to_json(g):
@@ -280,58 +174,16 @@ def lie_from_json(field, obj):
 
 
 @_decoder
-def resolve_lie(field, spec):
-    if isinstance(spec, dict):
-        return lie_from_json(field, spec)
-    if not isinstance(spec, str):
-        raise SerializeError(f"bad Lie algebra spec {spec!r}")
-    head, args = _parse_call(spec)
-    if head == "sl":
-        return build_sl(field, _int_arg(args, 0, head))
-    if head == "sol2":
-        return build_sol2(field)
-    if head == "abelian":
-        return build_abelian(field, _int_arg(args, 0, head))
-    raise SerializeError(f"unknown Lie algebra {spec!r}")
-
-
-@_decoder
-def resolve_rep(field, spec):
-    """Representation from "defining(sl(2))", "adjoint(sol2)",
-    "trivial(L,m)", "sum(R1,R2)", or an inline dict."""
-    if isinstance(spec, dict):
-        _expect(spec, "lie", "dim", "matrices")
-        lie = resolve_lie(field, spec["lie"])
-        d = spec["dim"]
-        if len(spec["matrices"]) != lie.dim:
-            raise SerializeError(
-                f"need one matrix per basis element ({lie.dim}), got "
-                f"{len(spec['matrices'])}")
-        mats = [decode_matrix(field, m, shape=(d, d))
-                for m in spec["matrices"]]
-        return LieRep(lie, mats, name=spec.get("name", "rep"))
-    if not isinstance(spec, str):
-        raise SerializeError(f"bad representation spec {spec!r}")
-    head, args = _parse_call(spec)
-    if head == "defining":
-        if len(args) != 1:
-            raise SerializeError("defining(...) takes one Lie algebra")
-        return rep_defining(resolve_lie(field, args[0]))
-    if head == "adjoint":
-        if len(args) != 1:
-            raise SerializeError("adjoint(...) takes one Lie algebra")
-        return rep_adjoint(resolve_lie(field, args[0]))
-    if head == "trivial":
-        if len(args) != 2:
-            raise SerializeError("trivial(...) takes a Lie algebra and a size")
-        return rep_trivial(resolve_lie(field, args[0]),
-                           _int_arg(args, 1, head))
-    if head == "sum":
-        if len(args) != 2:
-            raise SerializeError("sum(...) takes two representations")
-        return rep_direct_sum(resolve_rep(field, args[0]),
-                              resolve_rep(field, args[1]))
-    raise SerializeError(f"unknown representation {spec!r}")
+def rep_from_json(field, obj):
+    _expect(obj, "lie", "dim", "matrices")
+    lie = resolve_lie(field, obj["lie"])
+    d = obj["dim"]
+    if len(obj["matrices"]) != lie.dim:
+        raise SerializeError(
+            f"need one matrix per basis element ({lie.dim}), got "
+            f"{len(obj['matrices'])}")
+    mats = [decode_matrix(field, m, shape=(d, d)) for m in obj["matrices"]]
+    return LieRep(lie, mats, name=obj.get("name", "rep"))
 
 
 # ------------------------------------------------------------ connections
@@ -414,20 +266,6 @@ def group_from_json(obj):
                    name=obj.get("name", "group"))
 
 
-def resolve_group(spec):
-    """Group from "free(n)" / "surface(g)" or an inline dict."""
-    if isinstance(spec, dict):
-        return group_from_json(spec)
-    if not isinstance(spec, str):
-        raise SerializeError(f"bad group spec {spec!r}")
-    head, args = _parse_call(spec)
-    if head == "free":
-        return free_group(_int_arg(args, 0, head))
-    if head == "surface":
-        return surface_group(_int_arg(args, 0, head))
-    raise SerializeError(f"unknown group {spec!r}")
-
-
 def group_rep_to_json(rep):
     return {"group": group_to_json(rep.group), "target": rep.target,
             "matrices": [encode_matrix(m) for m in rep.matrices]}
@@ -440,3 +278,163 @@ def group_rep_from_json(field, obj):
     mats = [decode_matrix(field, m) for m in obj["matrices"]]
     return GroupRep(group, obj["target"], mats,
                     name=obj.get("name", ""))
+
+
+# ----------------------------------------------------------- name grammar
+
+# The limits (bound, unit), checked before anything is built.
+MAX_BASIS = 256
+BASIS = (MAX_BASIS, "basis elements")  # of a model, or a morphism's target
+HYPERPLANES = (16, "hyperplanes")
+LIE_DIM = (63, "dimensions")  # sl(n) for n <= 8
+REP_DIM = (256, "dimensions")
+GENERATORS = (256, "generators")
+
+INT, DOC = "integer", "document"  # argument kinds that are not GRAMMAR kinds
+INLINE, NORMALS = object(), object()  # heads of inline documents, not names
+
+
+def _tensor(part):
+    """tensor_product_with_inclusions(A, B)[part]: the product for part 0,
+    the inclusion of A for 1 and of B for 2."""
+    return (("model", "model"), BASIS,
+            lambda a, b: sum(a.dims()) * sum(b.dims()),
+            lambda f, a, b: tensor_product_with_inclusions(a, b)[part])
+
+
+# kind -> head -> (argument kinds, limit, size, builder).  The size is
+# computed from the resolved arguments.  Builders are called through their
+# module-level names, so a wrapper bound to one of those names sees the call.
+GRAMMAR = {
+    "model": {
+        "compact_curve": ((INT,), BASIS, lambda g: 2 * g + 2,
+                          lambda f, g: build_compact_curve(f, g)),
+        "open_curve": ((INT,), BASIS, lambda n: n + 1,
+                       lambda f, n: build_open_curve(f, n)),
+        "surface": ((INT,), BASIS, lambda g: 4 * g + 4,
+                    lambda f, g: build_surface_model(f, g)),
+        # any n > 8 is refused, and the cap keeps 2^n cheap for a huge n
+        "torus": ((INT,), BASIS, lambda n: 2 ** min(n, 9),
+                  lambda f, n: build_torus_model(f, n)),
+        "pencil": ((INT,), HYPERPLANES, lambda m: m,
+                   lambda f, m: build_os_arrangement(f, pencil_normals(m))),
+        "tensor": _tensor(0),
+        NORMALS: ((DOC,), HYPERPLANES, lambda doc: len(doc["normals"]),
+                  lambda f, doc: build_os_arrangement(f, doc["normals"])),
+        INLINE: ((DOC,), BASIS,
+                 lambda doc: sum(map(len, doc.get("basis", ()))),
+                 lambda f, doc: cdga_from_json(f, doc)),
+    },
+    "morphism": {
+        "curve_inclusion": ((INT,), BASIS, lambda g: 4 * g + 4,
+                            lambda f, g: curve_inclusion(f, g)[2]),
+        "tensor_left": _tensor(1),
+        "tensor_right": _tensor(2),
+    },
+    "Lie algebra": {
+        "sl": ((INT,), LIE_DIM, lambda n: n * n - 1,
+               lambda f, n: build_sl(f, n)),
+        "sol2": ((), LIE_DIM, lambda: 2, lambda f: build_sol2(f)),
+        "abelian": ((INT,), LIE_DIM, lambda n: n,
+                    lambda f, n: build_abelian(f, n)),
+        INLINE: ((DOC,), LIE_DIM, lambda doc: len(doc.get("basis", ())),
+                 lambda f, doc: lie_from_json(f, doc)),
+    },
+    "representation": {
+        # a defining representation is no larger than its algebra
+        "defining": (("Lie algebra",), REP_DIM, lambda g: g.dim,
+                     lambda f, g: rep_defining(g)),
+        "adjoint": (("Lie algebra",), REP_DIM, lambda g: g.dim,
+                    lambda f, g: rep_adjoint(g)),
+        "trivial": (("Lie algebra", INT), REP_DIM, lambda g, m: m,
+                    lambda f, g, m: rep_trivial(g, m)),
+        "sum": (("representation",) * 2, REP_DIM, lambda r, s: r.dim + s.dim,
+                lambda f, r, s: rep_direct_sum(r, s)),
+        INLINE: ((DOC,), REP_DIM, lambda doc: doc.get("dim", 0),
+                 lambda f, doc: rep_from_json(f, doc)),
+    },
+    "group": {
+        "free": ((INT,), GENERATORS, lambda n: n, lambda f, n: free_group(n)),
+        "surface": ((INT,), GENERATORS, lambda g: 2 * g,
+                    lambda f, g: surface_group(g)),
+        INLINE: ((DOC,), GENERATORS,
+                 lambda doc: len(doc.get("generators", ())),
+                 lambda f, doc: group_from_json(doc)),
+    },
+}
+
+
+def _parse_call(text):
+    """Split "head(arg1,arg2)" into (head, [args]); args may nest calls."""
+    head, paren, rest = text.strip().partition("(")
+    if not paren:
+        return head, []
+    depth, cuts = 1, [-1]
+    for i, ch in enumerate(rest):
+        depth += (ch == "(") - (ch == ")")
+        if depth == 0:
+            break
+        if ch == "," and depth == 1:
+            cuts.append(i)
+    if depth or i != len(rest) - 1:
+        raise SerializeError(f"unbalanced parentheses in {text!r}")
+    args = [rest[a + 1:b].strip() for a, b in zip(cuts, cuts[1:] + [i])]
+    return head.strip(), [] if args == [""] else args
+
+
+def _argument(field, kind, text):
+    if kind != INT:
+        return text if kind == DOC else _resolve(field, kind, text)
+    try:
+        if text.isdecimal():
+            return int(text)
+    except ValueError:  # more digits than int() reads
+        pass
+    raise SerializeError(f"expected a natural number, got {text!r}")
+
+
+@_decoder
+def _resolve(field, kind, spec):
+    """The object of ``kind`` that ``spec`` names, or holds as an inline
+    document: parse, check the arity, resolve the nested names, check the
+    size against the limit, and only then build."""
+    if isinstance(spec, dict):
+        head, args = (NORMALS if "normals" in spec else INLINE), [spec]
+    elif isinstance(spec, str):
+        head, args = _parse_call(spec)
+    else:
+        raise SerializeError(f"bad {kind} spec {spec!r}")
+    if head not in GRAMMAR[kind]:
+        raise SerializeError(f"unknown {kind} {spec!r}")
+    arg_kinds, (bound, unit), size, build = GRAMMAR[kind][head]
+    if len(args) != len(arg_kinds):
+        raise SerializeError(
+            f"{spec}: expected {head}({', '.join(arg_kinds)})")
+    values = [_argument(field, k, a) for k, a in zip(arg_kinds, args)]
+    if size(*values) > bound:
+        label = spec if isinstance(spec, str) else f"inline {kind}"
+        raise SerializeError(
+            f"{label} is too large: the limit is {bound} {unit}")
+    return build(field, *values)
+
+
+def resolve_model(field, spec):
+    """Model from a name like "surface(2)", or an inline document."""
+    return _resolve(field, "model", spec)
+
+
+def resolve_morphism(field, spec):
+    """curve_inclusion(g), tensor_left(A,B) or tensor_right(A,B)."""
+    return _resolve(field, "morphism", spec)
+
+
+def resolve_lie(field, spec):
+    return _resolve(field, "Lie algebra", spec)
+
+
+def resolve_rep(field, spec):
+    return _resolve(field, "representation", spec)
+
+
+def resolve_group(spec):
+    return _resolve(None, "group", spec)

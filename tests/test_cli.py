@@ -15,7 +15,9 @@ from jumploci.cli import main
 from jumploci.liealg import build_sl
 from jumploci.models import build_surface_model
 from jumploci.scalars import QQ
-from jumploci.serialize import cdga_to_json, lie_to_json
+from jumploci.serialize import (cdga_to_json, lie_to_json, resolve_group,
+                                resolve_lie, resolve_model, resolve_morphism,
+                                resolve_rep)
 
 
 CURVE_FLAT = json.dumps({
@@ -147,7 +149,8 @@ def test_aomoto_betti_of_a_truncated_model(capsys):
 
 
 @pytest.mark.parametrize("model", [
-    "torus(9)", "torus(1000)", "tensor(torus(8),torus(1))"])
+    "torus(9)", "torus(1000)", "tensor(torus(8),torus(1))",
+    "compact_curve(128)", "open_curve(256)", "surface(64)"])
 def test_models_past_the_size_limit_are_exit_2(model, capsys):
     doc = json.dumps({"model": model})
     assert main(["cohomology", "--input", doc]) == 2
@@ -160,11 +163,105 @@ def test_models_past_the_size_limit_are_exit_2(model, capsys):
                   "connection": {}}),
     ("depth-gap", {"morphism": "tensor_left(torus(8),torus(8))",
                    "theta": "adjoint(sl(2))", "connection": {}, "eta": []}),
+    ("pullback", {"morphism": "curve_inclusion(64)", "connection": {}}),
 ])
 def test_morphisms_past_the_size_limit_are_exit_2(command, doc, capsys):
     assert main([command, "--input", json.dumps(doc)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "the limit is 256" in err
+
+
+SHEAR = [["1", "1"], ["0", "1"]]
+
+
+def naming(kind, spec):
+    """argv of a subcommand whose input names ``spec`` as its object of
+    ``kind``, and which exits 0 when ``spec`` names a small valid object."""
+    command, doc = {
+        "model": ("cohomology", {"model": spec}),
+        "morphism": ("pullback", {"morphism": spec,
+                                  "connection": json.loads(CURVE_FLAT)}),
+        "lie": ("brute-force", {"cdga": "torus(1)", "lie": spec}),
+        "rep": ("aomoto-betti", {"connection": json.loads(CURVE_FLAT),
+                                 "theta": spec}),
+        "group": ("fox", {"group": spec, "target": "SL",
+                          "matrices": [SHEAR, SHEAR]}),
+        "document": ("validate", spec),
+    }[kind]
+    return [command, "--field", "f3", "--input", json.dumps(doc)]
+
+
+@pytest.mark.parametrize("kind,good,spec", [
+    ("model", "compact_curve(2)", "compact_curve(2,7)"),
+    ("model", "open_curve(3)", "open_curve(3,1)"),
+    ("model", "surface(1)", "surface(1,9)"),
+    ("model", "pencil(4)", "pencil(4,9)"),
+    ("model", "torus(2)", "torus(2,)"),
+    ("morphism", "curve_inclusion(1)", "curve_inclusion(1,2)"),
+    ("lie", "sl(2)", "sl(2,5)"), ("lie", "sol2", "sol2(9)"),
+    ("lie", "abelian(2)", "abelian(2,2)"), ("group", "free(2)", "free(2,8)")])
+def test_an_extra_argument_is_exit_2(kind, good, spec, capsys):
+    assert main(naming(kind, good)) == 0
+    capsys.readouterr()
+    assert main(naming(kind, spec)) == 2
+    err = capsys.readouterr().err
+    head = spec.partition("(")[0]
+    assert err.startswith("error:") and f"expected {head}(" in err
+
+
+@pytest.mark.parametrize("kind,spec,limit", [
+    ("model", "pencil(17)", "16 hyperplanes"),
+    pytest.param("model", {"normals": [[1, k, 0] for k in range(16)]
+                           + [[0, 1, 0]]}, "16 hyperplanes",
+                 id="model-17-normals"),
+    ("lie", "sl(9)", "63 dimensions"), ("lie", "abelian(64)", "63 dimensions"),
+    ("rep", "trivial(sl(2),257)", "256 dimensions"),
+    ("group", "free(257)", "256 generators"),
+    ("group", "surface(129)", "256 generators"),
+    pytest.param("document", {"dim": 64, "basis": [f"x{i}" for i in range(64)],
+                              "brackets": []}, "63 dimensions",
+                 id="validate-64-dim-lie"),
+    pytest.param("document", {"generators": [f"x{i}" for i in range(257)],
+                              "relators": []}, "256 generators",
+                 id="validate-257-generators")])
+def test_names_past_the_other_limits_are_exit_2(kind, spec, limit, capsys):
+    # the smallest name past each limit other than the basis bound (those
+    # are above); validate bounds the documents it is given the same way
+    assert main(naming(kind, spec)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"the limit is {limit}" in err
+
+
+@pytest.mark.parametrize("resolve,spec,size,expected", [
+    (resolve_model, "compact_curve(127)", lambda m: sum(m.dims()), 256),
+    (resolve_model, "open_curve(255)", lambda m: sum(m.dims()), 256),
+    (resolve_model, "surface(63)", lambda m: sum(m.dims()), 256),
+    (resolve_model, "torus(8)", lambda m: sum(m.dims()), 256),
+    (resolve_model, "tensor(compact_curve(7),compact_curve(7))",
+     lambda m: sum(m.dims()), 256),
+    (resolve_model, "pencil(16)", lambda m: m.dim(1), 16),
+    (resolve_morphism, "curve_inclusion(63)",
+     lambda phi: sum(phi.target.dims()), 256),
+    (resolve_morphism, "tensor_left(torus(4),torus(4))",
+     lambda phi: sum(phi.target.dims()), 256),
+    (resolve_morphism, "tensor_right(torus(4),torus(4))",
+     lambda phi: sum(phi.target.dims()), 256),
+    (resolve_lie, "sl(8)", lambda g: g.dim, 63),
+    (resolve_lie, "abelian(63)", lambda g: g.dim, 63),
+    (resolve_rep, "defining(sl(8))", lambda r: r.dim, 8),
+    (resolve_rep, "adjoint(sl(8))", lambda r: r.dim, 63),
+    (resolve_rep, "trivial(sl(2),256)", lambda r: r.dim, 256),
+    (resolve_rep, "sum(trivial(sl(2),128),trivial(sl(2),128))",
+     lambda r: r.dim, 256),
+    (lambda f, spec: resolve_group(spec), "free(256)",
+     lambda g: g.n_generators, 256),
+    (lambda f, spec: resolve_group(spec), "surface(128)",
+     lambda g: g.n_generators, 256),
+])
+def test_the_largest_name_of_each_head_resolves(resolve, spec, size,
+                                                expected):
+    # each is as large as its limit allows
+    assert size(resolve(QQ, spec)) == expected
 
 
 def test_cut_off_model_document_is_exit_2(capsys):
