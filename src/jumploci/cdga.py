@@ -378,7 +378,7 @@ def _products(m):
     return out
 
 
-def tensor_product_with_inclusions(a, b, name=None):
+def tensor_product_with_inclusions(a, b):
     """Tensor product plus the two factor inclusions x -> x|1, y -> 1|y.
 
     The product is whole: its top degree is a.top_degree + b.top_degree.
@@ -428,8 +428,7 @@ def tensor_product_with_inclusions(a, b, name=None):
         weights = [[a.weights[i][k] + b.weights[j][l] for i, k, j, l in keys]
                    for keys in pairs]
 
-    prod = Cdga(f, name or f"{a.name}(x){b.name}", basis, diff, mult,
-                weights=weights)
+    prod = Cdga(f, f"{a.name}(x){b.name}", basis, diff, mult, weights=weights)
 
     def inclusion(factor, place):
         maps = {}

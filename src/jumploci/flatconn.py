@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Matrix, dense_vector, rank, kernel_basis, solve
+from .linalg import Matrix, dense_vector, rank
 from .scalars import PrimeField, same_field
 
 
@@ -215,7 +215,16 @@ def weight_scale(conn, s):
 
 
 BRUTE_FORCE_CEILING = 10 ** 8
-EXACT_COVER_LIMIT = 30
+
+
+def _bound_census(p, kdim):
+    """Refuse a census over F_p of more than ``BRUTE_FORCE_CEILING``
+    candidates p^kdim, before any tensor is built."""
+    total = p ** kdim
+    if total > BRUTE_FORCE_CEILING:
+        raise BruteForceBoundError(
+            f"{p}^{kdim} = {total} candidates exceed the "
+            f"{BRUTE_FORCE_CEILING} ceiling")
 
 
 def flatness_tensors(cdga, lie):
@@ -259,41 +268,21 @@ def _place_values(p, k):
 
 
 def _vertex_cover(qnp):
-    """Sorted unknowns meeting every quadratic term of the reduced stack
-    ``qnp`` (rdim x kdim x kdim).  i and j != i are joined when some
-    Q_r[i][j] or Q_r[j][i] is nonzero; a nonzero Q_r[i][i] puts i in the
-    cover outright.  Greedy on the most uncovered edges, lowest index first;
-    then each greedy pick whose neighbours all lie in the cover is dropped
-    again, last pick first.  On at most ``EXACT_COVER_LIMIT`` joined
-    unknowns a branch and bound then replaces the greedy picks by a minimum
-    cover, but only if that is strictly smaller.  Deterministic; any cover
-    gives the same zeros, and the fibres number p^(cover size).
+    """Sorted unknowns of a minimum vertex cover of the quadratic terms of
+    the reduced stack ``qnp`` (rdim x kdim x kdim).  i and j != i are joined
+    when some Q_r[i][j] or Q_r[j][i] is nonzero; a nonzero Q_r[i][i] puts i
+    in the cover outright.  The rest is the first minimum cover that the
+    branch and bound ``_smaller_cover`` finds, seeded with the bound of
+    taking every joined unknown.  Deterministic; any cover gives the same
+    zeros, and the fibres number p^(cover size).
     """
     import numpy as np
-    kdim = qnp.shape[1]
     support = qnp.any(axis=0)
     edges = support | support.T
     forced = set(np.flatnonzero(edges.diagonal()).tolist())
-    adj = [set(np.flatnonzero(row).tolist()) - {i}
-           for i, row in enumerate(edges)]
-    live = [set() if i in forced else adj[i] - forced for i in range(kdim)]
-    graph = {i: set(nb) for i, nb in enumerate(live) if nb}
-    taken = []
-    while any(live):
-        v = max(range(kdim), key=lambda i: (len(live[i]), -i))
-        taken.append(v)
-        for j in live[v]:
-            live[j].discard(v)
-        live[v] = set()
-    cover = forced | set(taken)
-    for v in reversed(taken):
-        if adj[v] <= cover:
-            cover.discard(v)
-    if len(graph) <= EXACT_COVER_LIMIT:
-        smaller = _smaller_cover(graph, len(cover) - len(forced))
-        if smaller is not None:
-            cover = forced | smaller
-    return sorted(cover)
+    graph = {i: nb for i, row in enumerate(edges) if i not in forced
+             and (nb := set(np.flatnonzero(row).tolist()) - forced - {i})}
+    return sorted(forced | _smaller_cover(graph, len(graph) + 1))
 
 
 def _smaller_cover(graph, bound):
@@ -485,11 +474,7 @@ def brute_force_flat(cdga, lie, jobs=1):
     p = f.p
     n1, dg = cdga.dim(1), lie.dim
     kdim = n1 * dg
-    total = p ** kdim
-    if total > BRUTE_FORCE_CEILING:
-        raise BruteForceBoundError(
-            f"{p}^{kdim} = {total} candidates exceed the "
-            f"{BRUTE_FORCE_CEILING} ceiling")
+    _bound_census(p, kdim)
     lmat, qmats = flatness_tensors(cdga, lie)
     hits = _common_zeros(lmat, qmats, p, kdim, jobs)
     out = []

@@ -97,16 +97,16 @@ class FpGroup:
                 f"{len(self.relators)} rels)")
 
 
-def free_group(n, name=None):
+def free_group(n):
     if n < 1:
         raise GroupError("free group needs n >= 1")
     group = FpGroup([f"x{i}" for i in range(1, n + 1)], [], aspherical=True,
-                    name=name or f"free_{n}")
+                    name=f"free_{n}")
     group.family = ("free", n)
     return group
 
 
-def surface_group(g, name=None):
+def surface_group(g):
     """Fundamental group of the closed orientable genus-g surface."""
     if g < 1:
         raise GroupError("surface group needs genus >= 1")
@@ -116,7 +116,7 @@ def surface_group(g, name=None):
     relator = " ".join(
         f"a{i} b{i} a{i}^-1 b{i}^-1" for i in range(1, g + 1))
     group = FpGroup(gens, [relator], aspherical=True,
-                    name=name or f"surface_{g}")
+                    name=f"surface_{g}")
     group.family = ("surface", g)
     return group
 
@@ -283,37 +283,31 @@ def adjoint_rep(rep):
     return GroupRep(rep.group, "GL", mats, name=f"Ad({rep.name})")
 
 
-def _resolve_twist(rep, twist):
-    if twist == "defining":
-        return rep
-    if twist == "adjoint":
-        return adjoint_rep(rep)
-    raise GroupError(f"unknown twist {twist!r} (want defining or adjoint)")
-
-
-def twisted_cohomology(rep, twist="defining"):
-    """TwistedBetti of the presentation 2-complex with the given twist.
-
-    Raises if the representation does not satisfy the relators.  Asserts the
-    Fox fundamental identity in matrix form (D1 D0 = 0) as an internal
-    consistency check.
-    """
+def _fox_ranks(rep, twist):
+    """(dim V, rank D0, rank D1) of the presentation complex with the given
+    twist.  Raises if the representation does not satisfy the relators.
+    Asserts the Fox fundamental identity in matrix form (D1 D0 = 0) as an
+    internal consistency check."""
     ok, bad = rep_check(rep)
     if not ok:
         raise GroupError(f"relators {bad} are not satisfied")
-    local = _resolve_twist(rep, twist)
+    if twist not in ("defining", "adjoint"):
+        raise GroupError(f"unknown twist {twist!r} (want defining or adjoint)")
+    local = adjoint_rep(rep) if twist == "adjoint" else rep
     d0 = d0_matrix(local)
     d1 = d1_matrix(local)
     if d1.nrows and not (d1 @ d0).is_zero():
         raise GroupError("Fox identity violated — inconsistent input")
-    n = rep.group.n_generators
-    m = len(rep.group.relators)
-    dv = local.dim
-    r0, r1 = rank(d0), rank(d1)
-    b0 = dv - r0
-    b1 = (n * dv - r1) - r0
-    b2 = m * dv - r1
-    return TwistedBetti(b0, b1, b2)
+    return local.dim, rank(d0), rank(d1)
+
+
+def twisted_cohomology(rep, twist="defining"):
+    """TwistedBetti of the presentation 2-complex with the given twist.
+    Raises if the representation does not satisfy the relators, or if the
+    Fox identity D1 D0 = 0 fails."""
+    dv, r0, r1 = _fox_ranks(rep, twist)
+    n, m = rep.group.n_generators, len(rep.group.relators)
+    return TwistedBetti(dv - r0, (n * dv - r1) - r0, m * dv - r1)
 
 
 def cv_membership(rep, i, depth, twist="defining"):
@@ -345,14 +339,8 @@ class TangentReport:
 
 def tangent_dimension_rep(rep):
     """Adjoint cocycle count at a representation: dim Z^1 = n dim(g) - rank
-    of the adjoint Fox Jacobian.  Reported with dim B^1 and the difference."""
-    ok, bad = rep_check(rep)
-    if not ok:
-        raise GroupError(f"relators {bad} are not satisfied")
-    local = adjoint_rep(rep)
-    d1 = d1_matrix(local)
-    d0 = d0_matrix(local)
-    n = rep.group.n_generators
-    z1 = n * local.dim - rank(d1)
-    b1 = rank(d0)
-    return TangentReport(z1, b1, z1 - b1)
+    of the adjoint Fox Jacobian.  Reported with dim B^1 and the difference.
+    The ranks are those of ``twisted_cohomology(rep, "adjoint")``."""
+    dv, r0, r1 = _fox_ranks(rep, "adjoint")
+    z1 = rep.group.n_generators * dv - r1
+    return TangentReport(z1, r0, z1 - r0)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .flatconn import FlatConnection, _common_zeros, is_flat
+from .flatconn import FlatConnection, _common_zeros, _bound_census, is_flat
 from .linalg import Matrix
 from .models import build_surface_model
 
@@ -39,26 +39,8 @@ class Relation:
     def normalized(self, f):
         lin = {k: f.coerce(c) for k, c in self.lin.items()
                if not f.is_zero(f.coerce(c))}
-        quad = {}
-        for (k, l), c in self.quad.items():
-            c = f.coerce(c)
-            if k == l or f.is_zero(c):
-                continue
-            if k > l:
-                k, l, c = l, k, f.neg(c)
-            quad[(k, l)] = f.add(quad.get((k, l), f.zero), c)
-        quad = {kl: c for kl, c in quad.items() if not f.is_zero(c)}
-        cubic = {}
-        for (k, l, m), c in self.cubic.items():
-            c = f.coerce(c)
-            if l == m or f.is_zero(c):
-                continue
-            if l > m:
-                l, m, c = m, l, f.neg(c)
-            key = (k, l, m)
-            cubic[key] = f.add(cubic.get(key, f.zero), c)
-        cubic = {key: c for key, c in cubic.items() if not f.is_zero(c)}
-        return Relation(lin, quad, cubic)
+        return Relation(lin, _antisymmetrized(f, self.quad),
+                        _antisymmetrized(f, self.cubic))
 
     def is_quadratic(self):
         return not self.cubic
@@ -72,6 +54,21 @@ class Relation:
         for (k, l, m), c in sorted(self.cubic.items()):
             parts.append(f"{c}*[{gens[k]},[{gens[l]},{gens[m]}]]")
         return " + ".join(parts) if parts else "0"
+
+
+def _antisymmetrized(f, terms):
+    """``terms`` keyed by index tuples antisymmetric in their last pair, with
+    that pair ordered (flipping the sign), equal keys summed, zeros dropped."""
+    out = {}
+    for (*head, l, m), c in terms.items():
+        c = f.coerce(c)
+        if l == m or f.is_zero(c):
+            continue
+        if l > m:
+            l, m, c = m, l, f.neg(c)
+        key = (*head, l, m)
+        out[key] = f.add(out.get(key, f.zero), c)
+    return {key: c for key, c in out.items() if not f.is_zero(c)}
 
 
 class HolonomyPresentation:
@@ -259,14 +256,16 @@ def relation_check_mask(pres, lie, count):
     """Vectorized relation_check over the first ``count`` lexicographic
     assignments of a prime field; returns a boolean numpy array.  The
     satisfying assignments come from the census solver of ``flatconn``
-    and are scattered into the mask; positions past p^k are False."""
+    and are scattered into the mask; positions past p^k are False.
+    Guarded like ``brute_force_flat``: p^k must not exceed 10^8."""
     import numpy as np
     from .scalars import PrimeField
     f = pres.field
     if not isinstance(f, PrimeField):
         raise HolonomyError("mask evaluation needs a prime field")
-    lmat, qmats = relation_tensors(pres, lie)
     kdim = len(pres.generators) * lie.dim
+    _bound_census(f.p, kdim)
+    lmat, qmats = relation_tensors(pres, lie)
     hits = _common_zeros(lmat, qmats, f.p, kdim)
     out = np.zeros(count, dtype=bool)
     out[hits[hits < count]] = True

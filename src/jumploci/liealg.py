@@ -19,6 +19,8 @@ construction: [theta(x_i), theta(x_j)] must equal theta([x_i, x_j]).
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .linalg import Matrix, dense_vector, det
 from .scalars import same_field
 
@@ -104,21 +106,16 @@ class LieAlgebra:
     def validate(self):
         """Return a list of failure strings (empty = valid).
 
-        Antisymmetry is structural here, so this checks the Jacobi identity
-        on all basis triples, plus basic sanity of the stored table.
+        Antisymmetry is structural here, so this checks the Jacobi identity.
+        Column k of [ad x_i, ad x_j] - ad [x_i, x_j] is the Jacobi sum on
+        (x_i, x_j, x_k), which is alternating, so each failing basis triple
+        is read off the bracket defects of the adjoint matrices, sorted.
         """
-        failures = []
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                for k in range(j + 1, self.dim):
-                    xi, xj, xk = (self.basis_vector(t) for t in (i, j, k))
-                    terms = [self.bracket(a, self.bracket(b, c)) for a, b, c
-                             in ((xi, xj, xk), (xj, xk, xi), (xk, xi, xj))]
-                    if not self.is_zero_vector(map(sum, zip(*terms))):
-                        failures.append(
-                            f"jacobi fails on ({self.labels[i]},"
-                            f"{self.labels[j]},{self.labels[k]})")
-        return failures
+        bad = {tuple(sorted((i, j, k)))
+               for i, j, defect in _bracket_defects(self, _ad_matrices(self))
+               for row in defect.rows for k in row}
+        return [f"jacobi fails on ({','.join(self.labels[t] for t in s)})"
+                for s in sorted(bad)]
 
     def structurally_equal(self, other):
         return (self.field == other.field and self.labels == other.labels
@@ -158,14 +155,8 @@ class LieRep:
             raise LieError("bracket compatibility fails: " + "; ".join(bad))
 
     def _compat_failures(self):
-        out = []
-        for i in range(self.lie.dim):
-            for j in range(i + 1, self.lie.dim):
-                lhs = (self.matrices[i] @ self.matrices[j]
-                       - self.matrices[j] @ self.matrices[i])
-                if lhs != self.apply(self.lie.bracket_basis(i, j)):
-                    out.append(f"[{self.lie.labels[i]},{self.lie.labels[j]}]")
-        return out
+        return [f"[{self.lie.labels[i]},{self.lie.labels[j]}]"
+                for i, j, _ in _bracket_defects(self.lie, self.matrices)]
 
     def apply(self, x):
         """theta(x) for a coordinate vector x, as a Matrix."""
@@ -181,6 +172,25 @@ class LieRep:
 
     def __repr__(self):
         return f"LieRep({self.name}, lie={self.lie.name}, dim={self.dim})"
+
+
+def _bracket_defects(lie, matrices):
+    """(i, j, [theta_i, theta_j] - theta([x_i, x_j])) for each pair i < j of
+    basis indices where that is not zero, theta_i being ``matrices[i]``."""
+    f = lie.field
+    for i, j in combinations(range(lie.dim), 2):
+        defect = matrices[i] @ matrices[j] - matrices[j] @ matrices[i]
+        for m, c in lie._brackets.get((i, j), {}).items():
+            defect = defect + matrices[m].scale(f.neg(c))
+        if not defect.is_zero():
+            yield i, j, defect
+
+
+def _ad_matrices(g):
+    """ad x_i for each basis element x_i of g: column j is [x_i, x_j]."""
+    return [Matrix.from_columns(
+        g.field, [g.bracket_basis(i, j) for j in range(g.dim)], nrows=g.dim)
+        for i in range(g.dim)]
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +244,7 @@ def traceless_coordinates(rows):
     return out
 
 
-def build_sl(field, n, name=None):
+def build_sl(field, n):
     """Traceless n x n matrices in the sl_basis order."""
     if n < 2:
         raise LieError("sl(n) needs n >= 2")
@@ -254,7 +264,7 @@ def build_sl(field, n, name=None):
                    enumerate(traceless_coordinates(comm)) if c != 0}
             if vec:
                 brackets[(a, b)] = vec
-    g = LieAlgebra(field, sl_labels(n), brackets, name=name or f"sl{n}")
+    g = LieAlgebra(field, sl_labels(n), brackets, name=f"sl{n}")
     g.family = ("sl", n)
     return g
 
@@ -330,11 +340,7 @@ def rep_adjoint(g):
     return the same object, since the bracket table never changes.
     """
     if g._adjoint is None:
-        mats = []
-        for i in range(g.dim):
-            cols = [g.bracket_basis(i, j) for j in range(g.dim)]
-            mats.append(Matrix.from_columns(g.field, cols, nrows=g.dim))
-        g._adjoint = LieRep(g, mats, name="adjoint")
+        g._adjoint = LieRep(g, _ad_matrices(g), name="adjoint")
     return g._adjoint
 
 

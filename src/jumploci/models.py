@@ -31,7 +31,7 @@ from .linalg import Matrix, rank
 from .scalars import QQ
 
 
-def build_compact_curve(field, g, name=None):
+def build_compact_curve(field, g):
     """Cohomology of a closed orientable genus-g surface, g >= 1."""
     if g < 1:
         raise CdgaError("compact curve model needs genus >= 1")
@@ -46,26 +46,25 @@ def build_compact_curve(field, g, name=None):
         mult[(1, ai, 1, bi)] = {0: one}
         mult[(1, bi, 1, ai)] = {0: field.neg(one)}
     weights = [[0], [1] * (2 * g), [2]]
-    model = Cdga(field, name or f"compact_curve_g{g}", basis, {}, mult,
+    model = Cdga(field, f"compact_curve_g{g}", basis, {}, mult,
                  weights=weights)
     model.family = ("compact_curve", g)
     return model
 
 
-def build_open_curve(field, n, name=None):
+def build_open_curve(field, n):
     """Cohomology of a wedge of n circles (n >= 2): degrees 0..1, empty
     degree 2 so that every product of degree-1 classes vanishes."""
     if n < 2:
         raise CdgaError("open curve model needs n >= 2")
     basis = [["1"], [f"a{i}" for i in range(1, n + 1)], []]
     weights = [[0], [1] * n, []]
-    model = Cdga(field, name or f"open_curve_n{n}", basis, {}, {},
-                 weights=weights)
+    model = Cdga(field, f"open_curve_n{n}", basis, {}, {}, weights=weights)
     model.family = ("open_curve", n)
     return model
 
 
-def build_surface_model(field, g, name=None):
+def build_surface_model(field, g):
     """Compact genus-g surface algebra extended by t with dt = om.
 
     Degree-1 basis a1, b1, ..., ag, bg, t; degree-2 basis om, a1 t, b1 t,
@@ -117,8 +116,7 @@ def build_surface_model(field, g, name=None):
     # d(a_i t) = (da_i) t - a_i (dt) = -a_i om = 0 since the surface algebra
     # has nothing in degree 3.
     weights = [[0], [1] * (2 * g) + [2], [2] + [3] * (2 * g), [4]]
-    model = Cdga(field, name or f"surface_g{g}", basis, diff, mult,
-                 weights=weights)
+    model = Cdga(field, f"surface_g{g}", basis, diff, mult, weights=weights)
     model.family = ("surface", g)
     return model
 
@@ -148,7 +146,7 @@ def _shuffle_sign(s, t):
     return -1 if inv % 2 else 1
 
 
-def build_torus_model(field, n, name=None):
+def build_torus_model(field, n):
     """Exterior algebra on n degree-1 generators, d = 0, degrees 0..n.
 
     Degree-k basis: k-element index subsets, lex order, labelled by
@@ -173,8 +171,7 @@ def build_torus_model(field, n, name=None):
                     index[tuple(sorted(s + t))]:
                         field.coerce(_shuffle_sign(s, t))}
     weights = [[k] * len(level) for k, level in enumerate(subsets)]
-    model = Cdga(field, name or f"torus_n{n}", basis, {}, mult,
-                 weights=weights)
+    model = Cdga(field, f"torus_n{n}", basis, {}, mult, weights=weights)
     model.family = ("torus", n)
     return model
 
@@ -184,19 +181,16 @@ def build_torus_model(field, n, name=None):
 
 
 def _circuits(m, independent):
-    """Minimal dependent subsets of range(m), as sorted tuples, lex order."""
-    circuits = []
-    for size in range(2, min(m, 4) + 1):
-        for s in combinations(range(m), size):
-            if independent(s):
-                continue
-            if any(set(c) <= set(s) for c in circuits):
-                continue
-            circuits.append(s)
-    return circuits
+    """Minimal dependent subsets of range(m), as sorted tuples, by size and
+    then lex order: the dependent subsets whose facets are all independent
+    (``independent`` caches, so each facet is tested once)."""
+    return [s for size in range(2, min(m, 4) + 1)
+            for s in combinations(range(m), size)
+            if not independent(s)
+            and all(independent(s[:i] + s[i + 1:]) for i in range(size))]
 
 
-def build_os_arrangement(field, normals, name=None):
+def build_os_arrangement(field, normals):
     """Orlik-Solomon algebra of a central arrangement in 3 coordinates.
 
     ``normals``: list of >= 2 integer/rational 3-vectors, pairwise
@@ -286,7 +280,7 @@ def build_os_arrangement(field, normals, name=None):
 
     basis = [["1"]] + [[lab(s) for s in nbc[k]] for k in range(1, top + 1)]
     weights = [[k] * len(nbc[k]) for k in range(top + 1)]
-    model = Cdga(field, name or f"os_m{m}", basis, {}, mult, weights=weights)
+    model = Cdga(field, f"os_m{m}", basis, {}, mult, weights=weights)
     model.family = ("os_arrangement", tuple(normals))
     return model
 

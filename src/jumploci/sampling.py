@@ -43,8 +43,8 @@ def rand_matrix(rng, field, nrows, ncols, span=4):
                   [rand_vector(rng, field, ncols, span) for _ in range(nrows)])
 
 
-def rand_invertible(rng, field, n, span=3, tries=128):
-    for _ in range(tries):
+def rand_invertible(rng, field, n, span=3):
+    for _ in range(128):
         m = rand_matrix(rng, field, n, n, span)
         if not field.is_zero(det(m)):
             return m
@@ -229,7 +229,7 @@ def surface_witness(cdga, lie):
 
 # ------------------------------------------------- determinant-cut points
 
-def singular_lie_element(rng, rep, span=4, tries=256):
+def singular_lie_element(rng, rep, span=4):
     """Nonzero x with det theta(x) = 0, or raise if none can be found.
 
     For a defining sl(n) action this conjugates a strictly upper-triangular
@@ -237,7 +237,7 @@ def singular_lie_element(rng, rep, span=4, tries=256):
     span of e; adjoint actions are singular everywhere.
     """
     lie, f = rep.lie, rep.lie.field
-    for _ in range(tries):
+    for _ in range(256):
         x = _singular_candidate(rng, rep, span)
         if all(f.is_zero(c) for c in x):
             continue

@@ -314,8 +314,8 @@ def test_vertex_cover_is_minimum(qnp):
 
 def test_exact_cover_beats_greedy_only_when_smaller():
     # [DERIVED by exhaustive search over subsets] torus(3) x sol2 needs 3
-    # unknowns, e.g. {0, 2, 4}; the greedy picks 4.  On surface(1) x sl2
-    # the greedy 6 of 9 is already minimum and stays as it was.
+    # unknowns, e.g. {0, 2, 4}, where a greedy cover picks 4.  On
+    # surface(1) x sl2 the minimum is the greedy cover's 6 of 9.
     for (model, lie), want in (
             ((build_torus_model(GF(5), 3), build_sol2(GF(5))), [0, 2, 4]),
             ((build_surface_model(GF(5), 1), build_sl(GF(5), 2)),

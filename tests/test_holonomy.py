@@ -2,6 +2,8 @@
 
 import pytest
 
+from jumploci import holonomy
+from jumploci.flatconn import BruteForceBoundError
 from jumploci.holonomy import (HolonomyError, HolonomyPresentation, Relation,
                                build_counterexample_rho, correspondence_check,
                                evaluate_relation, holonomy_presentation,
@@ -132,3 +134,15 @@ def test_mask_needs_prime_field():
     pres = holonomy_presentation(build_compact_curve(QQ, 1))
     with pytest.raises(HolonomyError):
         relation_check_mask(pres, build_sl(QQ, 2), 10)
+
+
+def test_mask_refuses_a_census_past_the_ceiling(monkeypatch):
+    # 3^24 candidates: refused before any tensor is built
+    def unreachable(*args):
+        raise AssertionError("relation tensors built past the ceiling")
+
+    monkeypatch.setattr(holonomy, "relation_tensors", unreachable)
+    f3 = GF(3)
+    pres = holonomy_presentation(build_compact_curve(f3, 4))
+    with pytest.raises(BruteForceBoundError):
+        relation_check_mask(pres, build_sl(f3, 2), 10)

@@ -1,5 +1,6 @@
 """Structure constants, validation, and representation builders."""
 
+import itertools
 import random
 
 import pytest
@@ -75,6 +76,43 @@ def test_jacobi_failure_is_reported():
     g = LieAlgebra(QQ, ["x", "y", "z"],
                    {(0, 1): {2: 1}, (0, 2): {0: 1}})
     assert g.validate() == ["jacobi fails on (x,y,z)"]
+
+
+def jacobi_triple_scan(g):
+    """Oracle: the Jacobi sum on every sorted basis triple, from brackets of
+    coordinate vectors."""
+    failures = []
+    for i, j, k in itertools.combinations(range(g.dim), 3):
+        xi, xj, xk = (g.basis_vector(t) for t in (i, j, k))
+        terms = [g.bracket(a, g.bracket(b, c)) for a, b, c
+                 in ((xi, xj, xk), (xj, xk, xi), (xk, xi, xj))]
+        if not g.is_zero_vector(map(sum, zip(*terms))):
+            failures.append(f"jacobi fails on ({g.labels[i]},"
+                            f"{g.labels[j]},{g.labels[k]})")
+    return failures
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5)])
+@pytest.mark.parametrize("build", [lambda f: build_sl(f, 2),
+                                   lambda f: build_sl(f, 3), build_sol2])
+def test_validate_matches_the_triple_scan(field, build):
+    # 40 seeded corruptions per algebra and field: one to three bracket
+    # entries overwritten with a value in -2..2
+    base = build(field)
+    rng = random.Random(20261018)
+    failing = 0
+    for _ in range(40):
+        brackets = {key: dict(vec) for key, vec in base._brackets.items()}
+        for _ in range(rng.randint(1, 3)):
+            i, j = sorted(rng.sample(range(base.dim), 2))
+            brackets.setdefault((i, j), {})[rng.randrange(base.dim)] = \
+                rng.randint(-2, 2)
+        g = LieAlgebra(field, base.labels, brackets)
+        want = jacobi_triple_scan(g)
+        assert g.validate() == want
+        assert g._adjoint is None
+        failing += bool(want)
+    assert failing or base.dim < 3
 
 
 def test_constructor_rejects_bad_tables():

@@ -6,16 +6,22 @@ algebra, and the factored Poincare polynomial (1+t)(1+(n-1)t) for a
 rank-two arrangement.
 """
 
-import pytest
-
+import random
+from functools import lru_cache
+from itertools import combinations
 from math import comb
 
+import pytest
+
+from jumploci import models
 from jumploci.cdga import CdgaError, tensor_product_with_inclusions
+from jumploci.linalg import Matrix, rank
 from jumploci.models import (build_compact_curve, build_open_curve,
                              build_os_arrangement, build_surface_model,
                              build_torus_model, curve_inclusion,
                              pencil_normals)
 from jumploci.scalars import GF, QQ
+from jumploci.serialize import cdga_to_json
 
 
 @pytest.mark.parametrize("n, want", [
@@ -128,6 +134,56 @@ def test_arrangement_relations_from_circuits():
             total[k] = f.add(total.get(k, f.zero),
                              f.mul(f.coerce(sign), c))
     assert all(f.is_zero(c) for c in total.values())
+
+
+def circuits_by_subset_scan(m, independent):
+    """Oracle: each dependent subset, by size and then lex order, that
+    contains no circuit found before it."""
+    circuits = []
+    for size in range(2, min(m, 4) + 1):
+        for s in combinations(range(m), size):
+            if not independent(s) and \
+                    not any(set(c) <= set(s) for c in circuits):
+                circuits.append(s)
+    return circuits
+
+
+def independence_of(normals):
+    @lru_cache(maxsize=None)
+    def independent(s):
+        rows = [list(normals[i]) for i in s]
+        return rank(Matrix(QQ, rows, ncols=3)) == len(s)
+    return independent
+
+
+def rank3_arrangements(count, seed):
+    """Seeded arrangements of 4..9 pairwise non-proportional normals with
+    entries in -3..3 that span 3 coordinates."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        normals = [tuple(rng.randint(-3, 3) for _ in range(3))
+                   for _ in range(rng.randint(4, 9))]
+        independent = independence_of(normals)
+        if rank(Matrix(QQ, [list(v) for v in normals], ncols=3)) == 3 and \
+                all(independent(pair)
+                    for pair in combinations(range(len(normals)), 2)):
+            out.append(normals)
+    return out
+
+
+@pytest.mark.parametrize(
+    "normals", [pencil_normals(m) for m in range(3, 17)]
+    + rank3_arrangements(6, 20261018),
+    ids=[f"pencil({m})" for m in range(3, 17)]
+    + [f"rank3-{i}" for i in range(6)])
+def test_circuits_match_the_subset_scan(normals, monkeypatch):
+    independent = independence_of(normals)
+    want = circuits_by_subset_scan(len(normals), independent)
+    assert models._circuits(len(normals), independent) == want
+    got = cdga_to_json(build_os_arrangement(QQ, normals))
+    monkeypatch.setattr(models, "_circuits", circuits_by_subset_scan)
+    assert cdga_to_json(build_os_arrangement(QQ, normals)) == got
 
 
 def test_arrangement_rejects_degenerate_input():
