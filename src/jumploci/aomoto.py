@@ -25,8 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .flatconn import FlatConnection, NotFlatError, f1_membership, is_flat, \
-    mc_residual, pullback
+from .flatconn import NotFlatError, f1_membership, is_flat, mc_residual, \
+    pullback
 from .linalg import Matrix, kernel_basis, rank, solve, vstack_all
 
 

@@ -15,9 +15,9 @@ import sys
 from .aomoto import (AomotoComplex, AomotoError, depth_gap,
                      resonance_membership)
 from .cdga import CdgaError
-from .flatconn import (FlatConnError, NotFlatError, brute_force_flat,
-                       f1_membership, lex_index, mc_residual, pi_membership,
-                       pullback, tangent_dimension)
+from .flatconn import (FlatConnError, NotFlatError, f1_membership,
+                       flat_census, mc_residual, pi_membership, pullback,
+                       tangent_dimension)
 from .grouprep import (GroupError, rep_check, tangent_dimension_rep,
                        twisted_cohomology)
 from .holonomy import HolonomyError, evaluate_relation, holonomy_presentation
@@ -221,14 +221,19 @@ def cmd_pullback(args, f):
     return 0, payload, lines
 
 
+def _relators_fail(bad):
+    """The exit-1 reply to a group representation that fails relators."""
+    return (1, {"satisfied": False, "failing_relators": bad},
+            [f"representation does not satisfy relators {bad}"])
+
+
 def cmd_tangent(args, f):
     obj = load_input(args)
     if isinstance(obj, dict) and "group" in obj:
         rho = group_rep_from_json(f, obj)
         ok, bad = rep_check(rho)
         if not ok:
-            lines = [f"representation does not satisfy relators {bad}"]
-            return 1, {"satisfied": False, "failing_relators": bad}, lines
+            return _relators_fail(bad)
         t = tangent_dimension_rep(rho)
         payload = {"cocycle_dim": t.cocycle_dim,
                    "coboundary_dim": t.coboundary_dim, "betti": t.betti}
@@ -248,13 +253,12 @@ def cmd_brute_force(args, f):
     if p is None:
         raise CliInputError("brute force needs a prime field (--field f3 "
                             "or similar)")
-    flats = brute_force_flat(model, lie, jobs=args.jobs)
+    hits = flat_census(model, lie, jobs=args.jobs).tolist()
     candidates = p ** (model.dim(1) * lie.dim)
     payload = {"field": field_tag(f), "candidates": candidates,
-               "count": len(flats),
-               "solution_indices": [lex_index(c, p) for c in flats]}
+               "count": len(hits), "solution_indices": hits}
     lines = [f"scanned {candidates} candidates over {field_tag(f)}: "
-             f"{len(flats)} flat connections"]
+             f"{len(hits)} flat connections"]
     return 0, payload, lines
 
 
@@ -335,8 +339,7 @@ def cmd_fox(args, f):
     rho = group_rep_from_json(f, obj)
     ok, bad = rep_check(rho)
     if not ok:
-        lines = [f"representation does not satisfy relators {bad}"]
-        return 1, {"satisfied": False, "failing_relators": bad}, lines
+        return _relators_fail(bad)
     twist = obj.get("twist", "defining")
     tb = twisted_cohomology(rho, twist)
     payload = {"twist": twist, "b0": tb.b0, "b1": tb.b1, "b2": tb.b2,
@@ -389,23 +392,32 @@ def cmd_scenario(args, f):
     return (0 if report.holds else 1), report.to_dict(), report.lines()
 
 
-HANDLERS = {
-    "validate": cmd_validate,
-    "cohomology": cmd_cohomology,
-    "mc-check": cmd_mc_check,
-    "f1": cmd_f1,
-    "pi": cmd_pi,
-    "pullback": cmd_pullback,
-    "tangent": cmd_tangent,
-    "brute-force": cmd_brute_force,
-    "holonomy": cmd_holonomy,
-    "relation-check": cmd_relation_check,
-    "aomoto-betti": cmd_aomoto_betti,
-    "resonance": cmd_resonance,
-    "depth-gap": cmd_depth_gap,
-    "fox": cmd_fox,
-    "rep-check": cmd_rep_check,
-    "scenario": cmd_scenario,
+COMMANDS = {   # name -> (handler, help line)
+    "validate": (cmd_validate,
+                 "check a JSON document against its schema and axioms"),
+    "cohomology": (cmd_cohomology, "betti numbers of a model"),
+    "mc-check": (cmd_mc_check,
+                 "is a connection flat (Maurer-Cartan residual zero)?"),
+    "f1": (cmd_f1, "rank-one locus membership"),
+    "pi": (cmd_pi, "determinant-cut membership"),
+    "pullback": (cmd_pullback, "push a connection along a model inclusion"),
+    "tangent": (cmd_tangent,
+                "linearized solution-space dimension at a flat point"),
+    "brute-force": (cmd_brute_force,
+                    "exhaustive flat census over a prime field"),
+    "holonomy": (cmd_holonomy, "degree-1/2 presentation of a model"),
+    "relation-check": (cmd_relation_check,
+                       "do generator images kill every relation?"),
+    "aomoto-betti": (cmd_aomoto_betti,
+                     "twisted betti numbers of a flat connection"),
+    "resonance": (cmd_resonance,
+                  "resonance-locus membership at chosen degree/depth"),
+    "depth-gap": (cmd_depth_gap, "depth increase along a product inclusion"),
+    "fox": (cmd_fox, "twisted group cohomology via Fox calculus"),
+    "rep-check": (cmd_rep_check,
+                  "relator satisfaction / bracket compatibility"),
+    "scenario": (cmd_scenario,
+                 "run a named end-to-end scenario (see: scenario list)"),
 }
 
 
@@ -429,26 +441,8 @@ def build_parser():
         epilog="exit codes: 0 the property holds, 1 it fails, 2 malformed "
                "input, 3 internal error (a bug; its traceback goes to stderr)")
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "validate": "check a JSON document against its schema and axioms",
-        "cohomology": "betti numbers of a model",
-        "mc-check": "is a connection flat (Maurer-Cartan residual zero)?",
-        "f1": "rank-one locus membership",
-        "pi": "determinant-cut membership",
-        "pullback": "push a connection along a model inclusion",
-        "tangent": "linearized solution-space dimension at a flat point",
-        "brute-force": "exhaustive flat census over a prime field",
-        "holonomy": "degree-1/2 presentation of a model",
-        "relation-check": "do generator images kill every relation?",
-        "aomoto-betti": "twisted betti numbers of a flat connection",
-        "resonance": "resonance-locus membership at chosen degree/depth",
-        "depth-gap": "depth increase along a product inclusion",
-        "fox": "twisted group cohomology via Fox calculus",
-        "rep-check": "relator satisfaction / bracket compatibility",
-        "scenario": "run a named end-to-end scenario (see: scenario list)",
-    }
-    for name in HANDLERS:
-        sp = sub.add_parser(name, parents=[common], help=helps[name])
+    for name, (_, help_line) in COMMANDS.items():
+        sp = sub.add_parser(name, parents=[common], help=help_line)
         if name == "scenario":
             sp.add_argument("name", nargs="?", default="list",
                             help="a catalog name, 'all', or 'list'")
@@ -458,7 +452,7 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    handler = HANDLERS[args.command]
+    handler, _ = COMMANDS[args.command]
     try:
         f = QQ if args.field is None else field_from_tag(args.field)
         code, payload, lines = handler(args, f)

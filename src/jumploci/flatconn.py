@@ -17,11 +17,12 @@ determinant cut additionally demands det(theta(x)) = 0 for a chosen
 representation theta.  Rank-one factorizations are unique up to a scalar, so
 both memberships are well defined.
 
-Over a prime field the flat connections are listed exhaustively.  The
-bracket term is quadratic only between unknowns joined by a nonzero product
-and structure constant; fixing a vertex cover of those pairs leaves every
-residual affine in the remaining unknowns, so each fibre of the cover is a
-linear system mod p, solved exactly and batched across fibres.
+Over a prime field ``flat_census`` lists the flat connections exhaustively,
+as sorted positions.  The bracket term is quadratic only between unknowns
+joined by a nonzero product and structure constant; fixing a vertex cover
+of those pairs leaves every residual affine in the remaining unknowns, so
+each fibre of the cover is a linear system mod p, solved exactly and
+batched across fibres.
 """
 
 from __future__ import annotations
@@ -215,16 +216,15 @@ def weight_scale(conn, s):
 
 
 BRUTE_FORCE_CEILING = 10 ** 8
+HIT_CEILING = 10 ** 6
 
 
-def _bound_census(p, kdim):
-    """Refuse a census over F_p of more than ``BRUTE_FORCE_CEILING``
-    candidates p^kdim, before any tensor is built."""
-    total = p ** kdim
-    if total > BRUTE_FORCE_CEILING:
+def _bound_census(count, ceiling=BRUTE_FORCE_CEILING, what="candidates"):
+    """Refuse a census of more than ``ceiling`` candidates (or points),
+    before anything in proportion to them is built."""
+    if count > ceiling:
         raise BruteForceBoundError(
-            f"{p}^{kdim} = {total} candidates exceed the "
-            f"{BRUTE_FORCE_CEILING} ceiling")
+            f"{count} {what} exceed the {ceiling} ceiling")
 
 
 def flatness_tensors(cdga, lie):
@@ -330,7 +330,8 @@ def _common_zeros(lmat, qmats, p, kdim, jobs=1):
     (``_solve_fibres``).  ``jobs`` threads split the fibre range; the result
     does not depend on it.  Raises FlatConnError before it builds any array
     when a residual could reach 2^63 (its linear part is below p^2·kdim,
-    its quadratic part below p^3·kdim^2) or a position could (p^kdim).
+    its quadratic part below p^3·kdim^2) or a position could (p^kdim), and
+    BruteForceBoundError before it lists more than ``HIT_CEILING`` zeros.
     """
     if p * p * kdim + p ** 3 * kdim * kdim >= 1 << 63 or \
             p ** kdim >= 1 << 63:
@@ -357,7 +358,7 @@ def _common_zeros(lmat, qmats, p, kdim, jobs=1):
     chunk = max(1, (1 << 20) // (rdim * (max(c, nf) + 1)))
 
     def fibres(lo, hi):
-        parts = []
+        parts, held = [], 0
         for start in range(lo, hi, chunk):
             wc = (np.arange(start, min(start + chunk, hi), dtype=np.int64)
                   [:, None] // _place_values(p, c)) % p
@@ -369,7 +370,8 @@ def _common_zeros(lmat, qmats, p, kdim, jobs=1):
             aug[:, :, nf] = wc @ lc.T + (quad * wc[:, None, :]).sum(axis=2)
             aug %= p
             parts.append(_solve_fibres(aug, p, wc @ place[cover],
-                                       place[free]))
+                                       place[free], held))
+            held += len(parts[-1])
         return parts
 
     nfib = p ** c
@@ -381,16 +383,18 @@ def _common_zeros(lmat, qmats, p, kdim, jobs=1):
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(lambda se: fibres(*se),
                                   zip(bounds[:-1], bounds[1:])))
-    return np.sort(np.concatenate([q for part in parts for q in part]))
+    hits = [q for part in parts for q in part]
+    _bound_census(sum(map(len, hits)), HIT_CEILING, "points")  # all threads
+    return np.sort(np.concatenate(hits))
 
 
-def _solve_fibres(aug, p, base, place_free):
+def _solve_fibres(aug, p, base, place_free, held):
     """Lexicographic positions of every solution of the affine systems
     aug[n] = [A | b], A w + b = 0 mod p, where fibre n sits at ``base[n]``
     and ``place_free`` weighs the free unknowns.  All systems are brought to
-    reduced echelon form together, with pivots chosen per fibre and scaled
-    by Fermat inverses; inconsistent fibres drop out.  ``aug`` is reduced
-    in place.
+    reduced echelon form together (in place), with pivots chosen per fibre
+    and scaled by Fermat inverses; inconsistent fibres drop out.  Refused,
+    before any is listed, if ``held`` plus their count passes HIT_CEILING.
     """
     import numpy as np
     n, rdim, width = aug.shape
@@ -414,10 +418,13 @@ def _solve_fibres(aug, p, base, place_free):
         pivot_row[sel, col] = dst
         rank[sel] += 1
     consistent = ~((aug[:, :, nf] != 0) & (rows >= rank[:, None])).any(axis=1)
+    by_nullity = np.bincount(nf - rank[consistent], minlength=nf + 1).tolist()
+    _bound_census(held + sum(m * p ** k for k, m in enumerate(by_nullity)),
+                  HIT_CEILING, "points")
     out = [np.zeros(0, dtype=np.int64)]
     for nullity in range(nf + 1):
-        pick = np.flatnonzero(consistent & (rank == nf - nullity))
-        if len(pick):
+        if by_nullity[nullity]:
+            pick = np.flatnonzero(consistent & (rank == nf - nullity))
             out.append(_list_solutions(aug[pick], pivot_row[pick], p,
                                        nullity, base[pick], place_free))
     return np.concatenate(out)
@@ -457,28 +464,30 @@ def _list_solutions(aug, pivot_row, p, nullity, base, place_free):
     return np.concatenate(out)
 
 
-def brute_force_flat(cdga, lie, jobs=1):
-    """All flat connections over a prime field, in lexicographic order of
-    the flattened (row-major) coefficient vector.
-
-    Exhaustive and exact, but fibred rather than scanned: the unknowns of a
-    vertex cover of the bracket terms are enumerated and the residual,
-    affine in the rest, is solved mod p on each fibre (``_common_zeros``).
-    Guarded: p^(dim A^1 * dim lie) candidates must not exceed 10^8.
-    ``jobs`` threads split the fibre range; the output is identical for any
-    job count.
-    """
+def flat_census(cdga, lie, jobs=1):
+    """Sorted positions, as a numpy int64 array, of every flat connection
+    over a prime field: position i spells the flattened (row-major)
+    coefficient vector in base p.  Exhaustive and exact (``_common_zeros``).
+    Guarded: the p^(dim A^1 * dim lie) candidates, before any tensor is
+    built, and the flat points (``HIT_CEILING``).  ``jobs`` threads split
+    the fibres; the output is identical for any job count."""
     f = cdga.field
     if not isinstance(f, PrimeField):
         raise FlatConnError("exhaustive search needs a prime field")
-    p = f.p
-    n1, dg = cdga.dim(1), lie.dim
-    kdim = n1 * dg
-    _bound_census(p, kdim)
+    kdim = cdga.dim(1) * lie.dim
+    _bound_census(f.p ** kdim)
     lmat, qmats = flatness_tensors(cdga, lie)
-    hits = _common_zeros(lmat, qmats, p, kdim, jobs)
+    return _common_zeros(lmat, qmats, f.p, kdim, jobs)
+
+
+def brute_force_flat(cdga, lie, jobs=1):
+    """The flat connections of ``flat_census``, decoded into
+    FlatConnection objects in the same order; ``lex_index`` inverts the
+    decoding."""
+    f, n1, dg = cdga.field, cdga.dim(1), lie.dim
+    hits = flat_census(cdga, lie, jobs)[:, None]
     out = []
-    for flat_vec in ((hits[:, None] // _place_values(p, kdim)) % p).tolist():
+    for flat_vec in (hits // _place_values(f.p, n1 * dg) % f.p).tolist():
         rows = [{m: x for m, x in enumerate(flat_vec[k * dg:(k + 1) * dg])
                  if x} for k in range(n1)]
         out.append(FlatConnection(cdga, lie, Matrix.sparse(f, rows, dg)))
@@ -486,8 +495,8 @@ def brute_force_flat(cdga, lie, jobs=1):
 
 
 def lex_index(conn, p):
-    """Position of a connection in the lexicographic enumeration used by
-    ``brute_force_flat`` over a field with p elements."""
+    """Position of a connection in the lexicographic enumeration of
+    ``flat_census`` over a field with p elements."""
     v = 0
     for row in conn.coeffs.rows:
         for j in range(conn.coeffs.ncols):

@@ -9,8 +9,9 @@ i.e. the linear part reads off the row of the degree-1 differential at c and
 the quadratic part reads off the multiplication table (a_k ^ a_l mapped to
 the bracket [g_k, g_l]).  Evaluating these relations at an assignment of Lie
 elements to generators reproduces, coefficient for coefficient, the
-Maurer-Cartan residual of the corresponding connection — ``correspondence_check``
-exercises exactly that equivalence through two code paths.
+Maurer-Cartan residual of the corresponding connection by a second code
+path: ``correspondence_check`` compares the two at one assignment, and
+``relation_zeros`` lists the zeros over a whole prime field.
 
 Relations are stored with linear, quadratic, and (for the eliminated surface
 presentation only) nested-bracket cubic terms: a cubic key (k, l, m) stands
@@ -24,6 +25,7 @@ from dataclasses import dataclass, field as dc_field
 from .flatconn import FlatConnection, _common_zeros, _bound_census, is_flat
 from .linalg import Matrix
 from .models import build_surface_model
+from .scalars import PrimeField
 
 
 class HolonomyError(ValueError):
@@ -252,21 +254,14 @@ def relation_tensors(pres, lie):
     return lmat, qmats
 
 
-def relation_check_mask(pres, lie, count):
-    """Vectorized relation_check over the first ``count`` lexicographic
-    assignments of a prime field; returns a boolean numpy array.  The
-    satisfying assignments come from the census solver of ``flatconn``
-    and are scattered into the mask; positions past p^k are False.
-    Guarded like ``brute_force_flat``: p^k must not exceed 10^8."""
-    import numpy as np
-    from .scalars import PrimeField
+def relation_zeros(pres, lie):
+    """Sorted positions, as in ``flatconn.flat_census`` and guarded like it,
+    of the assignments over a prime field that kill every relation: the
+    zeros of ``relation_tensors`` by the census solver."""
     f = pres.field
     if not isinstance(f, PrimeField):
-        raise HolonomyError("mask evaluation needs a prime field")
+        raise HolonomyError("relation zeros need a prime field")
     kdim = len(pres.generators) * lie.dim
-    _bound_census(f.p, kdim)
+    _bound_census(f.p ** kdim)
     lmat, qmats = relation_tensors(pres, lie)
-    hits = _common_zeros(lmat, qmats, f.p, kdim)
-    out = np.zeros(count, dtype=bool)
-    out[hits[hits < count]] = True
-    return out
+    return _common_zeros(lmat, qmats, f.p, kdim)

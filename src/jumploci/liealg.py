@@ -150,13 +150,10 @@ class LieRep:
         self.dim = nr
         for m in self.matrices:
             same_field(lie.field, m.field)
-        bad = self._compat_failures()
+        bad = [f"[{lie.labels[i]},{lie.labels[j]}]"
+               for i, j, _ in _bracket_defects(lie, self.matrices)]
         if bad:
             raise LieError("bracket compatibility fails: " + "; ".join(bad))
-
-    def _compat_failures(self):
-        return [f"[{self.lie.labels[i]},{self.lie.labels[j]}]"
-                for i, j, _ in _bracket_defects(self.lie, self.matrices)]
 
     def apply(self, x):
         """theta(x) for a coordinate vector x, as a Matrix."""
@@ -179,7 +176,10 @@ def _bracket_defects(lie, matrices):
     basis indices where that is not zero, theta_i being ``matrices[i]``."""
     f = lie.field
     for i, j in combinations(range(lie.dim), 2):
-        defect = matrices[i] @ matrices[j] - matrices[j] @ matrices[i]
+        a, b = matrices[i], matrices[j]
+        # a zero factor makes the commutator zero, not the bracket terms
+        defect = Matrix.zero(f, *a.shape) if a.is_zero() or b.is_zero() \
+            else a @ b - b @ a
         for m, c in lie._brackets.get((i, j), {}).items():
             defect = defect + matrices[m].scale(f.neg(c))
         if not defect.is_zero():

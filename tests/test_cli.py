@@ -74,7 +74,8 @@ def test_internal_error_is_exit_3(monkeypatch, capsys):
     # A KeyError raised past the decoders is a bug, not malformed input.
     def broken(args, f):
         raise KeyError("not a user's mistake")
-    monkeypatch.setitem(cli.HANDLERS, "cohomology", broken)
+    monkeypatch.setitem(cli.COMMANDS, "cohomology",
+                        (broken, "betti numbers of a model"))
     assert main(["cohomology", "--input", '{"model": "surface(1)"}']) == 3
     err = capsys.readouterr().err
     assert "Traceback" in err and "internal error" in err

@@ -1,21 +1,27 @@
 """Flatness, the rank-one and determinant-cut loci, and exhaustive search."""
 
 import itertools
+import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from jumploci import flatconn, liealg
 from jumploci.cdga import Cdga
+from jumploci.cli import main
 from jumploci.flatconn import (BruteForceBoundError, FlatConnection,
                                FlatConnError, NotFlatError, _common_zeros,
                                _vertex_cover, brute_force_flat, det_cut,
-                               f1_membership, flatness_tensors, is_flat,
-                               lex_index, mc_residual, pi_membership, pullback,
-                               tangent_dimension, weight_scale)
-from jumploci.liealg import (LieRep, build_abelian, build_sl, build_sol2,
-                             rep_defining)
+                               f1_membership, flat_census, flatness_tensors,
+                               is_flat, lex_index, mc_residual, pi_membership,
+                               pullback, tangent_dimension, weight_scale)
+from jumploci.holonomy import holonomy_presentation, relation_zeros
+from jumploci.liealg import (build_abelian, build_sl, build_sol2,
+                             rep_adjoint, rep_defining)
+from jumploci.linalg import rank
 from jumploci.models import (build_compact_curve, build_open_curve,
                              build_surface_model, build_torus_model,
                              curve_inclusion)
@@ -136,18 +142,18 @@ def test_tangent_dimension_hand_cases():
 
 def test_tangent_dimension_checks_the_adjoint_once(monkeypatch):
     checks = []
-    original = LieRep._compat_failures
+    original = liealg._bracket_defects
 
-    def counted(rep):
-        checks.append(rep.name)
-        return original(rep)
+    def counted(lie, matrices):
+        checks.append(lie.name)
+        return original(lie, matrices)
 
-    monkeypatch.setattr(LieRep, "_compat_failures", counted)
+    monkeypatch.setattr(liealg, "_bracket_defects", counted)
     a = build_compact_curve(QQ, 1)
     g = build_sl(QQ, 2)
     assert tangent_dimension(conn(a, g, [[1, 0, 0], [2, 0, 0]])) == 4
     assert tangent_dimension(conn(a, g, [[0, 0, 0], [0, 0, 0]])) == 6
-    assert checks == ["adjoint"]
+    assert checks == ["sl2"]
 
 
 def test_weight_scale():
@@ -361,3 +367,81 @@ def test_census_goldens_come_back_unchanged(golden, key, p, make):
         flats = brute_force_flat(model, lie, jobs)
         assert len(flats) == frozen["count"]
         assert [lex_index(c, p) for c in flats] == frozen["solution_indices"]
+
+
+# ---------------------------------------------------------------------------
+# the census as one sorted position array, and its bound on hits
+
+
+def census_by_relations(model, lie):
+    return relation_zeros(holonomy_presentation(model), lie)
+
+
+CENSUSES = [pytest.param(flat_census, id="flat_census"),
+            pytest.param(census_by_relations, id="relation_zeros")]
+
+
+@pytest.mark.parametrize("census", CENSUSES)
+def test_census_refuses_past_the_hit_ceiling(census):
+    # open_curve(n) has no degree 2, so every one of its p^(n dim g)
+    # connections is flat.  3^16 = 43,046,721 hits: refused before any is
+    # listed, so nothing in proportion to them is allocated (their
+    # positions alone would take 344 MB).
+    f3, f11 = GF(3), GF(11)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BruteForceBoundError, match="points"):
+            census(build_open_curve(f3, 2), build_sl(f3, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20
+    with pytest.raises(BruteForceBoundError, match="points"):
+        census(build_open_curve(f11, 2), build_sl(f11, 2))   # 1,771,561
+    hits = census(build_open_curve(f3, 4), build_sl(f3, 2))
+    assert hits.tolist() == list(range(3 ** 12))
+
+
+def test_hit_ceiling_is_the_same_for_any_job_count(monkeypatch):
+    # sum of 12 squares over F_3: every unknown is in the cover, so the
+    # 3^12 fibres split between two threads.  [DERIVED] A nondegenerate
+    # split quadratic form in 12 unknowns over F_q has
+    # q^11 + q^6 - q^5 = 177,633 zeros.
+    kdim, count = 12, 177633
+    lmat = [[0] * kdim]
+    qmats = [[[int(i == j) for j in range(kdim)] for i in range(kdim)]]
+    got = _common_zeros(lmat, qmats, 3, kdim)
+    assert len(got) == count
+    # each thread holds fewer than count - 1, so only the joined total
+    # can refuse the two-thread run
+    half = 3 ** kdim // 2
+    assert max((got < half).sum(), (got >= half).sum()) < count - 1
+    for ceiling, refused in ((count - 1, True), (count, False)):
+        monkeypatch.setattr(flatconn, "HIT_CEILING", ceiling)
+        for jobs in (1, 2):
+            if refused:
+                with pytest.raises(BruteForceBoundError):
+                    _common_zeros(lmat, qmats, 3, kdim, jobs)
+            else:
+                assert _common_zeros(lmat, qmats, 3, kdim,
+                                     jobs).tolist() == got.tolist()
+
+
+def test_large_census_agrees_four_ways(capsys):
+    # [DERIVED] compact_curve(1) has d = 0 and one product a*b, so its
+    # flat sl(3) connections are the commuting pairs (x, y): for each x, y
+    # runs over ker ad x, and |F| = sum over x in sl3(F3) of
+    # 3^(8 - rank ad x).
+    f3 = GF(3)
+    model, lie = build_compact_curve(f3, 1), build_sl(f3, 3)
+    ad = rep_adjoint(lie)
+    derived = sum(3 ** (8 - rank(ad.apply(x)))
+                  for x in itertools.product(range(3), repeat=8))
+    assert derived == 134865
+    hits = flat_census(model, lie).tolist()
+    assert len(hits) == derived
+    assert census_by_relations(model, lie).tolist() == hits
+    assert [lex_index(c, 3) for c in brute_force_flat(model, lie)] == hits
+    assert main(["brute-force", "--field", "f3", "--json", "--input",
+                 '{"cdga": "compact_curve(1)", "lie": "sl(3)"}']) == 0
+    assert json.loads(capsys.readouterr().out)["solution_indices"] == hits

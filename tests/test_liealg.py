@@ -172,6 +172,10 @@ def test_rep_constructor_checks_bracket_compatibility():
     # swapping the matrices for E21 and H1 breaks [E12, E21] = H1
     with pytest.raises(LieError):
         LieRep(g, [good[0], good[2], good[1]])
+    # theta(E12) = 0 zeroes the commutator [theta(E12), theta(E21)] but not
+    # the bracket term: [E12, E21] = H1 while theta(H1) != 0
+    with pytest.raises(LieError, match=r"\[E12,E21\]"):
+        LieRep(g, [Matrix.zero(QQ, 2, 2), good[1], good[2]])
     with pytest.raises(LieError):
         LieRep(g, good[:2])  # wrong count
     with pytest.raises(LieError):
