@@ -20,7 +20,7 @@ from .flatconn import (FlatConnError, NotFlatError, f1_membership,
                        tangent_dimension)
 from .grouprep import (GroupError, rep_check, tangent_dimension_rep,
                        twisted_cohomology)
-from .holonomy import HolonomyError, evaluate_relation, holonomy_presentation
+from .holonomy import HolonomyError, failing_relations, holonomy_presentation
 from .liealg import LieError, rep_defining
 from .linalg import LinalgError
 from .scalars import (MODULUS_BOUND, QQ, ScalarError, field_from_tag,
@@ -281,9 +281,7 @@ def cmd_relation_check(args, f):
     lie = resolve_lie(f, obj["lie"])
     assignment = decode_matrix(f, obj["assignment"],
                                shape=(len(pres.generators), lie.dim))
-    rows = [assignment.row(k) for k in range(assignment.nrows)]
-    failing = [i for i, r in enumerate(pres.relations)
-               if not lie.is_zero_vector(evaluate_relation(r, lie, rows))]
+    failing = failing_relations(pres, lie, assignment)
     ok = not failing
     payload = {"satisfied": ok, "failing_relations": failing}
     lines = ["all relations hold" if ok

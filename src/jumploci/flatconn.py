@@ -21,12 +21,13 @@ Over a prime field ``flat_census`` lists the flat connections exhaustively,
 as sorted positions.  The bracket term is quadratic only between unknowns
 joined by a nonzero product and structure constant; fixing a vertex cover
 of those pairs leaves every residual affine in the remaining unknowns, so
-each fibre of the cover is a linear system mod p, solved exactly and
-batched across fibres.
+each fibre of the cover is a linear system mod p.  Batches of fibres are
+reduced, bounded and listed in turn, on worker threads, one per CPU at most.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 from .linalg import Matrix, dense_vector, rank
@@ -323,18 +324,17 @@ def _common_zeros(lmat, qmats, p, kdim, jobs=1):
     """Sorted lexicographic positions, in F_p^kdim, of the common zeros of
     residual_r = (L w)_r + w^T Q_r w mod p, as a numpy int64 array.
 
-    Fibred: once the unknowns of a vertex cover C of the quadratic terms
-    (``_vertex_cover``) are fixed, every residual is affine in the free
-    unknowns F, A(w_C) w_F + b(w_C).  The p^|C| fibres are taken in chunks;
-    each chunk's systems are assembled and reduced together mod p
-    (``_solve_fibres``).  ``jobs`` threads split the fibre range; the result
-    does not depend on it.  Raises FlatConnError before it builds any array
-    when a residual could reach 2^63 (its linear part is below p^2·kdim,
-    its quadratic part below p^3·kdim^2) or a position could (p^kdim), and
-    BruteForceBoundError before it lists more than ``HIT_CEILING`` zeros.
+    Fixing the unknowns of a vertex cover C of the quadratic terms
+    (``_vertex_cover``) leaves every residual affine in the free unknowns F,
+    A(w_C) w_F + b(w_C).  Each chunk of the p^|C| fibres is reduced in one
+    batch (``_reduce_fibres``), and its p^nullity points are counted against
+    ``HIT_CEILING`` before any is listed; all threads' points are counted
+    again after the join.  min(jobs, fibres, CPUs) threads split the fibres,
+    without changing the result.  Refuses, before it builds any array,
+    residuals that could reach 2^63 (linear part < p^2·kdim, quadratic part
+    < p^3·kdim^2) and positions that could (p^kdim).
     """
-    if p * p * kdim + p ** 3 * kdim * kdim >= 1 << 63 or \
-            p ** kdim >= 1 << 63:
+    if max(p * p * kdim + p ** 3 * kdim * kdim, p ** kdim) >= 1 << 63:
         raise FlatConnError(f"residuals over F_{p} with {kdim} unknowns "
                             "overflow 64-bit integers")
     import numpy as np
@@ -358,7 +358,7 @@ def _common_zeros(lmat, qmats, p, kdim, jobs=1):
     chunk = max(1, (1 << 20) // (rdim * (max(c, nf) + 1)))
 
     def fibres(lo, hi):
-        parts, held = [], 0
+        parts, held = [np.zeros(0, dtype=np.int64)], 0
         for start in range(lo, hi, chunk):
             wc = (np.arange(start, min(start + chunk, hi), dtype=np.int64)
                   [:, None] // _place_values(p, c)) % p
@@ -369,33 +369,32 @@ def _common_zeros(lmat, qmats, p, kdim, jobs=1):
             quad = (wc @ qcc.reshape(c, rdim * c)).reshape(n, rdim, c) % p
             aug[:, :, nf] = wc @ lc.T + (quad * wc[:, None, :]).sum(axis=2)
             aug %= p
-            parts.append(_solve_fibres(aug, p, wc @ place[cover],
-                                       place[free], held))
-            held += len(parts[-1])
-        return parts
+            ranks, pivot_row, consistent = _reduce_fibres(aug, p)
+            nullity = nf - ranks
+            by_nullity = np.bincount(nullity[consistent], minlength=nf + 1)
+            held += sum(m * p ** k for k, m in enumerate(by_nullity.tolist()))
+            _bound_census(held, HIT_CEILING, "points")
+            for k in np.flatnonzero(by_nullity).tolist():
+                pick = np.flatnonzero(consistent & (nullity == k))
+                parts.append(_list_solutions(aug[pick], pivot_row[pick], p, k,
+                                             wc[pick] @ place[cover],
+                                             place[free]))
+        return np.concatenate(parts)
 
     nfib = p ** c
-    jobs = max(1, min(int(jobs), -(-nfib // chunk)))
-    bounds = [nfib * i // jobs for i in range(jobs + 1)]
-    if jobs == 1:
-        parts = [fibres(0, nfib)]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(lambda se: fibres(*se),
-                                  zip(bounds[:-1], bounds[1:])))
-    hits = [q for part in parts for q in part]
+    workers = max(1, min(int(jobs), nfib, os.cpu_count() or 1))
+    bounds = [nfib * i // workers for i in range(workers + 1)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        hits = list(pool.map(fibres, bounds[:-1], bounds[1:]))
     _bound_census(sum(map(len, hits)), HIT_CEILING, "points")  # all threads
     return np.sort(np.concatenate(hits))
 
 
-def _solve_fibres(aug, p, base, place_free, held):
-    """Lexicographic positions of every solution of the affine systems
-    aug[n] = [A | b], A w + b = 0 mod p, where fibre n sits at ``base[n]``
-    and ``place_free`` weighs the free unknowns.  All systems are brought to
-    reduced echelon form together (in place), with pivots chosen per fibre
-    and scaled by Fermat inverses; inconsistent fibres drop out.  Refused,
-    before any is listed, if ``held`` plus their count passes HIT_CEILING.
-    """
+def _reduce_fibres(aug, p):
+    """Bring every affine system aug[n] = [A | b], A w + b = 0 mod p, to
+    reduced echelon form together, in place, pivots scaled by Fermat
+    inverses.  Returns each A's rank, each unknown's pivot row (-1 when it
+    is free) and whether each system is consistent."""
     import numpy as np
     n, rdim, width = aug.shape
     nf = width - 1
@@ -418,16 +417,7 @@ def _solve_fibres(aug, p, base, place_free, held):
         pivot_row[sel, col] = dst
         rank[sel] += 1
     consistent = ~((aug[:, :, nf] != 0) & (rows >= rank[:, None])).any(axis=1)
-    by_nullity = np.bincount(nf - rank[consistent], minlength=nf + 1).tolist()
-    _bound_census(held + sum(m * p ** k for k, m in enumerate(by_nullity)),
-                  HIT_CEILING, "points")
-    out = [np.zeros(0, dtype=np.int64)]
-    for nullity in range(nf + 1):
-        if by_nullity[nullity]:
-            pick = np.flatnonzero(consistent & (rank == nf - nullity))
-            out.append(_list_solutions(aug[pick], pivot_row[pick], p,
-                                       nullity, base[pick], place_free))
-    return np.concatenate(out)
+    return rank, pivot_row, consistent
 
 
 def _list_solutions(aug, pivot_row, p, nullity, base, place_free):
@@ -467,10 +457,9 @@ def _list_solutions(aug, pivot_row, p, nullity, base, place_free):
 def flat_census(cdga, lie, jobs=1):
     """Sorted positions, as a numpy int64 array, of every flat connection
     over a prime field: position i spells the flattened (row-major)
-    coefficient vector in base p.  Exhaustive and exact (``_common_zeros``).
-    Guarded: the p^(dim A^1 * dim lie) candidates, before any tensor is
-    built, and the flat points (``HIT_CEILING``).  ``jobs`` threads split
-    the fibres; the output is identical for any job count."""
+    coefficient vector in base p.  Exhaustive and exact (``_common_zeros``,
+    on up to ``jobs`` threads), and guarded: the p^(dim A^1 * dim lie)
+    candidates before any tensor is built, then the flat points."""
     f = cdga.field
     if not isinstance(f, PrimeField):
         raise FlatConnError("exhaustive search needs a prime field")

@@ -127,18 +127,21 @@ def evaluate_relation(rel, lie, rows):
             for m in range(lie.dim)]
 
 
-def relation_check(pres, lie, assignment):
-    """Do the generator images kill every relation?
-
-    ``assignment``: Matrix with one row per generator, columns = Lie basis.
-    """
+def failing_relations(pres, lie, assignment):
+    """Sorted indices of the relations that the generator images, the rows
+    of the Matrix ``assignment`` in Lie coordinates, do not kill."""
     if assignment.shape != (len(pres.generators), lie.dim):
         raise HolonomyError(
             f"assignment shape {assignment.shape}, expected "
             f"({len(pres.generators)}, {lie.dim})")
     rows = [assignment.row(k) for k in range(assignment.nrows)]
-    return all(lie.is_zero_vector(evaluate_relation(r, lie, rows))
-               for r in pres.relations)
+    return [i for i, r in enumerate(pres.relations)
+            if not lie.is_zero_vector(evaluate_relation(r, lie, rows))]
+
+
+def relation_check(pres, lie, assignment):
+    """Do the generator images kill every relation?"""
+    return not failing_relations(pres, lie, assignment)
 
 
 def correspondence_check(cdga, lie, assignment):

@@ -448,6 +448,79 @@ def test_scenario_single_run(capsys):
     assert payload["holds"] is True
 
 
+def test_scenario_all_runs_the_whole_catalog(capsys):
+    assert main(["scenario", "all"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "8/8 scenarios hold"
+
+
+GENUS2_EFFE = {
+    "cdga": "compact_curve(2)", "lie": "sl(2)",
+    "coeffs": [["1", "0", "0"], ["0", "1", "0"], ["0", "1", "0"],
+               ["1", "0", "0"]],
+}
+SL2_DEFINING = {"lie": "sl(2)", "dim": 2, "matrices": [
+    [["0", "1"], ["0", "0"]], [["0", "0"], ["1", "0"]],
+    [["1", "0"], ["0", "-1"]]]}
+SL2_BROKEN = dict(SL2_DEFINING, matrices=[SL2_DEFINING["matrices"][0]] * 2
+                  + [SL2_DEFINING["matrices"][2]])
+SURFACE1_REP = {"group": "surface(1)", "target": "SL", "matrices": [
+    [["1", "1"], ["0", "1"]], [["1", "2"], ["0", "1"]]]}
+BROKEN_SURFACE1_REP = dict(SURFACE1_REP, matrices=[
+    [["1", "1"], ["0", "1"]], [["1", "0"], ["1", "1"]]])
+CURVE1_RELATIONS = {"model": "compact_curve(1)", "lie": "sl(2)"}
+
+
+@pytest.mark.parametrize("command,doc,code,line", [
+    ("aomoto-betti", {"connection": GENUS2_EFFE, "theta": SL2_DEFINING}, 0,
+     "twisted betti numbers = (0, 4, 0), euler = -4"),
+    ("aomoto-betti", {"connection": GENUS2_EFFE,
+                      "theta": dict(SL2_DEFINING, dim=300)}, 2,
+     "error: inline representation is too large: the limit is 256 "
+     "dimensions"),
+    ("aomoto-betti", {"connection": GENUS2_EFFE, "theta": dict(
+        SL2_DEFINING, matrices=SL2_DEFINING["matrices"][:2])}, 2,
+     "error: need one matrix per basis element (3), got 2"),
+    ("validate", SURFACE1_REP, 0, "group-representation: valid"),
+    ("validate", BROKEN_SURFACE1_REP, 1,
+     "  problem: relator 0 is not satisfied"),
+    ("validate", GENUS2_EFFE, 0, "connection: valid"),
+    ("validate", SL2_DEFINING, 0, "lie-representation: valid"),
+    ("validate", SL2_BROKEN, 1,
+     "  problem: bracket compatibility fails: [E12,E21]; [E21,H1]"),
+    ("validate", {"generators": ["a", "b"], "relations": [
+        {"lin": ["0", "0"], "quad": [{"k": 0, "l": 1, "coef": "1"}]}]}, 0,
+     "presentation: valid"),
+    ("holonomy", {"model": "surface(1)"}, 0,
+     "relation 0: 1*t + 1*[a1,b1] = 0"),
+    ("relation-check", dict(CURVE1_RELATIONS, assignment=[
+        ["1", "0", "0"], ["2", "0", "0"]]), 0, "all relations hold"),
+    ("relation-check", dict(CURVE1_RELATIONS, assignment=[
+        ["1", "0", "0"], ["0", "1", "0"]]), 1,
+     "relations [0] fail at this assignment"),
+    ("resonance", {"connection": GENUS2_EFFE}, 0,
+     "member of the degree-1 depth-1 resonance locus"),
+    ("depth-gap", {"morphism": "tensor_left(compact_curve(2),"
+                               "compact_curve(1))",
+                   "theta": "sum(trivial(sl(2),1),adjoint(sl(2)))",
+                   "connection": GENUS2_EFFE,
+                   "eta": ["1", "0", "0", "0", "0", "0"]}, 0,
+     "s = 10, r = 12"),
+    ("rep-check", SL2_DEFINING, 0, "bracket compatibility holds"),
+    ("rep-check", SL2_BROKEN, 1,
+     "bracket compatibility fails: [E12,E21]; [E21,H1]"),
+], ids=[
+    "inline-theta", "inline-theta-too-large", "inline-theta-short",
+    "group-rep", "group-rep-broken", "connection", "lie-rep",
+    "lie-rep-broken", "presentation", "holonomy", "model-relations-hold",
+    "model-relations-fail", "resonance-member", "explicit-depth-gap",
+    "lie-rep-check", "lie-rep-check-broken",
+])
+def test_documents_reach_every_decoder(command, doc, code, line, capsys):
+    assert main([command, "--input", json.dumps(doc)]) == code
+    out, err = capsys.readouterr()
+    assert line in (err if code == 2 else out).splitlines()
+
+
 def test_relation_check_cli(capsys):
     pres = json.dumps({
         "presentation": {"generators": ["a", "b"],

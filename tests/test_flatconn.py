@@ -1,7 +1,9 @@
 """Flatness, the rank-one and determinant-cut loci, and exhaustive search."""
 
+import concurrent.futures
 import itertools
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -14,14 +16,15 @@ from jumploci.cdga import Cdga
 from jumploci.cli import main
 from jumploci.flatconn import (BruteForceBoundError, FlatConnection,
                                FlatConnError, NotFlatError, _common_zeros,
-                               _vertex_cover, brute_force_flat, det_cut,
+                               _reduce_fibres, _vertex_cover,
+                               brute_force_flat, det_cut,
                                f1_membership, flat_census, flatness_tensors,
                                is_flat, lex_index, mc_residual, pi_membership,
                                pullback, tangent_dimension, weight_scale)
 from jumploci.holonomy import holonomy_presentation, relation_zeros
 from jumploci.liealg import (build_abelian, build_sl, build_sol2,
                              rep_adjoint, rep_defining)
-from jumploci.linalg import rank
+from jumploci.linalg import Matrix, rank
 from jumploci.models import (build_compact_curve, build_open_curve,
                              build_surface_model, build_torus_model,
                              curve_inclusion)
@@ -276,6 +279,105 @@ def test_fibred_zeros_match_full_scan(system):
     for jobs in (1, 2):
         got = _common_zeros(lmat, qmats, p, kdim, jobs)
         assert got.tolist() == expected.tolist()
+
+
+@st.composite
+def affine_batches(draw):
+    """A batch of affine systems [A | b] mod p, one per fibre, with rows
+    that are often zero or repeated so that ranks fall short."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    n, rdim, nf = (draw(st.integers(1, 6)), draw(st.integers(1, 5)),
+                   draw(st.integers(0, 5)))
+    pool = [draw(st.lists(st.integers(0, p - 1), min_size=nf + 1,
+                          max_size=nf + 1)) for _ in range(3)]
+    return p, np.array([[draw(st.sampled_from(pool + [[0] * (nf + 1)]))
+                         for _ in range(rdim)] for _ in range(n)],
+                       dtype=np.int64).reshape(n, rdim, nf + 1)
+
+
+@seed(20261018)
+@settings(max_examples=150, deadline=None)
+@given(batch=affine_batches())
+def test_fibre_reduction_matches_exact_rank(batch):
+    # every fibre's rank and consistency against the exact sparse
+    # elimination of linalg, one system at a time
+    p, aug = batch
+    nf = aug.shape[2] - 1
+    f = GF(p)
+    systems = aug.tolist()
+    rnk, pivot_row, consistent = _reduce_fibres(aug, p)
+    for n, rows in enumerate(systems):
+        want = rank(Matrix(f, [r[:nf] for r in rows], ncols=nf))
+        assert rnk[n] == want
+        assert consistent[n] == (rank(Matrix(f, rows, ncols=nf + 1)) == want)
+        assert (pivot_row[n] >= 0).sum() == want
+
+
+def census_system(model, lie):
+    lmat, qmats = flatness_tensors(model, lie)
+    return lmat, qmats, model.field.p, model.dim(1) * lie.dim
+
+
+def test_jobs_split_the_fibres_into_contiguous_batches(monkeypatch):
+    # compact_curve(1) x sl(3) over F3: all 8 unknowns of one row form the
+    # cover, so 3^8 = 6,561 fibres, fewer than one chunk.  Two jobs on two
+    # CPUs reduce them as two batches, not one.
+    f3 = GF(3)
+    system = census_system(build_compact_curve(f3, 1), build_sl(f3, 3))
+    seen = []
+    original = flatconn._reduce_fibres
+
+    def recorded(aug, p):
+        seen.append(aug.shape[0])
+        return original(aug, p)
+
+    monkeypatch.setattr(flatconn, "_reduce_fibres", recorded)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    one = _common_zeros(*system, jobs=1)
+    assert seen == [6561]
+    seen.clear()
+    two = _common_zeros(*system, jobs=2)
+    assert sorted(seen) == [3280, 3281]
+    assert len(one) == 134865 and two.tolist() == one.tolist()
+
+
+def test_worker_count_is_capped_by_cpus_and_fibres(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """Records ``max_workers`` and maps in the calling thread, so no
+        thread starts whatever it is asked for."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    f3 = GF(3)
+    # surface(1) x sl(2): a cover of 6 unknowns, 729 fibres
+    system = census_system(build_surface_model(f3, 1), build_sl(f3, 2))
+    want = _common_zeros(*system).tolist()
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
+    assert _common_zeros(*system, jobs=10 ** 6).tolist() == want
+    assert sizes == [min(os.cpu_count() or 1, 729)]
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert _common_zeros(*system, jobs=10 ** 6).tolist() == want
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _common_zeros(*system, jobs=3).tolist() == want
+    assert sizes[1:] == [64, 1]
+    # open_curve(4) has no degree 2: no quadratic term, one fibre
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    open4 = census_system(build_open_curve(f3, 4), build_sl(f3, 2))
+    assert _common_zeros(*open4, jobs=10 ** 6).tolist() == \
+        list(range(3 ** 12))
+    assert sizes[3:] == [1]
 
 
 @seed(20261018)

@@ -3,11 +3,13 @@
 import pytest
 
 from jumploci import holonomy
-from jumploci.flatconn import BruteForceBoundError
+from jumploci.flatconn import (BruteForceBoundError, FlatConnection,
+                               mc_residual)
 from jumploci.holonomy import (HolonomyError, HolonomyPresentation, Relation,
                                build_counterexample_rho, correspondence_check,
-                               evaluate_relation, holonomy_presentation,
-                               relation_check, relation_zeros,
+                               evaluate_relation, failing_relations,
+                               holonomy_presentation, relation_check,
+                               relation_zeros,
                                surface_presentations)
 from jumploci.liealg import build_sl
 from jumploci.linalg import Matrix
@@ -82,6 +84,28 @@ def test_relation_check():
     assert not relation_check(p_h, g, Matrix(QQ, [[1, 0, 0], [0, 1, 0]]))
     with pytest.raises(HolonomyError):
         relation_check(p_h, g, Matrix(QQ, [[1, 0, 0]]))
+
+
+def test_failing_relations_are_the_nonzero_residual_blocks():
+    # relation c of holonomy(surface(1)) is the degree-2 block c of the
+    # Maurer-Cartan residual, computed by flatconn's own assembly
+    f3 = GF(3)
+    model, g = build_surface_model(f3, 1), build_sl(f3, 2)
+    pres = holonomy_presentation(model)
+    for rows in ([[1, 0, 0], [0, 0, 0], [0, 0, 1]],
+                 [[1, 0, 0], [2, 0, 0], [0, 0, 0]],
+                 [[1, 0, 0], [0, 1, 0], [0, 2, 1]],
+                 [[0, 0, 1], [0, 0, 0], [0, 0, 0]]):
+        res = mc_residual(FlatConnection.from_rows(model, g, rows))
+        blocks = [res[3 * c:3 * c + 3] for c in range(model.dim(2))]
+        want = [c for c, b in enumerate(blocks) if any(b)]
+        got = failing_relations(pres, g, Matrix(f3, rows))
+        assert got == want
+        assert relation_check(pres, g, Matrix(f3, rows)) == (not want)
+    assert failing_relations(pres, g, Matrix(
+        f3, [[1, 0, 0], [0, 0, 0], [0, 0, 1]])) == [0, 1]
+    with pytest.raises(HolonomyError):
+        failing_relations(pres, g, Matrix(f3, [[1, 0, 0]]))
 
 
 def test_presentation_rejects_bad_indices():

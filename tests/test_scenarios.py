@@ -1,7 +1,7 @@
 """Catalog integrity and report plumbing for the end-to-end scenarios.
 
 The heavy scenario content is exercised by the acceptance suite; here we
-pin the catalog, the report shape, and a couple of cheap full runs.
+pin the catalog, the report shape, and one full run of every scenario.
 """
 
 import pytest
@@ -43,8 +43,7 @@ def test_report_shape():
     assert any("broke" in line for line in lines)
 
 
-@pytest.mark.parametrize("name", ["sl3-witness", "tangent-match",
-                                  "transversality-product"])
+@pytest.mark.parametrize("name", EXPECTED)
 def test_cheap_scenarios_hold(name):
     report = run_scenario(name)
     assert report.holds, "\n".join(report.lines())
