@@ -515,7 +515,8 @@ def test_hit_ceiling_is_the_same_for_any_job_count(monkeypatch):
     got = _common_zeros(lmat, qmats, 3, kdim)
     assert len(got) == count
     # each thread holds fewer than count - 1, so only the joined total
-    # can refuse the two-thread run
+    # can refuse the two-thread run, which needs two CPUs
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     half = 3 ** kdim // 2
     assert max((got < half).sum(), (got >= half).sum()) < count - 1
     for ceiling, refused in ((count - 1, True), (count, False)):
@@ -527,6 +528,21 @@ def test_hit_ceiling_is_the_same_for_any_job_count(monkeypatch):
             else:
                 assert _common_zeros(lmat, qmats, 3, kdim,
                                      jobs).tolist() == got.tolist()
+
+
+def test_hit_bound_refuses_before_any_point_is_listed(monkeypatch):
+    # surface(1) x sl(2) over F3: 105 flats in one chunk of 729 fibres
+    f3 = GF(3)
+    system = census_system(build_surface_model(f3, 1), build_sl(f3, 2))
+    assert len(_common_zeros(*system)) == 105
+
+    def never(*args):
+        raise AssertionError("a point was listed past the ceiling")
+
+    monkeypatch.setattr(flatconn, "HIT_CEILING", 104)
+    monkeypatch.setattr(flatconn, "_list_solutions", never)
+    with pytest.raises(BruteForceBoundError, match="105 points"):
+        _common_zeros(*system)
 
 
 def test_large_census_agrees_four_ways(capsys):
