@@ -20,9 +20,12 @@ both memberships are well defined.
 Over a prime field ``flat_census`` lists the flat connections exhaustively,
 as sorted positions.  The bracket term is quadratic only between unknowns
 joined by a nonzero product and structure constant; fixing a vertex cover
-of those pairs leaves every residual affine in the remaining unknowns, so
-each fibre of the cover is a linear system mod p.  Batches of fibres are
-reduced, bounded and listed in turn, on worker threads, one per CPU at most.
+of those pairs leaves every residual affine in the remaining unknowns.  The
+census fixes the cover unknowns one at a time and checks, mod p, the
+residuals each prefix has made affine: an inconsistent prefix is dropped
+with everything below it, so the work follows the consistent prefixes, not
+the p^|cover| fibres.  Batches of prefixes are reduced, bounded and listed
+in turn, depth-first, on worker threads, one per CPU at most.
 """
 
 from __future__ import annotations
@@ -320,19 +323,50 @@ def _inverse_mod(x, p):
     return out
 
 
+def _walk_levels(qnp, cover):
+    """The order in which the census walk fixes the (sorted) cover
+    unknowns, and its levels.  A residual is affine once its cover support,
+    the cover unknowns in its quadratic terms, is fixed.  Next comes the
+    unknown that makes the most residuals affine, the lowest on a tie.  A
+    level is a prefix length t at which the affine residuals grow, with
+    their sorted indices; the last is t = |cover|, where all are affine."""
+    import numpy as np
+    support = ((qnp != 0).any(axis=1) | (qnp != 0).any(axis=2))[:, cover]
+    fixed = np.zeros(len(cover), dtype=bool)
+    order, levels, affine = [], [], 0
+    while True:
+        need = (support & ~fixed).sum(axis=1)
+        if (need == 0).sum() > affine or fixed.all():
+            levels.append((len(order), np.flatnonzero(need == 0).tolist()))
+            affine = len(levels[-1][1])
+        if fixed.all():
+            return [cover[a] for a in order], levels
+        gain = np.where(fixed, -1, support[need == 1].sum(axis=0))
+        order.append(int(gain.argmax()))
+        fixed[order[-1]] = True
+
+
 def _common_zeros(lmat, qmats, p, kdim, jobs=1):
     """Sorted lexicographic positions, in F_p^kdim, of the common zeros of
     residual_r = (L w)_r + w^T Q_r w mod p, as a numpy int64 array.
 
     Fixing the unknowns of a vertex cover C of the quadratic terms
-    (``_vertex_cover``) leaves every residual affine in the free unknowns F,
-    A(w_C) w_F + b(w_C).  Each chunk of the p^|C| fibres is reduced in one
-    batch (``_reduce_fibres``), and its p^nullity points are counted against
-    ``HIT_CEILING`` before any is listed; all threads' points are counted
-    again after the join.  min(jobs, fibres, CPUs) threads split the fibres,
-    without changing the result.  Refuses, before it builds any array,
-    residuals that could reach 2^63 (linear part < p^2·kdim, quadratic part
-    < p^3·kdim^2) and positions that could (p^kdim).
+    (``_vertex_cover``) leaves every residual affine in the free unknowns.
+    The walk fixes them one at a time, in the order of ``_walk_levels``.
+    At each of its levels it assembles, for a batch of prefixes, the
+    residuals made affine so far as systems [A | b] in the unknowns left,
+    reduces them together (``_reduce_fibres``) and extends only the
+    consistent prefixes.  The last level, where w_C is whole, solves: each
+    batch's p^nullity points are counted against ``HIT_CEILING`` before any
+    is listed (``_list_solutions``), and all threads' points are counted
+    again after the join.  Batches hold at most ``chunk`` prefixes and are
+    walked depth-first, so memory is bounded by one batch per level.
+
+    min(jobs, p^|C|, CPUs) threads split, into contiguous ranges, the
+    extensions of the live prefixes to the first level that has at least
+    that many, without changing the result.  Refuses, before it builds any
+    array, residuals that could reach 2^63 (linear part < p^2·kdim,
+    quadratic part < p^3·kdim^2) and positions that could (p^kdim).
     """
     if max(p * p * kdim + p ** 3 * kdim * kdim, p ** kdim) >= 1 << 63:
         raise FlatConnError(f"residuals over F_{p} with {kdim} unknowns "
@@ -348,44 +382,98 @@ def _common_zeros(lmat, qmats, p, kdim, jobs=1):
     cover = _vertex_cover(qnp)
     free = [i for i in range(kdim) if i not in cover]
     c, nf = len(cover), len(free)
+    order, levels = _walk_levels(qnp, cover)
     place = _place_values(p, kdim)
-    # residual_r = lf[r] . w_F + sum_a w_a (lc[r, a] + mix[a, r] . w_F
-    #                                       + qcc[a, r] . w_C)
-    lf, lc = lnp[:, free], lnp[:, cover]
-    sym = qnp + qnp.transpose(0, 2, 1)
-    mix = (sym[:, cover][:, :, free] % p).transpose(1, 0, 2)
-    qcc = qnp[:, cover][:, :, cover].transpose(1, 0, 2)
+    sym = (qnp + qnp.transpose(0, 2, 1)) % p
     chunk = max(1, (1 << 20) // (rdim * (max(c, nf) + 1)))
+    last = len(levels) - 1
 
-    def fibres(lo, hi):
-        parts, held = [np.zeros(0, dtype=np.int64)], 0
-        for start in range(lo, hi, chunk):
-            wc = (np.arange(start, min(start + chunk, hi), dtype=np.int64)
-                  [:, None] // _place_values(p, c)) % p
-            n = len(wc)
-            aug = np.empty((n, rdim, nf + 1), dtype=np.int64)
-            aug[:, :, :nf] = (wc @ mix.reshape(c, rdim * nf)).reshape(
-                n, rdim, nf) + lf
-            quad = (wc @ qcc.reshape(c, rdim * c)).reshape(n, rdim, c) % p
-            aug[:, :, nf] = wc @ lc.T + (quad * wc[:, None, :]).sum(axis=2)
+    def assembler(t, rows):
+        """[A | b] of the residuals ``rows`` at prefixes w (n x t) of the
+        walk order: A w_U + b, over the unknowns U not fixed (the free
+        unknowns at the last level)."""
+        fixed = order[:t]
+        cols = [u for u in range(kdim) if u not in fixed]
+        nr, nu = len(rows), len(cols)
+        lin = lnp[np.ix_(rows, cols)]
+        mix = sym[np.ix_(rows, fixed, cols)].transpose(1, 0, 2).reshape(
+            t, nr * nu)
+        lfix = lnp[np.ix_(rows, fixed)].T
+        qfix = qnp[np.ix_(rows, fixed, fixed)].transpose(1, 0, 2).reshape(
+            t, nr * t)
+
+        def assemble(w):
+            n = len(w)
+            aug = np.empty((n, nr, nu + 1), dtype=np.int64)
+            aug[:, :, :nu] = (w @ mix).reshape(n, nr, nu) + lin
+            quad = (w @ qfix).reshape(n, nr, t) % p
+            aug[:, :, nu] = w @ lfix + np.einsum("nrt,nt->nr", quad, w)
             aug %= p
-            ranks, pivot_row, consistent = _reduce_fibres(aug, p)
-            nullity = nf - ranks
-            by_nullity = np.bincount(nullity[consistent], minlength=nf + 1)
-            held += sum(m * p ** k for k, m in enumerate(by_nullity.tolist()))
-            _bound_census(held, HIT_CEILING, "points")
-            for k in np.flatnonzero(by_nullity).tolist():
-                pick = np.flatnonzero(consistent & (nullity == k))
-                parts.append(_list_solutions(aug[pick], pivot_row[pick], p, k,
-                                             wc[pick] @ place[cover],
-                                             place[free]))
-        return np.concatenate(parts)
+            return aug
+        return assemble
 
-    nfib = p ** c
-    workers = max(1, min(int(jobs), nfib, os.cpu_count() or 1))
-    bounds = [nfib * i // workers for i in range(workers + 1)]
+    steps, before = [], 0
+    for t, rows in levels:
+        steps.append((p ** (t - before), _place_values(p, t - before),
+                      assembler(t, rows)))
+        before = t
+
+    def extend(i, pre, lo, hi):
+        """Extensions lo..hi, to level i, of the prefixes ``pre`` of the
+        level before, with their systems [A | b] reduced."""
+        span, digits, assemble = steps[i]
+        at = np.arange(lo, hi, dtype=np.int64)
+        w = np.concatenate([pre[at // span], at[:, None] // digits % p],
+                           axis=1)
+        aug = assemble(w)
+        return (w, aug, *_reduce_fibres(aug, p))
+
+    def live(i, pre, lo, hi):
+        w, _, _, _, consistent = extend(i, pre, lo, hi)
+        return w[consistent]
+
+    def solve(pre, lo, hi, held):
+        """Positions of the points of the last level's extensions lo..hi,
+        counted (``held`` is the worker's running count) before listing."""
+        w, aug, ranks, pivot_row, consistent = extend(last, pre, lo, hi)
+        nullity = nf - ranks
+        by_nullity = np.bincount(nullity[consistent], minlength=nf + 1)
+        held[0] += sum(m * p ** k for k, m in enumerate(by_nullity.tolist()))
+        _bound_census(held[0], HIT_CEILING, "points")
+        out = []
+        for k in np.flatnonzero(by_nullity).tolist():
+            pick = np.flatnonzero(consistent & (nullity == k))
+            out.append(_list_solutions(aug[pick], pivot_row[pick], p, k,
+                                       w[pick] @ place[order], place[free]))
+        return out
+
+    def walk(i, pre, held, lo=0, hi=None):
+        """Hits below the extensions lo..hi (all by default), to level i,
+        of the live prefixes ``pre``: a chunk at a time, depth-first."""
+        hi = len(pre) * steps[i][0] if hi is None else hi
+        for start in range(lo, hi, chunk):
+            stop = min(start + chunk, hi)
+            if i == last:
+                yield from solve(pre, start, stop, held)
+            else:
+                yield from walk(i + 1, live(i, pre, start, stop), held)
+
+    def run(lo, hi):
+        return np.concatenate([np.zeros(0, dtype=np.int64),
+                               *walk(split, frontier, [0], lo, hi)])
+
+    workers = max(1, min(int(jobs), p ** c, os.cpu_count() or 1))
+    frontier, split = np.zeros((1, 0), dtype=np.int64), 0
+    while split < last and len(frontier) * steps[split][0] < workers:
+        size = len(frontier) * steps[split][0]
+        frontier = np.concatenate(
+            [live(split, frontier, lo, min(lo + chunk, size))
+             for lo in range(0, size, chunk)])
+        split += 1
+    size = len(frontier) * steps[split][0]
+    bounds = [size * k // workers for k in range(workers + 1)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        hits = list(pool.map(fibres, bounds[:-1], bounds[1:]))
+        hits = list(pool.map(run, bounds[:-1], bounds[1:]))
     _bound_census(sum(map(len, hits)), HIT_CEILING, "points")  # all threads
     return np.sort(np.concatenate(hits))
 

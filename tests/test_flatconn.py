@@ -4,6 +4,7 @@ import concurrent.futures
 import itertools
 import json
 import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -12,10 +13,11 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from jumploci import flatconn, liealg
-from jumploci.cdga import Cdga
+from jumploci.cdga import Cdga, tensor_product_with_inclusions
 from jumploci.cli import main
 from jumploci.flatconn import (BruteForceBoundError, FlatConnection,
                                FlatConnError, NotFlatError, _common_zeros,
+                               _list_solutions, _place_values,
                                _reduce_fibres, _vertex_cover,
                                brute_force_flat, det_cut,
                                f1_membership, flat_census, flatness_tensors,
@@ -252,6 +254,46 @@ def full_scan(lmat, qmats, p, kdim):
     return np.concatenate(hits)
 
 
+def fibre_oracle(lmat, qmats, p, kdim):
+    """Oracle: fix the unknowns of the minimum vertex cover C of the
+    quadratic terms and solve the affine system of every one of the p^|C|
+    fibres, a chunk at a time, pruning none; return the sorted positions of
+    their points."""
+    rdim = len(lmat)
+    lnp = np.array(lmat, dtype=np.int64).reshape(rdim, kdim) % p
+    qnp = np.array(qmats, dtype=np.int64).reshape(rdim, kdim, kdim) % p
+    cover = _vertex_cover(qnp)
+    free = [i for i in range(kdim) if i not in cover]
+    c, nf = len(cover), len(free)
+    place = _place_values(p, kdim)
+    # residual_r = lf[r] . w_F + sum_a w_a (lc[r, a] + mix[a, r] . w_F
+    #                                       + qcc[a, r] . w_C)
+    lf, lc = lnp[:, free], lnp[:, cover]
+    sym = qnp + qnp.transpose(0, 2, 1)
+    mix = (sym[:, cover][:, :, free] % p).transpose(1, 0, 2)
+    qcc = qnp[:, cover][:, :, cover].transpose(1, 0, 2)
+    chunk = max(1, (1 << 20) // (rdim * (max(c, nf) + 1)))
+    parts = [np.zeros(0, dtype=np.int64)]
+    for start in range(0, p ** c, chunk):
+        wc = (np.arange(start, min(start + chunk, p ** c), dtype=np.int64)
+              [:, None] // _place_values(p, c)) % p
+        n = len(wc)
+        aug = np.empty((n, rdim, nf + 1), dtype=np.int64)
+        aug[:, :, :nf] = (wc @ mix.reshape(c, rdim * nf)).reshape(
+            n, rdim, nf) + lf
+        quad = (wc @ qcc.reshape(c, rdim * c)).reshape(n, rdim, c) % p
+        aug[:, :, nf] = wc @ lc.T + (quad * wc[:, None, :]).sum(axis=2)
+        aug %= p
+        ranks, pivot_row, consistent = _reduce_fibres(aug, p)
+        nullity = nf - ranks
+        for k in np.unique(nullity[consistent]).tolist():
+            pick = np.flatnonzero(consistent & (nullity == k))
+            parts.append(_list_solutions(aug[pick], pivot_row[pick], p, k,
+                                         wc[pick] @ place[cover],
+                                         place[free]))
+    return np.sort(np.concatenate(parts))
+
+
 @st.composite
 def sparse_systems(draw):
     p = draw(st.sampled_from([3, 5, 7]))
@@ -275,10 +317,12 @@ def sparse_systems(draw):
 @given(system=sparse_systems())
 def test_fibred_zeros_match_full_scan(system):
     lmat, qmats, p, kdim = system
-    expected = full_scan(lmat, qmats, p, kdim)
+    expected = full_scan(lmat, qmats, p, kdim).tolist()
+    oracle = fibre_oracle(lmat, qmats, p, kdim).tolist()
+    assert oracle == expected
     for jobs in (1, 2):
-        got = _common_zeros(lmat, qmats, p, kdim, jobs)
-        assert got.tolist() == expected.tolist()
+        got = _common_zeros(lmat, qmats, p, kdim, jobs).tolist()
+        assert got == expected and got == oracle
 
 
 @st.composite
@@ -319,25 +363,44 @@ def census_system(model, lie):
 
 
 def test_jobs_split_the_fibres_into_contiguous_batches(monkeypatch):
-    # compact_curve(1) x sl(3) over F3: all 8 unknowns of one row form the
-    # cover, so 3^8 = 6,561 fibres, fewer than one chunk.  Two jobs on two
-    # CPUs reduce them as two batches, not one.
+    # compact_curve(1) x sl(3) over F3: the walk fixes the 8 cover
+    # unknowns with checks at prefix lengths 5, 6 and 8, and every prefix
+    # extends to a flat point, so it reduces 3^5, 3^6 and 3^8 systems.  Two
+    # jobs on two CPUs split the 243 prefixes of the first level into two
+    # contiguous ranges, and each worker walks everything below its own.
     f3 = GF(3)
     system = census_system(build_compact_curve(f3, 1), build_sl(f3, 3))
+    walker = threading.local()
     seen = []
     original = flatconn._reduce_fibres
 
     def recorded(aug, p):
-        seen.append(aug.shape[0])
+        seen.append((walker.range, aug.shape[1], aug.shape[0]))
         return original(aug, p)
 
+    class TaggingPool(concurrent.futures.ThreadPoolExecutor):
+        """Tags each worker's reductions with the range it walks."""
+
+        def map(self, fn, *iterables):
+            def tagged(lo, hi):
+                walker.range = (lo, hi)
+                return fn(lo, hi)
+            return super().map(tagged, *iterables)
+
     monkeypatch.setattr(flatconn, "_reduce_fibres", recorded)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", TaggingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     one = _common_zeros(*system, jobs=1)
-    assert seen == [6561]
+    assert seen == [((0, 243), 1, 243), ((0, 243), 2, 729),
+                    ((0, 243), 8, 6561)]
     seen.clear()
     two = _common_zeros(*system, jobs=2)
-    assert sorted(seen) == [3280, 3281]
+    assert {r for r, _, _ in seen} == {(0, 121), (121, 243)}
+    for lo, hi in ((0, 121), (121, 243)):
+        assert [n for r, rows, n in seen if r == (lo, hi) and rows == 1] \
+            == [hi - lo]
+    for rows, total in ((2, 729), (8, 6561)):
+        assert sum(n for _, r, n in seen if r == rows) == total
     assert len(one) == 134865 and two.tolist() == one.tolist()
 
 
@@ -378,6 +441,62 @@ def test_worker_count_is_capped_by_cpus_and_fibres(monkeypatch):
     assert _common_zeros(*open4, jobs=10 ** 6).tolist() == \
         list(range(3 ** 12))
     assert sizes[3:] == [1]
+
+
+def test_walk_prunes_the_census_workload(monkeypatch):
+    # surface(1) x sl(2) over F5 has a cover of 6 unknowns, so solving every
+    # fibre reduces 5^6 systems at the last level, where every residual is
+    # affine; the walk drops inconsistent prefixes before it gets there
+    f5 = GF(5)
+    system = census_system(build_surface_model(f5, 1), build_sl(f5, 2))
+    last = []
+    original = flatconn._reduce_fibres
+
+    def recorded(aug, p):
+        if aug.shape[1] == len(system[0]):
+            last.append(aug.shape[0])
+        return original(aug, p)
+
+    monkeypatch.setattr(flatconn, "_reduce_fibres", recorded)
+    got = _common_zeros(*system)
+    assert 0 < sum(last) < 5 ** 6
+    frozen = load_golden("census_surface_g1_sl2_f5.json")
+    assert len(got) == 745
+    assert got.tolist() == frozen["solution_indices"]
+
+
+def test_walk_agrees_with_both_oracles_on_a_product_of_curves():
+    # curve(1) (x) curve(1) x sl(2) over F3: 3^12 candidates, 1,041 flats
+    f3 = GF(3)
+    model = tensor_product_with_inclusions(build_compact_curve(f3, 1),
+                                           build_compact_curve(f3, 1))[0]
+    system = census_system(model, build_sl(f3, 2))
+    assert system[3] == 12
+    expected = full_scan(*system).tolist()
+    assert len(expected) == 1041
+    assert fibre_oracle(*system).tolist() == expected
+    for jobs in (1, 2):
+        assert _common_zeros(*system, jobs=jobs).tolist() == expected
+
+
+def test_walk_memory_is_bounded_by_one_batch_per_level():
+    # the sum of 12 squares over F3: the one residual's cover support is
+    # every unknown, so no prefix is pruned and the walk lists the 177,633
+    # zeros of test_hit_ceiling_is_the_same_for_any_job_count from 3^12
+    # fibres, in batches no larger than the oracle's
+    kdim = 12
+    lmat = [[0] * kdim]
+    qmats = [[[int(i == j) for j in range(kdim)] for i in range(kdim)]]
+    peaks = {}
+    for solve in (fibre_oracle, _common_zeros):
+        tracemalloc.start()
+        try:
+            got = solve(lmat, qmats, 3, kdim)
+            peaks[solve] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(got) == 177633
+    assert peaks[_common_zeros] <= peaks[fibre_oracle]
 
 
 @seed(20261018)
