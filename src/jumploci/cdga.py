@@ -291,7 +291,8 @@ class Cdga:
 class CdgaMorphism:
     """A degreewise linear map between models, unit to unit.
 
-    maps[i] has shape target.dim(i) x source.dim(i) for i = 0..source.top.
+    maps: dict degree -> Matrix of shape target.dim(i) x source.dim(i) for
+    i = 0..source.top (absent degrees mean the zero map).
     """
 
     def __init__(self, source, target, maps, name=""):
@@ -301,8 +302,7 @@ class CdgaMorphism:
         self.name = name or "morphism"
         self.maps = {}
         for i in range(source.top_degree + 1):
-            m = maps.get(i) if isinstance(maps, dict) else (
-                maps[i] if i < len(maps) else None)
+            m = maps.get(i)
             if m is None:
                 m = Matrix.zero(source.field, target.dim(i), source.dim(i))
             if m.shape != (target.dim(i), source.dim(i)):

@@ -378,7 +378,7 @@ def cmd_scenario(args, f):
         lines = [f"{n:26} {d}" for n, d in describe_scenarios()]
         return 0, payload, lines
     if name == "all":
-        reports = run_all(seed=seed, jobs=args.jobs)
+        reports = run_all(seed=seed)
         payload = [r.to_dict() for r in reports]
         lines = []
         for r in reports:
@@ -386,7 +386,7 @@ def cmd_scenario(args, f):
         passed = sum(r.holds for r in reports)
         lines.append(f"{passed}/{len(reports)} scenarios hold")
         return (0 if passed == len(reports) else 1), payload, lines
-    report = run_scenario(name, seed=seed, jobs=args.jobs, field=field)
+    report = run_scenario(name, seed=seed, field=field)
     return (0 if report.holds else 1), report.to_dict(), report.lines()
 
 
@@ -430,8 +430,6 @@ def build_parser():
                         help="emit a machine-readable report")
     common.add_argument("--seed", type=int, metavar="N",
                         help="seed for sampled checks")
-    common.add_argument("--jobs", type=int, default=1, metavar="K",
-                        help="worker count for the exhaustive searches")
     parser = argparse.ArgumentParser(
         prog="jumploci",
         description="Flat connections, jump loci, and holonomy on finite "
@@ -444,6 +442,9 @@ def build_parser():
         if name == "scenario":
             sp.add_argument("name", nargs="?", default="list",
                             help="a catalog name, 'all', or 'list'")
+        if name == "brute-force":
+            sp.add_argument("--jobs", type=int, default=1, metavar="K",
+                            help="worker threads for the census")
     return parser
 
 

@@ -18,14 +18,16 @@ representation theta.  Rank-one factorizations are unique up to a scalar, so
 both memberships are well defined.
 
 Over a prime field ``flat_census`` lists the flat connections exhaustively,
-as sorted positions.  The bracket term is quadratic only between unknowns
-joined by a nonzero product and structure constant; fixing a vertex cover
-of those pairs leaves every residual affine in the remaining unknowns.  The
-census fixes the cover unknowns one at a time and checks, mod p, the
-residuals each prefix has made affine: an inconsistent prefix is dropped
-with everything below it, so the work follows the consistent prefixes, not
-the p^|cover| fibres.  Batches of prefixes are reduced, bounded and listed
-in turn, depth-first, on worker threads, one per CPU at most.
+as sorted positions.  In the flattened coefficients w the residual is
+L w + w^T Q w with L = d¹ ⊗ 1 and Q = μ ⊗ c (``flatness_tensors``; μ the
+product of one-forms, c the structure constants).  The bracket term is
+quadratic only between unknowns joined by a nonzero product and structure
+constant; fixing a vertex cover of those pairs leaves every residual affine
+in the remaining unknowns.  The census fixes the cover unknowns one at a
+time and checks, mod p, the residuals each prefix has made affine: an
+inconsistent prefix is dropped with everything below it, so the work follows
+the consistent prefixes, not the p^|cover| fibres.  Batches of prefixes are
+reduced, bounded and listed depth-first, on at most one thread per CPU.
 """
 
 from __future__ import annotations
@@ -68,9 +70,6 @@ class FlatConnection:
 
     def row(self, k):
         return self.coeffs.row(k)
-
-    def is_zero(self):
-        return self.coeffs.is_zero()
 
     def __eq__(self, other):
         if not isinstance(other, FlatConnection):
@@ -232,36 +231,28 @@ def _bound_census(count, ceiling=BRUTE_FORCE_CEILING, what="candidates"):
 
 
 def flatness_tensors(cdga, lie):
-    """Integer tensors (L, Q) with residual_j = (L w)_j + w^T Q_j w for the
-    flattened coefficient vector w (row-major).  Entries are reduced residues.
+    """int64 arrays (L, Q), of shapes (n2·dg, n1·dg) and (n2·dg, n1·dg,
+    n1·dg), with residual_j = (L w)_j + w^T Q_j w for the flattened
+    coefficient vector w (row-major): L = d¹ ⊗ 1 and Q = μ ⊗ c, μ[c, k, l]
+    the c-th coordinate of a_k a_l (k < l) and c the structure constants.
 
     Used by the vectorized searches; kept independent of the holonomy module
     so that exhaustive cross-checks compare genuinely different assemblies.
     """
-    f = cdga.field
+    import numpy as np
     n1, n2, dg = cdga.dim(1), cdga.dim(2), lie.dim
-    kdim, rdim = n1 * dg, n2 * dg
-    lmat = [[0] * kdim for _ in range(rdim)]
-    qmats = [[[0] * kdim for _ in range(kdim)] for _ in range(rdim)]
-    d1 = cdga.d_matrix(1)
-    struct = lie.structure_tensor()
-    for c, drow in enumerate(d1.rows):
-        for k, coef in drow.items():
-            for m in range(dg):
-                lmat[c * dg + m][k * dg + m] = int(coef)
+    d1 = np.array(cdga.d_matrix(1).to_lists(), dtype=np.int64).reshape(
+        n2, n1)
+    mu = np.zeros((n2, n1, n1), dtype=np.int64)
     for k in range(n1):
         for l in range(k + 1, n1):
-            prod = cdga.product_basis(1, k, 1, l)
-            for c, coef in prod.items():
-                for alpha in range(dg):
-                    for beta in range(dg):
-                        for m in range(dg):
-                            sc = struct[alpha][beta][m]
-                            if f.is_zero(sc):
-                                continue
-                            qmats[c * dg + m][k * dg + alpha][l * dg + beta] \
-                                += int(coef) * int(sc)
-    return lmat, qmats
+            for c, coef in cdga.product_basis(1, k, 1, l).items():
+                mu[c, k, l] = int(coef)
+    struct = np.array(lie.structure_tensor(), dtype=np.int64).reshape(
+        dg, dg, dg)
+    return (np.kron(d1, np.eye(dg, dtype=np.int64)),
+            np.einsum("ckl,abm->cmkalb", mu, struct).reshape(
+                n2 * dg, n1 * dg, n1 * dg))
 
 
 def _place_values(p, k):
@@ -374,11 +365,11 @@ def _common_zeros(lmat, qmats, p, kdim, jobs=1):
     import numpy as np
     from concurrent.futures import ThreadPoolExecutor
 
-    lmat = lmat or [[0] * kdim]   # no residual reads as one zero residual
-    qmats = qmats or [[[0] * kdim] * kdim]
-    rdim = len(lmat)
-    lnp = np.array(lmat, dtype=np.int64).reshape(rdim, kdim) % p
-    qnp = np.array(qmats, dtype=np.int64).reshape(rdim, kdim, kdim) % p
+    rdim = max(1, len(lmat))   # no residual reads as one zero residual
+    lnp = np.zeros((rdim, kdim), dtype=np.int64)
+    qnp = np.zeros((rdim, kdim, kdim), dtype=np.int64)
+    lnp[:len(lmat)] = np.reshape(lmat, (len(lmat), kdim)) % p
+    qnp[:len(qmats)] = np.reshape(qmats, (len(qmats), kdim, kdim)) % p
     cover = _vertex_cover(qnp)
     free = [i for i in range(kdim) if i not in cover]
     c, nf = len(cover), len(free)
@@ -412,63 +403,48 @@ def _common_zeros(lmat, qmats, p, kdim, jobs=1):
             return aug
         return assemble
 
-    steps, before = [], 0
-    for t, rows in levels:
-        steps.append((p ** (t - before), _place_values(p, t - before),
-                      assembler(t, rows)))
-        before = t
+    steps = [(p ** (t - b), _place_values(p, t - b), assembler(t, rows))
+             for b, (t, rows) in zip([0] + [t for t, _ in levels], levels)]
 
-    def extend(i, pre, lo, hi):
-        """Extensions lo..hi, to level i, of the prefixes ``pre`` of the
-        level before, with their systems [A | b] reduced."""
+    def walk(i, pre, lo=0, hi=None, held=None, stop=None):
+        """Depth-first below the extensions lo..hi (all by default), to
+        level i, of the prefixes ``pre`` of the level before, a chunk at a
+        time, their systems [A | b] reduced and only the consistent ones
+        kept: yields the live prefixes of level ``stop``, or else the
+        positions of the last level's points, counted (``held`` is the
+        worker's running count) before any is listed."""
         span, digits, assemble = steps[i]
-        at = np.arange(lo, hi, dtype=np.int64)
-        w = np.concatenate([pre[at // span], at[:, None] // digits % p],
-                           axis=1)
-        aug = assemble(w)
-        return (w, aug, *_reduce_fibres(aug, p))
-
-    def live(i, pre, lo, hi):
-        w, _, _, _, consistent = extend(i, pre, lo, hi)
-        return w[consistent]
-
-    def solve(pre, lo, hi, held):
-        """Positions of the points of the last level's extensions lo..hi,
-        counted (``held`` is the worker's running count) before listing."""
-        w, aug, ranks, pivot_row, consistent = extend(last, pre, lo, hi)
-        nullity = nf - ranks
-        by_nullity = np.bincount(nullity[consistent], minlength=nf + 1)
-        held[0] += sum(m * p ** k for k, m in enumerate(by_nullity.tolist()))
-        _bound_census(held[0], HIT_CEILING, "points")
-        out = []
-        for k in np.flatnonzero(by_nullity).tolist():
-            pick = np.flatnonzero(consistent & (nullity == k))
-            out.append(_list_solutions(aug[pick], pivot_row[pick], p, k,
-                                       w[pick] @ place[order], place[free]))
-        return out
-
-    def walk(i, pre, held, lo=0, hi=None):
-        """Hits below the extensions lo..hi (all by default), to level i,
-        of the live prefixes ``pre``: a chunk at a time, depth-first."""
-        hi = len(pre) * steps[i][0] if hi is None else hi
+        hi = len(pre) * span if hi is None else hi
         for start in range(lo, hi, chunk):
-            stop = min(start + chunk, hi)
-            if i == last:
-                yield from solve(pre, start, stop, held)
+            at = np.arange(start, min(start + chunk, hi), dtype=np.int64)
+            w = np.concatenate([pre[at // span], at[:, None] // digits % p],
+                               axis=1)
+            aug = assemble(w)
+            ranks, pivot_row, consistent = _reduce_fibres(aug, p)
+            if i == stop:
+                yield w[consistent]
+            elif i < last:
+                del aug, pivot_row   # this batch's systems, before going down
+                yield from walk(i + 1, w[consistent], held=held)
             else:
-                yield from walk(i + 1, live(i, pre, start, stop), held)
+                nullity = nf - ranks
+                held[0] += int((p ** nullity[consistent]).sum())
+                _bound_census(held[0], HIT_CEILING, "points")
+                by_nullity = np.bincount(nullity[consistent])
+                for k in np.flatnonzero(by_nullity).tolist():
+                    pick = np.flatnonzero(consistent & (nullity == k))
+                    yield _list_solutions(aug[pick], pivot_row[pick], p, k,
+                                          w[pick] @ place[order],
+                                          place[free])
 
     def run(lo, hi):
         return np.concatenate([np.zeros(0, dtype=np.int64),
-                               *walk(split, frontier, [0], lo, hi)])
+                               *walk(split, frontier, lo, hi, [0])])
 
     workers = max(1, min(int(jobs), p ** c, os.cpu_count() or 1))
     frontier, split = np.zeros((1, 0), dtype=np.int64), 0
     while split < last and len(frontier) * steps[split][0] < workers:
-        size = len(frontier) * steps[split][0]
-        frontier = np.concatenate(
-            [live(split, frontier, lo, min(lo + chunk, size))
-             for lo in range(0, size, chunk)])
+        frontier = np.concatenate(list(walk(split, frontier, stop=split)))
         split += 1
     size = len(frontier) * steps[split][0]
     bounds = [size * k // workers for k in range(workers + 1)]
@@ -563,12 +539,10 @@ def brute_force_flat(cdga, lie, jobs=1):
     decoding."""
     f, n1, dg = cdga.field, cdga.dim(1), lie.dim
     hits = flat_census(cdga, lie, jobs)[:, None]
-    out = []
-    for flat_vec in (hits // _place_values(f.p, n1 * dg) % f.p).tolist():
-        rows = [{m: x for m, x in enumerate(flat_vec[k * dg:(k + 1) * dg])
-                 if x} for k in range(n1)]
-        out.append(FlatConnection(cdga, lie, Matrix.sparse(f, rows, dg)))
-    return out
+    digits = hits // _place_values(f.p, n1 * dg) % f.p
+    return [FlatConnection(cdga, lie, Matrix.sparse(
+        f, [{m: x for m, x in enumerate(row) if x} for row in rows], dg))
+        for rows in digits.reshape(len(hits), n1, dg).tolist()]
 
 
 def lex_index(conn, p):

@@ -11,7 +11,10 @@ the bracket [g_k, g_l]).  Evaluating these relations at an assignment of Lie
 elements to generators reproduces, coefficient for coefficient, the
 Maurer-Cartan residual of the corresponding connection by a second code
 path: ``correspondence_check`` compares the two at one assignment, and
-``relation_zeros`` lists the zeros over a whole prime field.
+``relation_zeros`` lists the zeros over a whole prime field of L w + w^T Q w,
+with L = d¹ ⊗ 1 and Q = μ ⊗ c read off the presentation alone
+(``relation_tensors``; μ the product A^1 x A^1 -> A^2, c the structure
+constants of the Lie algebra).
 
 Relations are stored with linear, quadratic, and (for the eliminated surface
 presentation only) nested-bracket cubic terms: a cubic key (k, l, m) stands
@@ -226,35 +229,31 @@ def build_counterexample_rho(field, n, g):
 
 
 def relation_tensors(pres, lie):
-    """Integer tensors (L, Q) with relation values = L w + w^T Q_j w for the
-    flattened assignment w, built from the *presentation* data only.
+    """int64 arrays (L, Q), of shapes (r·dg, n·dg) and (r·dg, n·dg, n·dg)
+    for r relations on n generators, with relation values = L w + w^T Q_j w
+    for the flattened assignment w, built from the *presentation* data only:
+    L = lin ⊗ 1 and Q = quad ⊗ c, c the structure constants.
 
     The flatconn module builds its tensors from the multiplication table;
     exhaustive comparisons between the two are a genuine cross-check.
     Quadratic presentations only.
     """
-    f = pres.field
-    n, dg = len(pres.generators), lie.dim
-    kdim = n * dg
-    struct = lie.structure_tensor()
-    lmat = [[0] * kdim for _ in range(len(pres.relations) * dg)]
-    qmats = [[[0] * kdim for _ in range(kdim)]
-             for _ in range(len(pres.relations) * dg)]
+    import numpy as np
+    n, r, dg = len(pres.generators), len(pres.relations), lie.dim
+    lin = np.zeros((r, n), dtype=np.int64)
+    quad = np.zeros((r, n, n), dtype=np.int64)
     for j, rel in enumerate(pres.relations):
         if not rel.is_quadratic():
             raise HolonomyError("tensor form needs a quadratic presentation")
         for k, c in rel.lin.items():
-            for m in range(dg):
-                lmat[j * dg + m][k * dg + m] += int(c)
+            lin[j, k] = int(c)
         for (k, l), c in rel.quad.items():
-            for alpha in range(dg):
-                for beta in range(dg):
-                    for m in range(dg):
-                        sc = struct[alpha][beta][m]
-                        if not f.is_zero(sc):
-                            qmats[j * dg + m][k * dg + alpha][l * dg + beta] \
-                                += int(c) * int(sc)
-    return lmat, qmats
+            quad[j, k, l] = int(c)
+    struct = np.array(lie.structure_tensor(), dtype=np.int64).reshape(
+        dg, dg, dg)
+    return (np.kron(lin, np.eye(dg, dtype=np.int64)),
+            np.einsum("jkl,abm->jmkalb", quad, struct).reshape(
+                r * dg, n * dg, n * dg))
 
 
 def relation_zeros(pres, lie):

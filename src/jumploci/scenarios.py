@@ -81,7 +81,7 @@ def load_golden(name):
 
 # ----------------------------------------------------------- the catalog
 
-def run_sl3_witness(seed=0, jobs=1, field=None):
+def run_sl3_witness(seed=0, field=None):
     """A rank-3 flat connection beyond the rank-one and pullback loci.
 
     Its coefficient rank is 3, its extra one-form row is nonzero, and its
@@ -123,7 +123,7 @@ def run_sl3_witness(seed=0, jobs=1, field=None):
     return rep
 
 
-def run_g1_bruteforce(seed=0, jobs=1, field=None):
+def run_g1_bruteforce(seed=0, field=None):
     """Exhaustive genus-1 flat census over a prime field, checked three ways.
 
     The sl2 census is compared against the frozen index list, against the
@@ -137,7 +137,7 @@ def run_g1_bruteforce(seed=0, jobs=1, field=None):
     A = build_surface_model(f, 1)
     sl2 = build_sl(f, 2)
     t0 = time.time()
-    flats = brute_force_flat(A, sl2, jobs=jobs)
+    flats = brute_force_flat(A, sl2)
     elapsed = time.time() - t0
     rep.data["candidates"] = p ** 9
     rep.data["count"] = len(flats)
@@ -187,7 +187,7 @@ def depth_gap_setup(f):
     return incl_l, theta, conn, eta
 
 
-def run_depth_gap_product(seed=0, jobs=1, field=None):
+def run_depth_gap_product(seed=0, field=None):
     """Strict depth increase along a curve-into-product inclusion.
 
     A genus-2 curve model sits inside its product with a genus-1 curve;
@@ -221,7 +221,7 @@ def run_depth_gap_product(seed=0, jobs=1, field=None):
     return rep
 
 
-def run_pencil_resonance(seed=0, jobs=1, field=None):
+def run_pencil_resonance(seed=0, field=None):
     """Sum-zero pencil weights jump; generic weights do not.
 
     On the arrangement of m concurrent lines, rank-one weights with
@@ -267,7 +267,7 @@ def run_pencil_resonance(seed=0, jobs=1, field=None):
     return rep
 
 
-def run_tangent_match(seed=0, jobs=1, field=None):
+def run_tangent_match(seed=0, field=None):
     """Equal germ dimensions from two independent code paths.
 
     The flat side is linearized at rows (E, F, F, E) on the genus-2 curve
@@ -296,7 +296,7 @@ def run_tangent_match(seed=0, jobs=1, field=None):
     return rep
 
 
-def run_weight_equivariance(seed=0, jobs=1, field=None):
+def run_weight_equivariance(seed=0, field=None):
     """Weight scaling preserves flatness; weight-2-only flats vanish.
 
     Scaling each row by s**weight keeps connections flat (sampled over Q,
@@ -362,7 +362,7 @@ def run_weight_equivariance(seed=0, jobs=1, field=None):
     return rep
 
 
-def run_transversality_product(seed=0, jobs=1, field=None):
+def run_transversality_product(seed=0, field=None):
     """Factor coefficient spaces in a product meet only at zero.
 
     The two factor inclusions of a product of curve models have degree-1
@@ -388,7 +388,7 @@ def run_transversality_product(seed=0, jobs=1, field=None):
     return rep
 
 
-def run_torus_pi_r11(seed=0, jobs=1, field=None):
+def run_torus_pi_r11(seed=0, field=None):
     """Torus flats are rank-one; determinant cut equals first resonance.
 
     Over F3 on the two-torus model, every flat connection is rank-one and
@@ -403,7 +403,7 @@ def run_torus_pi_r11(seed=0, jobs=1, field=None):
     golden = load_golden("census_torus_n2_f3.json") if p == 3 else None
     for lie, key in ((build_sl(f, 2), "sl2"), (build_sol2(f), "sol2")):
         theta = rep_defining(lie)
-        flats = brute_force_flat(T, lie, jobs=jobs)
+        flats = brute_force_flat(T, lie)
         if golden:
             rep.check(f"{key}: flat count matches the frozen census",
                       len(flats) == golden[key]["count"],
@@ -446,12 +446,12 @@ def describe_scenarios():
             for name, fn in CATALOG]
 
 
-def run_scenario(name, seed=0, jobs=1, field=None):
+def run_scenario(name, seed=0, field=None):
     if name not in RUNNERS:
         raise ScenarioError(
             f"unknown scenario {name!r}; known: {', '.join(scenario_names())}")
-    return RUNNERS[name](seed=seed, jobs=jobs, field=field)
+    return RUNNERS[name](seed=seed, field=field)
 
 
-def run_all(seed=0, jobs=1):
-    return [fn(seed=seed, jobs=jobs) for _, fn in CATALOG]
+def run_all(seed=0):
+    return [fn(seed=seed) for _, fn in CATALOG]

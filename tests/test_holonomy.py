@@ -1,19 +1,22 @@
 """Presentations read off a model and their evaluation on Lie elements."""
 
+import numpy as np
 import pytest
 
 from jumploci import holonomy
+from jumploci.cdga import tensor_product_with_inclusions
 from jumploci.flatconn import (BruteForceBoundError, FlatConnection,
-                               mc_residual)
+                               flatness_tensors, mc_residual)
 from jumploci.holonomy import (HolonomyError, HolonomyPresentation, Relation,
                                build_counterexample_rho, correspondence_check,
                                evaluate_relation, failing_relations,
                                holonomy_presentation, relation_check,
-                               relation_zeros,
+                               relation_tensors, relation_zeros,
                                surface_presentations)
-from jumploci.liealg import build_sl
+from jumploci.liealg import build_sl, build_sol2
 from jumploci.linalg import Matrix
-from jumploci.models import (build_compact_curve, build_surface_model,
+from jumploci.models import (build_compact_curve, build_open_curve,
+                             build_os_arrangement, build_surface_model,
                              build_torus_model)
 from jumploci.scalars import GF, QQ
 
@@ -168,3 +171,42 @@ def test_mask_refuses_a_census_past_the_ceiling(monkeypatch):
     pres = holonomy_presentation(build_compact_curve(f3, 4))
     with pytest.raises(BruteForceBoundError):
         relation_zeros(pres, build_sl(f3, 2))
+
+
+# the braid arrangement A3, x_i = x_j in C^4, essential in C^3 (x_4 = 0)
+BRAID_A3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1],
+            [1, -1, 0], [1, 0, -1], [0, 1, -1]]
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("make_model", [
+    pytest.param(lambda f: build_os_arrangement(f, BRAID_A3), id="braid-A3"),
+    pytest.param(lambda f: tensor_product_with_inclusions(
+        build_compact_curve(f, 2), build_compact_curve(f, 1))[0],
+        id="curve2-x-curve1"),
+    pytest.param(lambda f: build_torus_model(f, 3), id="torus3"),
+    pytest.param(lambda f: build_surface_model(f, 2), id="surface2"),
+    pytest.param(lambda f: build_open_curve(f, 3), id="open-curve3"),
+])
+def test_flatness_and_relation_tensors_agree(make_model, p):
+    # the two assemblies, one from the multiplication table and one from
+    # the presentation, on models whose censuses are too large to compare
+    f = GF(p)
+    model = make_model(f)
+    pres = holonomy_presentation(model)
+    for lie in (build_sl(f, 2), build_sol2(f), build_sl(f, 3)):
+        kdim, rdim = model.dim(1) * lie.dim, model.dim(2) * lie.dim
+        flat = flatness_tensors(model, lie)
+        rel = relation_tensors(pres, lie)
+        for lmat, qmats in (flat, rel):
+            assert lmat.dtype == qmats.dtype == np.int64
+            assert lmat.shape == (rdim, kdim)
+            assert qmats.shape == (rdim, kdim, kdim)
+        for a, b in zip(flat, rel):
+            assert np.array_equal(a % p, b % p)
+
+
+def test_relation_tensors_need_a_quadratic_presentation():
+    _, p_a = surface_presentations(GF(3), 1)
+    with pytest.raises(HolonomyError, match="quadratic"):
+        relation_tensors(p_a, build_sl(GF(3), 2))

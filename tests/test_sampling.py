@@ -124,7 +124,7 @@ def test_group_reps_satisfy_relators():
     for group in (free_group(2), free_group(3), surface_group(1),
                   surface_group(2)):
         for field in (QQ, GF(5)):
-            for target in ("SL", "Borel"):
+            for target in ("SL", "Borel", "GL"):
                 for _ in range(8):
                     rep = sample_group_rep(rng, group, field, target=target)
                     ok, bad = rep_check(rep)
