@@ -369,8 +369,7 @@ def cmd_rep_check(args, f):
 
 
 def cmd_scenario(args, f):
-    name = args.name
-    seed = args.seed if args.seed is not None else 0
+    name, seed = args.name, args.seed
     field = f if args.field is not None else None
     if name == "list":
         payload = [{"name": n, "description": d}
@@ -428,8 +427,6 @@ def build_parser():
                              f"P < {MODULUS_BOUND}")
     common.add_argument("--json", action="store_true",
                         help="emit a machine-readable report")
-    common.add_argument("--seed", type=int, metavar="N",
-                        help="seed for sampled checks")
     parser = argparse.ArgumentParser(
         prog="jumploci",
         description="Flat connections, jump loci, and holonomy on finite "
@@ -442,6 +439,8 @@ def build_parser():
         if name == "scenario":
             sp.add_argument("name", nargs="?", default="list",
                             help="a catalog name, 'all', or 'list'")
+            sp.add_argument("--seed", type=int, default=0, metavar="N",
+                            help="seed for sampled checks")
         if name == "brute-force":
             sp.add_argument("--jobs", type=int, default=1, metavar="K",
                             help="worker threads for the census")

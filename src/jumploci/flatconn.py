@@ -33,7 +33,7 @@ reduced, bounded and listed depth-first, on at most one thread per CPU.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .linalg import Matrix, dense_vector, rank
 from .scalars import PrimeField, same_field
@@ -113,6 +113,7 @@ class RankOneReport:
     rank: int                 # rank of the coefficient matrix
     eta: list | None = None   # degree-1 coefficient vector
     x: list | None = None     # Lie coordinate vector
+    det_value: object | None = None  # det theta(x), set by ``det_cut``
 
 
 def f1_membership(conn):
@@ -144,27 +145,19 @@ def f1_membership(conn):
                          eta=eta, x=x)
 
 
-@dataclass
-class DetCutReport:
-    member: bool
-    reason: str
-    eta: list | None = None
-    x: list | None = None
-    det_value: object | None = None
-
-
 def det_cut(r1, rep):
     """Determinant cut det(theta(x)) = 0 of the rank-one locus, read off
     the ``f1_membership`` report of a connection over rep's Lie algebra."""
     if not r1.member:
-        return DetCutReport(False, r1.reason)
+        return r1
     from .liealg import det_theta
     d = det_theta(rep, r1.x)
     if rep.lie.field.is_zero(d):
-        return DetCutReport(True, "rank-one with singular action",
-                            eta=r1.eta, x=r1.x, det_value=d)
-    return DetCutReport(False, "theta acts invertibly on the Lie factor",
-                        eta=r1.eta, x=r1.x, det_value=d)
+        return replace(r1, reason="rank-one with singular action",
+                       det_value=d)
+    return replace(r1, member=False,
+                   reason="theta acts invertibly on the Lie factor",
+                   det_value=d)
 
 
 def pi_membership(conn, rep):

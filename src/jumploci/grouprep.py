@@ -25,6 +25,7 @@ They also record their family in ``family``, ``("free", n)`` or
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .liealg import (build_sol2, rep_defining, sl_matrices,
                      traceless_coordinates)
@@ -264,22 +265,15 @@ def adjoint_rep(rep):
     f = rep.field
     if rep.target == "SL":
         basis = [Matrix(f, m) for m in sl_matrices(rep.dim)]
-
-        def coords(mat):
-            return traceless_coordinates(mat.to_lists())
+        coords = traceless_coordinates
     elif rep.target == "Borel":
         basis = rep_defining(build_sol2(f)).matrices
-
-        def coords(mat):
-            return [mat[0, 0], mat[0, 1]]
+        coords = itemgetter(0)  # [a, b] of [[a, b], [0, -a]]: (h, e)
     else:
         raise GroupError("adjoint twist needs an SL or Borel target")
-
-    def ad(g, ginv):
-        cols = [coords(g @ b @ ginv) for b in basis]
-        return Matrix.from_columns(f, cols, nrows=len(basis))
-
-    mats = [ad(m, inv) for m, inv in zip(rep.matrices, rep.inverses)]
+    mats = [Matrix.from_columns(f, [coords((g @ b @ ginv).to_lists())
+                                    for b in basis], nrows=len(basis))
+            for g, ginv in zip(rep.matrices, rep.inverses)]
     return GroupRep(rep.group, "GL", mats, name=f"Ad({rep.name})")
 
 

@@ -115,7 +115,8 @@ def holonomy_presentation(cdga):
                 if not f.is_zero(coef):
                     quad[(k, l)] = coef
         relations.append(Relation(lin, quad))
-    return HolonomyPresentation(f, list(cdga.basis[1]), relations,
+    gens = [cdga.label(1, k) for k in range(n1)]
+    return HolonomyPresentation(f, gens, relations,
                                 name=f"holonomy({cdga.name})")
 
 

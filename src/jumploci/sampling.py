@@ -38,14 +38,9 @@ def rand_vector(rng, field, n, span=4):
     return [rand_scalar(rng, field, span) for _ in range(n)]
 
 
-def rand_matrix(rng, field, nrows, ncols, span=4):
-    return Matrix(field,
-                  [rand_vector(rng, field, ncols, span) for _ in range(nrows)])
-
-
 def rand_invertible(rng, field, n, span=3):
     for _ in range(128):
-        m = rand_matrix(rng, field, n, n, span)
+        m = Matrix(field, [rand_vector(rng, field, n, span) for _ in range(n)])
         if not field.is_zero(det(m)):
             return m
     raise SamplingError("no invertible matrix found (astronomically unlikely)")
@@ -101,13 +96,14 @@ def rand_closed_coefficients(rng, cdga, span=4, nonzero=False):
     raise SamplingError("could not draw a nonzero closed one-form")
 
 
-def flat_rank_one(rng, cdga, lie, span=4):
-    """eta (x) x with eta closed: flat because [x, x] = 0 and d(eta) = 0."""
-    eta = rand_closed_coefficients(rng, cdga, span, nonzero=True)
-    x = rand_lie_element(rng, lie, span)
+def _closed_tensor(cdga, lie, etas, xs):
+    """sum_j etas[j] (x) xs[j].  Flat when every eta is closed and the xs
+    commute pairwise: d(eta) = 0 kills the linear term, [x_j, x_k] = 0 the
+    bracket term."""
     f = cdga.field
-    rows = [[f.mul(e, xi) for xi in x] for e in eta]
-    return FlatConnection.from_rows(cdga, lie, rows)
+    return FlatConnection(cdga, lie,
+                          Matrix.from_columns(f, etas, nrows=cdga.dim(1))
+                          @ Matrix(f, xs, ncols=lie.dim))
 
 
 def _abelian_subalgebras(rng, lie, span):
@@ -123,20 +119,6 @@ def _abelian_subalgebras(rng, lie, span):
         out.append([lie.basis_vector(i) for i in range(lie.dim)])
     out.append([rand_lie_element(rng, lie, span)])
     return out
-
-
-def flat_abelian(rng, cdga, lie, span=4):
-    """Rows in a fixed abelian subalgebra, each coefficient column closed.
-
-    Brackets between rows vanish, and the exterior-derivative part collapses
-    to one closed one-form per subalgebra generator.
-    """
-    sub = rng.choice(_abelian_subalgebras(rng, lie, span))
-    f = cdga.field
-    cols = [rand_closed_coefficients(rng, cdga, span) for _ in sub]
-    coeffs = (Matrix.from_columns(f, cols, nrows=cdga.dim(1))
-              @ Matrix(f, sub, ncols=lie.dim))
-    return FlatConnection(cdga, lie, coeffs)
 
 
 def _paired_rows(rng, cdga, lie, span):
@@ -161,11 +143,6 @@ def _paired_rows(rng, cdga, lie, span):
     return rows
 
 
-def flat_pair_swap(rng, cdga, lie, span=4):
-    return FlatConnection.from_rows(cdga, lie,
-                                    _paired_rows(rng, cdga, lie, span))
-
-
 def sample_flat(rng, cdga, lie, span=4, strategy=None):
     """A random flat connection on a recognized model family.
 
@@ -185,11 +162,16 @@ def sample_flat(rng, cdga, lie, span=4, strategy=None):
             opts.append("free")
         strategy = rng.choice(opts)
     if strategy == "rank_one":
-        conn = flat_rank_one(rng, cdga, lie, span)
+        eta = rand_closed_coefficients(rng, cdga, span, nonzero=True)
+        conn = _closed_tensor(cdga, lie, [eta],
+                              [rand_lie_element(rng, lie, span)])
     elif strategy == "abelian":
-        conn = flat_abelian(rng, cdga, lie, span)
+        sub = rng.choice(_abelian_subalgebras(rng, lie, span))
+        etas = [rand_closed_coefficients(rng, cdga, span) for _ in sub]
+        conn = _closed_tensor(cdga, lie, etas, sub)
     elif strategy == "swap":
-        conn = flat_pair_swap(rng, cdga, lie, span)
+        conn = FlatConnection.from_rows(cdga, lie,
+                                        _paired_rows(rng, cdga, lie, span))
     elif strategy == "free":
         if cdga.dim(2) != 0:
             raise SamplingError(
@@ -266,10 +248,8 @@ def sample_pi_element(rng, cdga, rep, span=4):
     """Closed one-form tensor a determinant-cut Lie element: a rank-one flat
     connection that the determinant cut keeps."""
     eta = rand_closed_coefficients(rng, cdga, span, nonzero=True)
-    x = singular_lie_element(rng, rep, span)
-    f = cdga.field
-    rows = [[f.mul(e, xi) for xi in x] for e in eta]
-    return FlatConnection.from_rows(cdga, rep.lie, rows)
+    return _closed_tensor(cdga, rep.lie, [eta],
+                          [singular_lie_element(rng, rep, span)])
 
 
 # -------------------------------------------------------------- group reps
@@ -284,25 +264,18 @@ def standard_shear_pair(field):
 def _commuting_pair(rng, field, target, span):
     """Two commuting matrices in the target group."""
     kind = rng.choice(["powers", "diagonal"])
-    if target == "Borel":
-        if kind == "powers":
-            m = rand_borel(rng, field, span)
-            return _power(m, rng.randint(-3, 3)), _power(m, rng.randint(-3, 3))
-        t = rand_nonzero(rng, field, span)
-        s = rand_nonzero(rng, field, span)
-        d1 = Matrix(field, [[t, field.zero], [field.zero, field.inv(t)]])
-        d2 = Matrix(field, [[s, field.zero], [field.zero, field.inv(s)]])
-        return d1, d2
     if kind == "powers":
-        m = rand_unimodular(rng, field, 2, span=span)
+        m = (rand_borel(rng, field, span) if target == "Borel"
+             else rand_unimodular(rng, field, 2, span=span))
         return _power(m, rng.randint(-3, 3)), _power(m, rng.randint(-3, 3))
-    t = rand_nonzero(rng, field, span)
-    s = rand_nonzero(rng, field, span)
-    d1 = Matrix(field, [[t, field.zero], [field.zero, field.inv(t)]])
-    d2 = Matrix(field, [[s, field.zero], [field.zero, field.inv(s)]])
+    ts = [rand_nonzero(rng, field, span) for _ in range(2)]
+    pair = [Matrix(field, [[t, field.zero], [field.zero, field.inv(t)]])
+            for t in ts]
+    if target == "Borel":
+        return pair
     p = rand_unimodular(rng, field, 2, span=span)
     pinv = invert(p)
-    return p @ d1 @ pinv, p @ d2 @ pinv
+    return [p @ d @ pinv for d in pair]
 
 
 def _power(m, k):

@@ -289,6 +289,7 @@ HYPERPLANES = (16, "hyperplanes")
 LIE_DIM = (63, "dimensions")  # sl(n) for n <= 8
 REP_DIM = (256, "dimensions")
 GENERATORS = (256, "generators")
+NESTING = 64  # calls nested in a name's arguments; bounds the recursion
 
 INT, DOC = "integer", "document"  # argument kinds that are not GRAMMAR kinds
 INLINE, NORMALS = object(), object()  # heads of inline documents, not names
@@ -369,14 +370,17 @@ def _parse_call(text):
     head, paren, rest = text.strip().partition("(")
     if not paren:
         return head, []
-    depth, cuts = 1, [-1]
+    depth, cuts = 0, [-1]  # depth inside the arguments
     for i, ch in enumerate(rest):
         depth += (ch == "(") - (ch == ")")
-        if depth == 0:
+        if depth < 0:
             break
-        if ch == "," and depth == 1:
+        if depth > NESTING:
+            raise SerializeError(f"{head.strip()}(...) is nested too deeply: "
+                                 f"the limit is {NESTING} levels")
+        if ch == "," and depth == 0:
             cuts.append(i)
-    if depth or i != len(rest) - 1:
+    if depth >= 0 or i != len(rest) - 1:
         raise SerializeError(f"unbalanced parentheses in {text!r}")
     args = [rest[a + 1:b].strip() for a, b in zip(cuts, cuts[1:] + [i])]
     return head.strip(), [] if args == [""] else args

@@ -265,6 +265,36 @@ def test_the_largest_name_of_each_head_resolves(resolve, spec, size,
     assert size(resolve(QQ, spec)) == expected
 
 
+def nested(head, leaf, depth):
+    """``depth`` calls of ``head``, each nested in the first argument of the
+    one outside it, with ``leaf`` innermost and as every second argument."""
+    return f"{head}(" * depth + leaf + f",{leaf})" * depth
+
+
+SOL2_FLAT = {"cdga": "compact_curve(1)", "lie": "sol2",
+             "coeffs": [["1", "0"], ["2", "0"]]}
+
+
+@pytest.mark.parametrize("command,doc,code", [
+    ("aomoto-betti", {"connection": SOL2_FLAT,
+                      "theta": nested("sum", "trivial(sol2,1)", 64)}, 0),
+    ("aomoto-betti", {"connection": SOL2_FLAT,
+                      "theta": nested("sum", "trivial(sol2,1)", 65)}, 2),
+    ("aomoto-betti", {"connection": json.loads(CURVE_FLAT),
+                      "theta": nested("sum", "trivial(sl(2),1)", 2000)}, 2),
+    ("cohomology", {"model": nested("tensor", "torus(1)", 2000)}, 2),
+], ids=["sum-64", "sum-65", "sum-2000", "tensor-2000"])
+def test_names_nest_at_most_64_deep(command, doc, code, capsys):
+    # the nesting is bounded before any recursion, which 2000 levels
+    # would exhaust
+    assert main([command, "--input", json.dumps(doc)]) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert out == "twisted betti numbers = (65, 130, 65), euler = 0\n"
+    else:
+        assert err.startswith("error:") and "the limit is 64 levels" in err
+
+
 def test_cut_off_model_document_is_exit_2(capsys):
     model = dict(cdga_to_json(build_surface_model(QQ, 1)), truncated=True)
     assert main(["cohomology", "--input", json.dumps(model)]) == 2
@@ -442,6 +472,15 @@ def test_scenario_list_and_unknown(capsys):
     capsys.readouterr()
 
 
+def test_seed_is_an_option_of_scenario_alone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["cohomology", "--seed", "1", "--input", '{"model": "torus(2)"}'])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["scenario", "pencil-resonance", "--seed", "3", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["holds"] is True
+
+
 def test_scenario_single_run(capsys):
     assert main(["scenario", "tangent-match", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -536,6 +575,21 @@ def test_relation_check_cli(capsys):
     bad["assignment"] = [["1", "0", "0"], ["0", "1", "0"]]
     assert main(["relation-check", "--input", json.dumps(bad)]) == 1
     capsys.readouterr()
+
+
+POINT = {"name": "pt", "top_degree": 0, "basis": [["1"]], "diff": {},
+         "mult": {}}
+
+
+def test_a_model_without_degree_one(capsys):
+    # no one-forms: a presentation with no generators and no relations
+    assert main(["holonomy", "--json", "--input",
+                 json.dumps({"model": POINT})]) == 0
+    assert json.loads(capsys.readouterr().out) == \
+        {"generators": [], "relations": []}
+    doc = {"model": POINT, "lie": "sl(2)", "assignment": []}
+    assert main(["relation-check", "--input", json.dumps(doc)]) == 0
+    assert capsys.readouterr().out == "all relations hold\n"
 
 
 def test_pullback_round_trip(capsys):

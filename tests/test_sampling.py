@@ -109,14 +109,17 @@ def test_singular_elements_have_zero_determinant():
 
 
 def test_pi_samples_pass_membership():
+    # sl(2), the Borel algebra sol2 and sl(3), the paper's case n >= 3
     rng = random.Random(5)
-    for make_model in MODELS:
-        a = make_model(QQ)
-        rep = rep_defining(build_sl(QQ, 2))
-        for _ in range(10):
-            c = sample_pi_element(rng, a, rep)
-            assert is_flat(c)
-            assert pi_membership(c, rep).member
+    for lie in (build_sl(QQ, 2), build_sol2(QQ), build_sl(QQ, 3)):
+        rep = rep_defining(lie)
+        for make_model in MODELS:
+            a = make_model(QQ)
+            for _ in range(10):
+                c = sample_pi_element(rng, a, rep)
+                assert is_flat(c)
+                r = pi_membership(c, rep)
+                assert r.member and r.rank == 1 and QQ.is_zero(r.det_value)
 
 
 def test_group_reps_satisfy_relators():
