@@ -10,8 +10,8 @@ The package computes, over the rationals or an odd prime field:
 * holonomy Lie algebra presentations and the flat-connection /
   presentation-morphism correspondence;
 * covariant-derivative (Aomoto) complexes and resonance loci;
-* Fox-calculus twisted cohomology of finitely presented groups and the
-  matching characteristic-variety membership tests.
+* Fox-calculus twisted cohomology of finitely presented groups, whose
+  Betti numbers decide characteristic-variety membership.
 
 Everything is exact; see the cli module for the command-line interface.
 """

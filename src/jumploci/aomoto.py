@@ -9,10 +9,9 @@ the connection's one-form generators multiplying from the left.  Flatness of
 omega makes d_omega square to zero.  Basis ordering is algebra-major:
 index = (algebra basis index) * dim V + (V index).
 
-Resonance membership at degree i, depth r asks dim H^i >= r.  The degree-0
-locus has a direct description — a nonzero vector killed by every theta(x_k)
-— which ``r01_common_kernel`` computes independently and cross-checks
-against the assembled complex.
+Resonance membership at degree i, depth r asks dim H^i >= r.  In degree 0,
+d_omega(1 (x) v) = sum_k a_k (x) theta(x_k) v with the a_k independent, so
+H^0 is the common kernel of the theta(x_k).
 
 ``depth_gap`` packages the strict-inequality comparison between the twisted
 first Betti number of a connection on a sub-model and of its pushforward on
@@ -127,26 +126,6 @@ def resonance_membership(conn, rep, i, depth):
     if depth < 1:
         raise AomotoError("depth must be >= 1")
     return aomoto_betti(conn, rep, i) >= depth
-
-
-def r01_common_kernel(conn, rep):
-    """(member, witness) for degree-0 depth-1 resonance: a nonzero vector
-    killed by theta of every coefficient row.
-
-    Computed by stacking the theta(x_k) directly, then cross-checked against
-    the assembled complex's degree-0 Betti number; a mismatch raises.
-    """
-    a = conn.cdga
-    f = a.field
-    stacked = vstack_all(f, [rep.apply(conn.row(k)) for k in range(a.dim(1))],
-                         rep.dim)
-    ker = kernel_basis(stacked)
-    member = bool(ker)
-    b0 = aomoto_betti(conn, rep, 0)
-    if member != (b0 >= 1):
-        raise AomotoError(
-            f"internal disagreement: common kernel {member} vs b0 {b0}")
-    return member, (ker[0] if member else None)
 
 
 @dataclass

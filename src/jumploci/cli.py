@@ -62,6 +62,8 @@ def load_input(args, *keys, required=True):
         raise CliInputError(f"cannot read {raw}: {exc}")
     except json.JSONDecodeError as exc:
         raise CliInputError(f"input is not valid JSON: {exc}")
+    except RecursionError:
+        raise CliInputError("input JSON is nested too deeply to parse")
     if keys and (not isinstance(obj, dict) or any(k not in obj for k in keys)):
         raise CliInputError("expected a JSON object with keys "
                             + ", ".join(f'"{k}"' for k in keys))

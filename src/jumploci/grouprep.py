@@ -16,10 +16,12 @@ sum_i dr/dx_i (x_i - 1) = r - 1 makes D1 D0 = 0 whenever rho kills the
 relators.  Twisted Betti numbers are b0 = dim ker D0,
 b1 = dim ker D1 - rank D0, b2 = m dim V - rank D1.
 
-Degree-2 jump-locus membership is only meaningful when the presentation
-complex is aspherical; the builders for free and surface groups mark it so.
-They also record their family in ``family``, ``("free", n)`` or
-``("surface", g)``; decoded groups carry ``family = None``.
+Jump-locus membership at degree i, depth r is b^i >= r, read off
+``twisted_cohomology``.  In degree 2 that is the cohomology of the
+presentation complex, which is the group's only when the complex is
+aspherical, as it is for free and surface groups.  Their builders record
+the family in ``family``, ``("free", n)`` or ``("surface", g)``; decoded
+groups carry ``family = None``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from operator import itemgetter
 
 from .liealg import (build_sol2, rep_defining, sl_matrices,
                      traceless_coordinates)
-from .linalg import Matrix, det, invert, kernel_basis, rank, vstack_all
+from .linalg import Matrix, det, invert, rank, vstack_all
 from .scalars import same_field
 
 
@@ -65,7 +67,7 @@ def free_reduce(word):
 class FpGroup:
     family = None
 
-    def __init__(self, generators, relators, aspherical=False, name=""):
+    def __init__(self, generators, relators, name=""):
         self.generators = list(generators)
         if len(set(self.generators)) != len(self.generators):
             raise GroupError("duplicate generator names")
@@ -79,7 +81,6 @@ class FpGroup:
             if any(not 1 <= abs(x) <= n for x in r):
                 raise GroupError("relator letter out of range")
             self.relators.append(r)
-        self.aspherical = bool(aspherical)
         self.name = name or "group"
 
     @property
@@ -90,9 +91,6 @@ class FpGroup:
         """Of the presentation 2-complex: 1 - #generators + #relators."""
         return 1 - len(self.generators) + len(self.relators)
 
-    def word(self, text):
-        return parse_word(self.generators, text)
-
     def __repr__(self):
         return (f"FpGroup({self.name}, {len(self.generators)} gens, "
                 f"{len(self.relators)} rels)")
@@ -101,8 +99,7 @@ class FpGroup:
 def free_group(n):
     if n < 1:
         raise GroupError("free group needs n >= 1")
-    group = FpGroup([f"x{i}" for i in range(1, n + 1)], [], aspherical=True,
-                    name=f"free_{n}")
+    group = FpGroup([f"x{i}" for i in range(1, n + 1)], [], name=f"free_{n}")
     group.family = ("free", n)
     return group
 
@@ -116,8 +113,7 @@ def surface_group(g):
         gens += [f"a{i}", f"b{i}"]
     relator = " ".join(
         f"a{i} b{i} a{i}^-1 b{i}^-1" for i in range(1, g + 1))
-    group = FpGroup(gens, [relator], aspherical=True,
-                    name=f"surface_{g}")
+    group = FpGroup(gens, [relator], name=f"surface_{g}")
     group.family = ("surface", g)
     return group
 
@@ -197,12 +193,6 @@ def rep_check(rep):
         if rep.evaluate(r) != ident:
             bad.append(j)
     return (not bad), bad
-
-
-def fixed_vector(rep):
-    """(exists, witness): a nonzero simultaneously fixed vector, if any."""
-    ker = kernel_basis(d0_matrix(rep))
-    return bool(ker), (ker[0] if ker else None)
 
 
 def fox_derivative(rep, word, i):
@@ -302,23 +292,6 @@ def twisted_cohomology(rep, twist="defining"):
     dv, r0, r1 = _fox_ranks(rep, twist)
     n, m = rep.group.n_generators, len(rep.group.relators)
     return TwistedBetti(dv - r0, (n * dv - r1) - r0, m * dv - r1)
-
-
-def cv_membership(rep, i, depth, twist="defining"):
-    """Jump-locus membership of the local system at degree i, depth >= 1.
-
-    Degree 2 is only meaningful when the presentation complex is declared
-    aspherical — otherwise this raises.
-    """
-    if i not in (0, 1, 2):
-        raise GroupError("degree must be 0, 1, or 2")
-    if depth < 1:
-        raise GroupError("depth must be >= 1")
-    if i == 2 and not rep.group.aspherical:
-        raise GroupError(
-            "degree-2 membership needs an aspherical presentation complex")
-    b = twisted_cohomology(rep, twist=twist).as_tuple()
-    return b[i] >= depth
 
 
 @dataclass

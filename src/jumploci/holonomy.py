@@ -10,9 +10,8 @@ the quadratic part reads off the multiplication table (a_k ^ a_l mapped to
 the bracket [g_k, g_l]).  Evaluating these relations at an assignment of Lie
 elements to generators reproduces, coefficient for coefficient, the
 Maurer-Cartan residual of the corresponding connection by a second code
-path: ``correspondence_check`` compares the two at one assignment, and
-``relation_zeros`` lists the zeros over a whole prime field of L w + w^T Q w,
-with L = d¹ ⊗ 1 and Q = μ ⊗ c read off the presentation alone
+path.  ``relation_zeros`` lists the zeros over a whole prime field of
+L w + w^T Q w, with L = d¹ ⊗ 1 and Q = μ ⊗ c read off the presentation alone
 (``relation_tensors``; μ the product A^1 x A^1 -> A^2, c the structure
 constants of the Lie algebra).
 
@@ -25,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .flatconn import FlatConnection, _common_zeros, _bound_census, is_flat
+from .flatconn import _common_zeros, _bound_census
 from .linalg import Matrix
 from .models import build_surface_model
 from .scalars import PrimeField
@@ -146,18 +145,6 @@ def failing_relations(pres, lie, assignment):
 def relation_check(pres, lie, assignment):
     """Do the generator images kill every relation?"""
     return not failing_relations(pres, lie, assignment)
-
-
-def correspondence_check(cdga, lie, assignment):
-    """(relation_check, is_flat, agree) for one coefficient matrix.
-
-    The two booleans are computed along independent paths (presentation
-    evaluation vs. Maurer-Cartan residual) and must always agree.
-    """
-    pres = holonomy_presentation(cdga)
-    rel_ok = relation_check(pres, lie, assignment)
-    flat_ok = is_flat(FlatConnection(cdga, lie, assignment))
-    return rel_ok, flat_ok, rel_ok == flat_ok
 
 
 def surface_presentations(field, g):

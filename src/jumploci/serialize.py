@@ -242,33 +242,11 @@ def presentation_from_json(field, obj):
 
 # ----------------------------------------------------------------- groups
 
-def _word_to_text(group, word):
-    toks = []
-    for letter in word:
-        lab = group.generators[abs(letter) - 1]
-        toks.append(lab if letter > 0 else f"{lab}^-1")
-    return " ".join(toks)
-
-
-def group_to_json(group):
-    obj = {"generators": list(group.generators),
-           "relators": [_word_to_text(group, r) for r in group.relators]}
-    if group.aspherical:
-        obj["aspherical"] = True
-    return obj
-
-
 @_decoder
 def group_from_json(obj):
     _expect(obj, "generators", "relators")
     return FpGroup(obj["generators"], obj["relators"],
-                   aspherical=obj.get("aspherical", False),
                    name=obj.get("name", "group"))
-
-
-def group_rep_to_json(rep):
-    return {"group": group_to_json(rep.group), "target": rep.target,
-            "matrices": [encode_matrix(m) for m in rep.matrices]}
 
 
 @_decoder

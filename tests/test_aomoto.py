@@ -9,17 +9,16 @@ from hypothesis import strategies as st
 
 import jumploci.aomoto as aomoto
 from jumploci.aomoto import (AomotoComplex, AomotoError, PreconditionError,
-                             aomoto_betti, depth_gap, r01_common_kernel,
-                             resonance_membership)
+                             aomoto_betti, depth_gap, resonance_membership)
 from jumploci.cdga import tensor_product_with_inclusions
 from jumploci.flatconn import FlatConnection, NotFlatError
-from jumploci.liealg import (build_abelian, build_sl, rep_adjoint,
+from jumploci.liealg import (build_abelian, build_sl, build_sol2, rep_adjoint,
                              rep_defining, rep_direct_sum, rep_trivial,
                              sl_coordinates)
-from jumploci.linalg import Matrix
+from jumploci.linalg import Matrix, kernel_basis, vstack_all
 from jumploci.models import (build_compact_curve, build_open_curve,
                              build_surface_model)
-from jumploci.sampling import surface_witness
+from jumploci.sampling import sample_flat, surface_witness
 from jumploci.scalars import GF, QQ
 from jumploci.serialize import resolve_model
 
@@ -69,16 +68,40 @@ def test_resonance_membership_depths():
         resonance_membership(c, theta, 1, 0)
 
 
+def common_kernel(c, theta):
+    """Oracle for H^0: a basis of the vectors that theta of every
+    coefficient row kills, from the stacked theta(x_k) alone."""
+    a = c.cdga
+    return kernel_basis(vstack_all(
+        a.field, [theta.apply(c.row(k)) for k in range(a.dim(1))], theta.dim))
+
+
 def test_r01_common_kernel():
+    # d(1 (x) v) = sum_k a_k (x) theta(x_k) v with the a_k independent, so
+    # b0 is the dimension of the common kernel, not just positive with it
     a = build_compact_curve(QQ, 1)
     g = build_sl(QQ, 2)
     theta = rep_defining(g)
-    member, witness = r01_common_kernel(conn(a, g, [[1, 0, 0], [2, 0, 0]]),
-                                        theta)
-    assert member and witness == [QQ.one, QQ.zero]
-    member, witness = r01_common_kernel(conn(a, g, [[0, 0, 1], [0, 0, 2]]),
-                                        theta)
-    assert not member and witness is None
+    c = conn(a, g, [[1, 0, 0], [2, 0, 0]])
+    assert common_kernel(c, theta) == [[QQ.one, QQ.zero]]
+    assert AomotoComplex(c, theta).betti(0) == 1
+    c = conn(a, g, [[0, 0, 1], [0, 0, 2]])
+    assert common_kernel(c, theta) == []
+    assert AomotoComplex(c, theta).betti(0) == 0
+
+    seen = Counter()
+    for f in (QQ, GF(5)):
+        for model in (build_compact_curve(f, 2), build_surface_model(f, 1)):
+            for theta in (rep_defining(build_sl(f, 2)),
+                          rep_defining(build_sol2(f)),
+                          rep_defining(build_sl(f, 3)),
+                          rep_adjoint(build_sl(f, 2))):
+                for s in range(8):
+                    c = sample_flat(random.Random(s), model, theta.lie)
+                    b0 = AomotoComplex(c, theta).betti(0)
+                    assert b0 == len(common_kernel(c, theta))
+                    seen[b0] += 1
+    assert set(seen) == {0, 1, 2}  # the samples reach each depth
 
 
 def test_open_curve_euler_identity():

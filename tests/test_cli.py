@@ -295,6 +295,15 @@ def test_names_nest_at_most_64_deep(command, doc, code, capsys):
         assert err.startswith("error:") and "the limit is 64 levels" in err
 
 
+def test_json_nested_past_the_parser_is_exit_2(tmp_path, capsys):
+    # json.loads gives up with RecursionError, which is the input's fault
+    path = tmp_path / "deep.json"
+    path.write_text('{"model": ' + "[" * 100000 + "]" * 100000 + "}")
+    assert main(["cohomology", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "internal error" not in err
+
+
 def test_cut_off_model_document_is_exit_2(capsys):
     model = dict(cdga_to_json(build_surface_model(QQ, 1)), truncated=True)
     assert main(["cohomology", "--input", json.dumps(model)]) == 2
@@ -440,6 +449,28 @@ def test_fox_and_rep_check(capsys):
     capsys.readouterr()
     assert main(["rep-check", "--input", broken]) == 1
     capsys.readouterr()
+
+
+def test_a_group_document_may_keep_the_aspherical_key(capsys):
+    # older group documents carry "aspherical": true; the key is ignored,
+    # so they decode, validate and give the same Fox cohomology
+    plain = {"generators": ["a", "b"], "relators": ["a b a^-1 b^-1"]}
+    flagged = dict(plain, aspherical=True)
+    assert vars(resolve_group(flagged)) == vars(resolve_group(plain))
+    runs = []
+    for group in (plain, flagged):
+        rep = json.dumps({
+            "group": group, "target": "SL",
+            "matrices": [[["1", "1"], ["0", "1"]], [["1", "2"], ["0", "1"]]],
+        })
+        runs.append([(main(argv), capsys.readouterr()) for argv in (
+            ["validate", "--input", json.dumps(group)],
+            ["validate", "--input", rep],
+            ["fox", "--input", rep, "--json"])])
+    assert runs[0] == runs[1]
+    assert [code for code, _ in runs[0]] == [0, 0, 0]
+    payload = json.loads(runs[0][2][1].out)
+    assert (payload["b0"], payload["b1"], payload["b2"]) == (1, 2, 1)
 
 
 def test_fp_field(capsys):

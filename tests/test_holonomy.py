@@ -6,13 +6,12 @@ import pytest
 from jumploci import holonomy
 from jumploci.cdga import tensor_product_with_inclusions
 from jumploci.flatconn import (BruteForceBoundError, FlatConnection,
-                               flatness_tensors, mc_residual)
+                               flatness_tensors, is_flat, mc_residual)
 from jumploci.holonomy import (HolonomyError, HolonomyPresentation, Relation,
-                               build_counterexample_rho, correspondence_check,
-                               evaluate_relation, failing_relations,
-                               holonomy_presentation, relation_check,
-                               relation_tensors, relation_zeros,
-                               surface_presentations)
+                               build_counterexample_rho, evaluate_relation,
+                               failing_relations, holonomy_presentation,
+                               relation_check, relation_tensors,
+                               relation_zeros, surface_presentations)
 from jumploci.liealg import build_sl, build_sol2
 from jumploci.linalg import Matrix
 from jumploci.models import (build_compact_curve, build_open_curve,
@@ -130,11 +129,12 @@ def test_counterexample_rho():
 def test_correspondence_on_samples():
     a = build_compact_curve(GF(3), 1)
     g = build_sl(GF(3), 2)
+    pres = holonomy_presentation(a)
     for rows in ([[0, 0, 0], [0, 0, 0]], [[1, 0, 0], [2, 0, 0]],
                  [[1, 0, 0], [0, 1, 0]], [[0, 0, 1], [0, 0, 2]]):
-        rel_ok, flat_ok, agree = correspondence_check(
-            a, g, Matrix(GF(3), rows))
-        assert agree and rel_ok == flat_ok
+        assignment = Matrix(GF(3), rows)
+        assert relation_check(pres, g, assignment) == \
+            is_flat(FlatConnection(a, g, assignment))
 
 
 def test_mask_matches_direct_loop():

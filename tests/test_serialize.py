@@ -8,14 +8,13 @@ from jumploci.holonomy import (Relation, HolonomyPresentation,
 from jumploci.liealg import build_sl, build_sol2, rep_adjoint, rep_defining
 from jumploci.linalg import Matrix
 from jumploci.models import build_compact_curve, build_surface_model
-from jumploci.grouprep import GroupRep, free_group, surface_group
+from jumploci.grouprep import free_group, surface_group
 from jumploci.sampling import standard_shear_pair
 from jumploci.scalars import GF, QQ
 from jumploci.serialize import (SerializeError, cdga_from_json, cdga_to_json,
                                 connection_from_json, connection_to_json,
                                 decode_matrix, decode_scalar, encode_scalar,
                                 group_from_json, group_rep_from_json,
-                                group_rep_to_json, group_to_json,
                                 lie_from_json, lie_to_json,
                                 presentation_from_json, presentation_to_json,
                                 resolve_group, resolve_lie, resolve_model,
@@ -118,19 +117,21 @@ def test_cubic_presentation_has_no_wire_format():
 
 def test_group_round_trip():
     g = surface_group(2)
-    back = group_from_json(group_to_json(g))
+    back = group_from_json({
+        "generators": ["a1", "b1", "a2", "b2"],
+        "relators": ["a1 b1 a1^-1 b1^-1 a2 b2 a2^-1 b2^-1"]})
     assert back.generators == g.generators
     assert back.relators == g.relators
-    assert back.aspherical == g.aspherical
 
 
 def test_group_rep_round_trip():
-    g = free_group(2)
-    a, b = standard_shear_pair(GF(5))
-    rep = GroupRep(g, "SL", [a, b])
-    back = group_rep_from_json(GF(5), group_rep_to_json(rep))
+    back = group_rep_from_json(GF(5), {
+        "group": {"generators": ["x1", "x2"], "relators": []},
+        "target": "SL",
+        "matrices": [[["1", "1"], ["0", "1"]], [["1", "0"], ["1", "1"]]]})
+    assert back.group.generators == free_group(2).generators
     assert back.target == "SL"
-    assert back.matrices == rep.matrices
+    assert back.matrices == list(standard_shear_pair(GF(5)))
 
 
 def test_resolve_model_names():
