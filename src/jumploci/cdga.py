@@ -24,7 +24,8 @@ top degree, so each Betti number and Euler characteristic is exact.
 
 from __future__ import annotations
 
-from .linalg import Matrix, dense_vector, kernel_basis, rank
+from .linalg import (Matrix, _common_numerators, dense_vector, kernel_basis,
+                     rank)
 from .scalars import same_field
 
 
@@ -34,6 +35,7 @@ class CdgaError(ValueError):
 
 class Cdga:
     family = None
+    _one_forms = None  # one_form_table's result
 
     def __init__(self, field, name, basis, diff, mult, weights=None):
         """
@@ -119,6 +121,19 @@ class Cdga:
         if i + j > self.top_degree:
             return {}
         return self._mult.get((i, k, j, l), {})
+
+    def one_form_table(self):
+        """(D, d¹ rows, [(k, l, [(c, μ)])]): d¹ and the nonzero products
+        a_k a_l = Σ μ b_c, k < l, as integer numerators over one D."""
+        if self._one_forms is None:
+            keys = [(k, l) for i, k, j, l in self._mult
+                    if i == j == 1 and k < l]
+            den, nums = _common_numerators(self.d_matrix(1).rows + [
+                self._mult[(1, k, 1, l)] for k, l in keys])
+            n = self.dim(2)
+            self._one_forms = den, nums[:n], [
+                (k, l, list(v.items())) for (k, l), v in zip(keys, nums[n:])]
+        return self._one_forms
 
     def product(self, i, v, j, w):
         """Bilinear product of coordinate vectors; result in degree i+j."""

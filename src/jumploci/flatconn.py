@@ -10,7 +10,11 @@ residual in degree 2 is
     sum_k d(a_k) (x) x_k  +  sum_{k<l} (a_k a_l) (x) [x_k, x_l]
 
 (the symmetric double sum of the bracket term collapses onto k < l because
-the one-forms anticommute while the brackets antisymmetrize).
+the one-forms anticommute while the brackets antisymmetrize).  ``mc_residual``
+sums it in plain ints: d¹ and the products a_k a_l (``Cdga.one_form_table``)
+and the structure constants (``LieAlgebra.structure_table``, which ``bracket``
+reads too) are integer numerators over one denominator each, and the rows over
+Q are scaled by the lcm of their denominators.  Each entry is reduced once.
 
 The rank-one locus consists of connections eta (x) x with d(eta) = 0; its
 determinant cut additionally demands det(theta(x)) = 0 for a chosen
@@ -34,8 +38,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
-from .linalg import Matrix, dense_vector, rank
+from .linalg import Matrix, _common_numerators, rank
 from .scalars import PrimeField, same_field
 
 
@@ -85,20 +90,28 @@ class FlatConnection:
 def mc_residual(conn):
     """Maurer-Cartan residual as a vector in degree-2 (x) Lie coordinates,
     flattened algebra-major: index = (degree-2 index) * dim_lie + lie index.
-    The linear part is d^1 times the coefficient matrix."""
+    Summed in plain ints and reduced once per nonzero entry."""
     a, g = conn.cdga, conn.lie
-    rows = [conn.row(k) for k in range(a.dim(1))]
-    acc = (a.d_matrix(1) @ conn.coeffs).rows
-    for k in range(len(rows)):
-        for l in range(k + 1, len(rows)):
-            prod = a.product_basis(1, k, 1, l)
-            br = g.bracket(rows[k], rows[l]) if prod else ()
-            for c, coef in prod.items():
-                for m, x in enumerate(br):
-                    if x:
-                        acc[c][m] = acc[c][m] + coef * x if m in acc[c] \
-                            else coef * x
-    return [x for row in acc for x in dense_vector(a.field, row, g.dim)]
+    den_a, d1, products = a.one_form_table()
+    scale, rows = _common_numerators(conn.coeffs.rows)
+    lift = g.structure_table()[0] * scale  # d¹ x over den_a·den_g·scale²
+    acc = [{} for _ in d1]
+    for s, drow in zip(acc, d1):
+        for k, coef in drow.items():
+            for m, x in rows[k].items():
+                s[m] = s.get(m, 0) + lift * coef * x
+    dense = [[r.get(m, 0) for m in range(g.dim)] for r in rows]
+    for k, l, terms in products:
+        br = g.bracket_sums(dense[k], dense[l])
+        for c, mu in terms:
+            for m, v in br.items():
+                acc[c][m] = acc[c].get(m, 0) + mu * v
+    p, n, den = a.field.characteristic, g.dim, den_a * lift * scale
+    out = [a.field.zero] * (len(acc) * n)
+    for c, s in enumerate(acc):
+        for m, v in s.items():
+            out[c * n + m] = v % p if p else Fraction(v, den)
+    return out
 
 
 def is_flat(conn):
@@ -200,11 +213,11 @@ def weight_scale(conn, s):
         raise FlatConnError("scale factor must be nonzero")
     if a.weights is None:
         raise FlatConnError(f"model {a.name} carries no weights")
-    rows = []
-    for k in range(a.dim(1)):
-        factor = f.pow(s, a.weights[1][k])
-        rows.append([f.mul(factor, x) for x in conn.row(k)])
-    return FlatConnection(a, conn.lie, Matrix(f, rows, ncols=conn.lie.dim))
+    factors = [f.pow(s, w) for w in a.weights[1]]
+    rows = [{j: c * x for j, x in r.items()}
+            for c, r in zip(factors, conn.coeffs.rows)]
+    return FlatConnection(a, conn.lie,
+                          Matrix.from_sums(f, rows, conn.lie.dim))
 
 
 # ---------------------------------------------------------------------------

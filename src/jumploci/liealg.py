@@ -3,7 +3,9 @@
 A Lie algebra is a labelled basis plus structure constants; elements are
 plain coordinate vectors (lists of field scalars).  Brackets are stored for
 index pairs i < j only, so antisymmetry holds by construction; the Jacobi
-identity is checked by ``validate``.
+identity is checked by ``validate``.  ``bracket`` and the Maurer-Cartan
+residual read them from one table of integer numerators over a common
+denominator, built on first use.
 
 Builders: ``build_sl(n)`` with the elementary-matrix basis E_ij (i != j,
 upper triangular block first, lex order) followed by H_i = E_ii - E_{i+1,i+1},
@@ -19,9 +21,10 @@ construction: [theta(x_i), theta(x_j)] must equal theta([x_i, x_j]).
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 
-from .linalg import Matrix, dense_vector, det
+from .linalg import Matrix, _common_numerators, dense_vector, det
 from .scalars import same_field
 
 
@@ -32,6 +35,7 @@ class LieError(ValueError):
 class LieAlgebra:
     family = None
     _adjoint = None  # rep_adjoint's result, built and checked once
+    _table = None  # structure_table's result
 
     def __init__(self, field, labels, brackets, name=""):
         """brackets: dict (i, j) with i < j -> dict index -> scalar."""
@@ -80,16 +84,30 @@ class LieAlgebra:
             out[m] = f.neg(c) if sign < 0 else c
         return out
 
+    def structure_table(self):
+        """(D, [(i, j, [(m, c)])]): the nonzero structure constants of the
+        pairs i < j as integer numerators c over one denominator D."""
+        if self._table is None:
+            den, nums = _common_numerators(self._brackets.values())
+            self._table = den, [(i, j, list(v.items())) for (i, j), v
+                                in zip(self._brackets, nums)]
+        return self._table
+
+    def bracket_sums(self, x, y):
+        """D·[x, y] as unreduced sums (index -> sum), D the denominator of
+        ``structure_table``: the package's one bracket loop."""
+        acc = {}
+        for i, j, terms in self.structure_table()[1]:
+            if t := x[i] * y[j] - x[j] * y[i]:
+                for m, c in terms:
+                    acc[m] = acc.get(m, 0) + t * c
+        return acc
+
     def bracket(self, x, y):
         """Bilinear bracket of coordinate vectors."""
-        acc = {}
-        ys = [(j, yj) for j, yj in enumerate(y) if yj]
-        for i, xi in enumerate(x):
-            for j, yj in ys if xi else ():
-                coef = xi * yj if i < j else -(xi * yj)
-                for m, c in self._brackets.get((min(i, j), max(i, j)),
-                                               {}).items():
-                    acc[m] = acc[m] + coef * c if m in acc else coef * c
+        den, acc = self.structure_table()[0], self.bracket_sums(x, y)
+        if den > 1:
+            acc = {m: Fraction(v, den) for m, v in acc.items()}
         return dense_vector(self.field, acc, self.dim)
 
     def is_zero_vector(self, v):

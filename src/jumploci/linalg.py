@@ -335,6 +335,14 @@ def _integer_rows(rows, log=None):
     return out
 
 
+def _common_numerators(rows):
+    """(D, rows·D): sparse rows of Fractions or ints as integer numerators
+    over D, the lcm of every entry's denominator."""
+    den = lcm(*(x.denominator for r in rows for x in r.values()))
+    return den, [{j: x.numerator * (den // x.denominator)
+                  for j, x in r.items()} for r in rows]
+
+
 def _working_rows(field, rows, log=None):
     """Copies of sparse rows for the field's row update, and that update."""
     p = field.characteristic

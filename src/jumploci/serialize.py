@@ -12,6 +12,7 @@ anything is built.
 """
 
 import functools
+from reprlib import repr as _brief  # a bounded repr for error messages
 
 from .cdga import Cdga, tensor_product_with_inclusions
 from .flatconn import FlatConnection
@@ -48,7 +49,7 @@ def decode_scalar(field, text):
         return field.parse(text)
     if isinstance(text, int):
         return field.coerce(text)
-    raise SerializeError(f"scalar must be a string, got {text!r}")
+    raise SerializeError(f"scalar must be a string, got {_brief(text)}")
 
 
 def encode_scalar(field, value):
@@ -74,7 +75,7 @@ def encode_matrix(m):
 
 def _int(value):
     if type(value) is not int:
-        raise SerializeError(f"expected an integer, got {value!r}")
+        raise SerializeError(f"expected an integer, got {_brief(value)}")
     return value
 
 
@@ -112,7 +113,7 @@ def cdga_from_json(field, obj):
     unknown = set(obj) - CDGA_KEYS
     if unknown:
         raise SerializeError(
-            f"unknown model keys: {', '.join(sorted(unknown))}")
+            f"unknown model keys: {', '.join(sorted(unknown))[:80]}")
     basis = obj["basis"]
     if not isinstance(basis, list) or len(basis) != obj["top_degree"] + 1:
         raise SerializeError("basis must list labels for degrees 0..top")
@@ -137,7 +138,7 @@ def cdga_from_json(field, obj):
             if term["deg"] != di + dj:
                 raise SerializeError(
                     f"product ({di},{ki})*({dj},{kj}) lands in degree "
-                    f"{term['deg']}, expected {di + dj}")
+                    f"{_brief(term['deg'])}, expected {di + dj}")
             vec[_int(term["idx"])] = decode_scalar(field, term["coef"])
         mult[(di, ki, dj, kj)] = vec
     weights = obj.get("weights")
@@ -354,12 +355,12 @@ def _parse_call(text):
         if depth < 0:
             break
         if depth > NESTING:
-            raise SerializeError(f"{head.strip()}(...) is nested too deeply: "
+            raise SerializeError(f"{_brief(text)} is nested too deeply: "
                                  f"the limit is {NESTING} levels")
         if ch == "," and depth == 0:
             cuts.append(i)
     if depth >= 0 or i != len(rest) - 1:
-        raise SerializeError(f"unbalanced parentheses in {text!r}")
+        raise SerializeError(f"unbalanced parentheses in {_brief(text)}")
     args = [rest[a + 1:b].strip() for a, b in zip(cuts, cuts[1:] + [i])]
     return head.strip(), [] if args == [""] else args
 
@@ -372,7 +373,7 @@ def _argument(field, kind, text):
             return int(text)
     except ValueError:  # more digits than int() reads
         pass
-    raise SerializeError(f"expected a natural number, got {text!r}")
+    raise SerializeError(f"expected a natural number, got {_brief(text)}")
 
 
 @_decoder
@@ -385,16 +386,17 @@ def _resolve(field, kind, spec):
     elif isinstance(spec, str):
         head, args = _parse_call(spec)
     else:
-        raise SerializeError(f"bad {kind} spec {spec!r}")
+        raise SerializeError(f"bad {kind} spec of type {type(spec).__name__}:"
+                             f" {_brief(spec)}")
     if head not in GRAMMAR[kind]:
-        raise SerializeError(f"unknown {kind} {spec!r}")
+        raise SerializeError(f"unknown {kind} {_brief(spec)}")
     arg_kinds, (bound, unit), size, build = GRAMMAR[kind][head]
     if len(args) != len(arg_kinds):
         raise SerializeError(
-            f"{spec}: expected {head}({', '.join(arg_kinds)})")
+            f"{_brief(spec)}: expected {head}({', '.join(arg_kinds)})")
     values = [_argument(field, k, a) for k, a in zip(arg_kinds, args)]
     if size(*values) > bound:
-        label = spec if isinstance(spec, str) else f"inline {kind}"
+        label = _brief(spec) if isinstance(spec, str) else f"inline {kind}"
         raise SerializeError(
             f"{label} is too large: the limit is {bound} {unit}")
     return build(field, *values)

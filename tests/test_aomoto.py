@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import jumploci.aomoto as aomoto
 from jumploci.aomoto import (AomotoComplex, AomotoError, PreconditionError,
-                             aomoto_betti, depth_gap, resonance_membership)
+                             depth_gap, resonance_membership)
 from jumploci.cdga import tensor_product_with_inclusions
 from jumploci.flatconn import FlatConnection, NotFlatError
 from jumploci.liealg import (build_abelian, build_sl, build_sol2, rep_adjoint,

@@ -304,6 +304,28 @@ def test_json_nested_past_the_parser_is_exit_2(tmp_path, capsys):
     assert err.startswith("error:") and "internal error" not in err
 
 
+POINT = {"name": "pt", "top_degree": 2, "basis": [["1"], ["a", "b"], ["om"]]}
+
+
+@pytest.mark.parametrize("model, message", [
+    (list(range(200000)), "bad model spec of type list: [0, 1, 2,"),
+    (json.loads("[" * 900 + "]" * 900), "bad model spec of type list"),
+    (dict(POINT, mult=[{"i": [1, 0], "j": [1, 1], "out": [
+        {"deg": list(range(200000)), "idx": 0, "coef": "1"}]}]),
+     "product (1,0)*(1,1) lands in degree [0, 1, 2,"),
+    (dict(POINT, **{f"k{i}": 0 for i in range(100000)}),
+     "unknown model keys: k0, k1, k10,")])
+def test_rejected_value_is_echoed_in_brief(tmp_path, capsys, model,
+                                           message):
+    # the error names what is wrong and shows a bounded prefix of it
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"model": model}))
+    assert main(["cohomology", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message)
+    assert len(err.encode()) < 1024
+
+
 def test_cut_off_model_document_is_exit_2(capsys):
     model = dict(cdga_to_json(build_surface_model(QQ, 1)), truncated=True)
     assert main(["cohomology", "--input", json.dumps(model)]) == 2

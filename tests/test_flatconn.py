@@ -6,6 +6,7 @@ import json
 import os
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,14 +25,15 @@ from jumploci.flatconn import (BruteForceBoundError, FlatConnection,
                                is_flat, lex_index, mc_residual, pi_membership,
                                pullback, tangent_dimension, weight_scale)
 from jumploci.holonomy import holonomy_presentation, relation_zeros
-from jumploci.liealg import (build_abelian, build_sl, build_sol2,
-                             rep_adjoint, rep_defining)
+from jumploci.liealg import (LieAlgebra, build_abelian, build_sl,
+                             build_sol2, rep_adjoint, rep_defining)
 from jumploci.linalg import Matrix, rank
 from jumploci.models import (build_compact_curve, build_open_curve,
                              build_surface_model, build_torus_model,
                              curve_inclusion)
 from jumploci.scalars import GF, QQ
 from jumploci.scenarios import load_golden
+from jumploci.serialize import resolve_model
 
 
 def conn(cdga, lie, rows):
@@ -57,6 +59,105 @@ def test_flat_examples():
     assert is_flat(conn(a, g, [[1, 0, 0], [2, 0, 0]]))
     # rows E and H do not
     assert not is_flat(conn(a, g, [[1, 0, 0], [0, 0, 1]]))
+
+
+def pairwise_bracket(lie, x, y):
+    """Oracle: [x, y] summed over coordinate pairs with field operations,
+    from ``structure_tensor``."""
+    f, table = lie.field, lie.structure_tensor()
+    out = [f.zero] * lie.dim
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            for m, c in enumerate(table[i][j]):
+                out[m] = f.add(out[m], f.mul(f.mul(xi, yj), c))
+    return out
+
+
+def pairwise_residual(c):
+    """Oracle: the Maurer-Cartan residual as one d¹ product plus one
+    bracket per pair k < l of one-forms with a nonzero product."""
+    a, g, f = c.cdga, c.lie, c.cdga.field
+    rows = [c.row(k) for k in range(a.dim(1))]
+    acc = (a.d_matrix(1) @ c.coeffs).to_lists()
+    for k in range(len(rows)):
+        for l in range(k + 1, len(rows)):
+            prod = a.product_basis(1, k, 1, l)
+            br = pairwise_bracket(g, rows[k], rows[l]) if prod else ()
+            for out, coef in prod.items():
+                for m, x in enumerate(br):
+                    acc[out][m] = f.add(acc[out][m], f.mul(coef, x))
+    return [x for row in acc for x in row]
+
+
+def fractional_lie(f):
+    """sl(2) on the basis E12/2, E21, H1: [E12/2, E21] = H1/2."""
+    return LieAlgebra(f, ["e", "f", "h"], {
+        (0, 1): {2: f.coerce(Fraction(1, 2))}, (0, 2): {0: f.coerce(-2)},
+        (1, 2): {1: f.coerce(2)}}, name="sl2half")
+
+
+def fractional_model(f):
+    """a b = om/2 and dt = om/3: a surface(1) model cut at degree 2 with
+    rescaled products and differential."""
+    half = f.coerce(Fraction(1, 2))
+    return Cdga(f, "surface1cut", [["1"], ["a", "b", "t"], ["om"]],
+                {1: Matrix(f, [[0, 0, Fraction(1, 3)]])},
+                {(1, 0, 1, 1): {0: half}, (1, 1, 1, 0): {0: f.neg(half)}})
+
+
+MODEL_SPECS = ["surface(1)", "surface(2)", "compact_curve(1)",
+               "compact_curve(2)", "torus(2)", "torus(3)",
+               "tensor(compact_curve(1),surface(1))", fractional_model]
+LIES = [lambda f: build_sl(f, 2), lambda f: build_sl(f, 3), build_sol2,
+        fractional_lie]
+
+
+@st.composite
+def connections(draw):
+    """A connection over Q, F5 or F_{2^31-1} with rational entries of
+    differing denominators: dense, sparse, or rank one (often flat)."""
+    f = draw(st.sampled_from([QQ, GF(5), GF(2 ** 31 - 1)]))
+    spec = draw(st.sampled_from(MODEL_SPECS))
+    model = spec(f) if callable(spec) else resolve_model(f, spec)
+    lie = draw(st.sampled_from(LIES))(f)
+    entry = st.fractions(min_value=-9, max_value=9, max_denominator=4)
+    if draw(st.booleans()):
+        x = draw(st.lists(entry, min_size=lie.dim, max_size=lie.dim))
+        eta = draw(st.lists(entry, min_size=model.dim(1),
+                            max_size=model.dim(1)))
+        rows = [[e * v for v in x] for e in eta]
+    else:
+        rows = draw(st.lists(st.lists(entry | st.just(0), min_size=lie.dim,
+                                      max_size=lie.dim),
+                             min_size=model.dim(1), max_size=model.dim(1)))
+    return conn(model, lie, rows)
+
+
+@seed(20261019)
+@settings(max_examples=200, deadline=None)
+@given(c=connections())
+def test_mc_residual_matches_the_pairwise_oracle(c):
+    f, g = c.cdga.field, c.lie
+    got = mc_residual(c)
+    assert got == pairwise_residual(c)
+    assert all(type(x) is type(f.zero) for x in got)
+    if c.cdga.dim(1) >= 2:
+        assert g.bracket(c.row(0), c.row(1)) == \
+            pairwise_bracket(g, c.row(0), c.row(1))
+    if f.characteristic:
+        # L w + w^T Q w mod p, assembled independently in numpy
+        lmat, qmats = (t.astype(object) for t in flatness_tensors(c.cdga, g))
+        w = np.array([x for k in range(c.cdga.dim(1)) for x in c.row(k)],
+                     dtype=object)
+        assert [int(x) % f.p for x in lmat @ w + qmats @ w @ w] == got
+
+
+def test_fractional_tables_share_one_denominator():
+    a, g = fractional_model(QQ), fractional_lie(QQ)
+    assert not a.validate() and not g.validate()
+    assert a.one_form_table() == (6, [{2: 2}], [(0, 1, [(0, 3)])])
+    assert g.structure_table() == (
+        2, [(0, 1, [(2, 1)]), (0, 2, [(0, -4)]), (1, 2, [(1, 4)])])
 
 
 def test_connection_shape_checked():
@@ -177,6 +278,22 @@ def test_weight_scale():
     assert weight_scale(t_only, 2).coeffs[2, 0] == QQ.coerce(4)
     with pytest.raises(FlatConnError):
         weight_scale(c, 0)
+
+
+@pytest.mark.parametrize("f", [QQ, GF(5)])
+def test_weight_scale_is_the_row_wise_product(f):
+    rng = np.random.default_rng(20261019)
+    for spec in ("surface(2)", "compact_curve(2)",
+                 "tensor(compact_curve(1),surface(1))"):
+        a, g = resolve_model(f, spec), build_sl(f, 2)
+        for _ in range(5):
+            rows = [[Fraction(int(n), int(d)) for n, d in
+                     zip(rng.integers(-3, 4, 3), rng.integers(1, 5, 3))]
+                    for _ in range(a.dim(1))]
+            c, s = conn(a, g, rows), f.coerce(int(rng.integers(1, 5)))
+            want = [[f.mul(f.pow(s, w), x) for x in c.row(k)]
+                    for k, w in enumerate(a.weights[1])]
+            assert weight_scale(c, s).coeffs == Matrix(f, want)
 
 
 def test_weight_scale_needs_weights():

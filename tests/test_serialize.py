@@ -3,9 +3,8 @@
 import pytest
 
 from jumploci.cdga import tensor_product_with_inclusions
-from jumploci.holonomy import (Relation, HolonomyPresentation,
-                               holonomy_presentation, surface_presentations)
-from jumploci.liealg import build_sl, build_sol2, rep_adjoint, rep_defining
+from jumploci.holonomy import holonomy_presentation, surface_presentations
+from jumploci.liealg import build_sl, build_sol2
 from jumploci.linalg import Matrix
 from jumploci.models import build_compact_curve, build_surface_model
 from jumploci.grouprep import free_group, surface_group
