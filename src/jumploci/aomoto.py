@@ -9,6 +9,12 @@ the connection's one-form generators multiplying from the left.  Flatness of
 omega makes d_omega square to zero.  Basis ordering is algebra-major:
 index = (algebra basis index) * dim V + (V index).
 
+``aomoto_matrix`` sums D·d^i_omega in ints, D a nonzero integer, from the
+integer tables ``Cdga.degree_table`` (d^i and the products a_k x_b) and
+``LieRep.matrix_table``, and from the connection's rows scaled by their lcm;
+theta(omega_k) is formed once per complex.  ``rank`` takes these rows as they
+are, since a nonzero scaling keeps a rank over Q (over GF(p), D = 1).
+
 Resonance membership at degree i, depth r asks dim H^i >= r.  In degree 0,
 d_omega(1 (x) v) = sum_k a_k (x) theta(x_k) v with the a_k independent, so
 H^0 is the common kernel of the theta(x_k).
@@ -23,10 +29,12 @@ image.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .flatconn import NotFlatError, f1_membership, is_flat, mc_residual, \
     pullback
-from .linalg import Matrix, kernel_basis, rank, solve, vstack_all
+from .linalg import (Matrix, _common_numerators, kernel_basis, rank, solve,
+                     vstack_all)
 
 
 class AomotoError(ValueError):
@@ -37,41 +45,34 @@ class PreconditionError(AomotoError):
     """A depth-gap or resonance precondition failed; message says which."""
 
 
-def aomoto_matrix(conn, rep, i):
-    """The twisted differential from degree i to degree i+1 as a Matrix.
-
-    Block formula: D[(c, w), (b, v)] =
-        d_i[c, b] delta_{w v} + sum_k prod(a_k, x_b)[c] theta(x_k)[w, v].
-    Rows are assembled sparse, from the nonzeros of d_i, of the products
-    and of each theta(x_k), and reduced once at the end.
-    """
-    a = conn.cdga
-    dv = rep.dim
-    ni, nj = a.dim(i), a.dim(i + 1)
-    theta = [rep.apply(conn.row(k)).rows for k in range(a.dim(1))]
-    rows = [{} for _ in range(nj * dv)]
-    for c, drow in enumerate(a.d_matrix(i).rows):
+def aomoto_matrix(cx, i):
+    """(D, D·d^i_omega): the differential of ``cx`` from degree i to i+1
+    times a nonzero int D, as a Matrix of ints reduced into the field:
+        d^i_omega[(c, w), (b, v)] = d_i[c, b] delta_{w v}
+            + sum_k prod(a_k, x_b)[c] theta(omega_k)[w, v]."""
+    a, dv, lift = cx.cdga, cx.rep.dim, cx.lift
+    den, d, products = a.degree_table(i)
+    rows = [{} for _ in range(len(d) * dv)]
+    for c, drow in enumerate(d):
         for b, coef in drow.items():
             for w in range(dv):
-                rows[c * dv + w][b * dv + w] = coef
-    for b in range(ni):
-        for k, th in enumerate(theta):
-            for c, coef in a.product_basis(1, k, i, b).items():
-                for w, th_row in enumerate(th):
-                    row = rows[c * dv + w]
-                    for v, x in th_row.items():
-                        col = b * dv + v
-                        row[col] = row[col] + coef * x if col in row \
-                            else coef * x
-    return Matrix.from_sums(a.field, rows, ni * dv)
+                rows[c * dv + w][b * dv + w] = lift * coef
+    for k, b, terms in products:
+        th, base = cx.theta[k], b * dv
+        for c, mu in terms:
+            for w, th_row in enumerate(th):
+                row = rows[c * dv + w]
+                for v, x in th_row.items():
+                    col = base + v
+                    row[col] = row[col] + mu * x if col in row else mu * x
+    return den * lift, Matrix.from_sums(a.field, rows, a.dim(i) * dv)
 
 
 class AomotoComplex:
-    """The twisted complex of a flat connection.
-
-    Each differential is assembled and ranked at most once, on first use, so
-    ``betti(i)`` touches only d^(i-1) and d^i.
-    """
+    """The twisted complex of a flat connection; ``theta[k]`` holds the
+    sparse rows of lift·theta(omega_k), in ints reduced into the field.  Each
+    differential is assembled and ranked at most once, on first use, so
+    ``betti(i)`` touches only d^(i-1) and d^i."""
 
     def __init__(self, conn, rep):
         if not rep.lie.structurally_equal(conn.lie):
@@ -80,24 +81,29 @@ class AomotoComplex:
         f = conn.cdga.field
         if any(not f.is_zero(x) for x in res):
             raise NotFlatError(res)
-        self.conn = conn
-        self.rep = rep
-        self.cdga = conn.cdga
-        self._matrices = {}
-        self._ranks = {}
+        self.conn, self.rep, self.cdga = conn, rep, conn.cdga
+        scale, rows = _common_numerators(conn.coeffs.rows)
+        self.lift = scale * rep.matrix_table()[0]
+        self.theta = [Matrix.from_sums(f, rep.apply_sums(r), rep.dim).rows
+                      for r in rows]
+        self._rows, self._ranks = {}, {}
+
+    def _assembled(self, i):
+        if i not in self._rows:
+            self._rows[i] = aomoto_matrix(self, i)
+        return self._rows[i]
 
     def matrix(self, i):
         """d^i from degree i to degree i+1 (zero outside the model)."""
-        if i not in self._matrices:
-            self._matrices[i] = aomoto_matrix(self.conn, self.rep, i)
-        return self._matrices[i]
+        den, m = self._assembled(i)
+        return m.scale(Fraction(1, den))
 
     def rank(self, i):
         """Rank of d^i; 0 outside degrees 0 .. top-1."""
         if not 0 <= i < self.cdga.top_degree:
             return 0
         if i not in self._ranks:
-            self._ranks[i] = rank(self.matrix(i))
+            self._ranks[i] = rank(self._assembled(i)[1])
         return self._ranks[i]
 
     def betti(self, i):
@@ -178,7 +184,6 @@ def depth_gap(morphism, rep, conn, eta):
     flags, and an explicit kernel element eta (x) v of the target complex.
     """
     f = morphism.source.field
-    g = rep.lie
 
     common = kernel_basis(vstack_all(f, rep.matrices, rep.dim))
     if not common:

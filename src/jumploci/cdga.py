@@ -35,7 +35,6 @@ class CdgaError(ValueError):
 
 class Cdga:
     family = None
-    _one_forms = None  # one_form_table's result
 
     def __init__(self, field, name, basis, diff, mult, weights=None):
         """
@@ -53,7 +52,7 @@ class Cdga:
         self.top_degree = len(self.basis) - 1
         if self.top_degree < 0:
             raise CdgaError("a model needs at least degree 0")
-        self._diff, self._ranks = {}, {}
+        self._diff, self._ranks, self._tables = {}, {}, {}
         for i, m in diff.items():
             if not (0 <= i < self.top_degree):
                 if m.nrows == 0 and m.ncols == self.dim(i):
@@ -122,18 +121,23 @@ class Cdga:
             return {}
         return self._mult.get((i, k, j, l), {})
 
+    def degree_table(self, i):
+        """(D, d^i rows, [(k, b, [(c, μ)])]): d^i and the nonzero products
+        a_k x_b = Σ μ y_c, as integer numerators over one D; built once."""
+        if i not in self._tables:
+            keys = [(k, b) for k in range(self.dim(1)) for b in range(
+                self.dim(i)) if self.product_basis(1, k, i, b)]
+            den, nums = _common_numerators(self.d_matrix(i).rows + [
+                self.product_basis(1, k, i, b) for k, b in keys])
+            n = self.dim(i + 1)
+            self._tables[i] = den, nums[:n], [
+                (k, b, list(v.items())) for (k, b), v in zip(keys, nums[n:])]
+        return self._tables[i]
+
     def one_form_table(self):
-        """(D, d¹ rows, [(k, l, [(c, μ)])]): d¹ and the nonzero products
-        a_k a_l = Σ μ b_c, k < l, as integer numerators over one D."""
-        if self._one_forms is None:
-            keys = [(k, l) for i, k, j, l in self._mult
-                    if i == j == 1 and k < l]
-            den, nums = _common_numerators(self.d_matrix(1).rows + [
-                self._mult[(1, k, 1, l)] for k, l in keys])
-            n = self.dim(2)
-            self._one_forms = den, nums[:n], [
-                (k, l, list(v.items())) for (k, l), v in zip(keys, nums[n:])]
-        return self._one_forms
+        """``degree_table(1)`` on the pairs k < l: d¹ and a_k a_l."""
+        den, d1, products = self.degree_table(1)
+        return den, d1, [(k, l, t) for k, l, t in products if k < l]
 
     def product(self, i, v, j, w):
         """Bilinear product of coordinate vectors; result in degree i+j."""

@@ -60,7 +60,7 @@ def load_input(args, *keys, required=True):
         obj = json.loads(text)
     except (OSError, UnicodeDecodeError) as exc:
         raise CliInputError(f"cannot read {raw}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an int past the digit limit
         raise CliInputError(f"input is not valid JSON: {exc}")
     except RecursionError:
         raise CliInputError("input JSON is nested too deeply to parse")

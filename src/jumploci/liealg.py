@@ -15,8 +15,9 @@ line acting by scaling, the rank-one case).  Builders record their family and
 parameters in ``family``, e.g. ``("sl", 3)``; code that depends on the family
 reads that tag, never the name.  Decoded algebras carry ``family = None``.
 
-Representations carry one square matrix per basis element and are checked at
-construction: [theta(x_i), theta(x_j)] must equal theta([x_i, x_j]).
+Representations carry one square matrix per basis element, checked at
+construction ([theta(x_i), theta(x_j)] must equal theta([x_i, x_j])) and read
+through one table of integer numerators over a common denominator.
 """
 
 from __future__ import annotations
@@ -151,6 +152,7 @@ class LieRep:
     """
 
     family = None
+    _table = None  # matrix_table's result
 
     def __init__(self, lie, matrices, name=""):
         self.lie = lie
@@ -173,17 +175,30 @@ class LieRep:
         if bad:
             raise LieError("bracket compatibility fails: " + "; ".join(bad))
 
+    def matrix_table(self):
+        """(D, [D·theta(x_m) as sparse rows]): the representation matrices
+        as integer numerators over one denominator D."""
+        if self._table is None:
+            n, (den, nums) = self.dim, _common_numerators(
+                [r for m in self.matrices for r in m.rows])
+            self._table = den, [nums[m * n:(m + 1) * n]
+                                for m in range(len(self.matrices))]
+        return self._table
+
+    def apply_sums(self, x):
+        """theta(x) times the table's D, x sparse, as unreduced sparse rows."""
+        rows, table = [{} for _ in range(self.dim)], self.matrix_table()[1]
+        for m, c in x.items():
+            for acc, r in zip(rows, table[m]):
+                for j, y in r.items():
+                    acc[j] = acc[j] + c * y if j in acc else c * y
+        return rows
+
     def apply(self, x):
         """theta(x) for a coordinate vector x, as a Matrix."""
-        f = self.lie.field
-        rows = [{} for _ in range(self.dim)]
-        for c, m in zip(x, self.matrices):
-            if c:
-                c = f.coerce(c)
-                for acc, r in zip(rows, m.rows):
-                    for j, y in r.items():
-                        acc[j] = acc[j] + c * y if j in acc else c * y
-        return Matrix.from_sums(f, rows, self.dim)
+        f, den = self.lie.field, self.matrix_table()[0]
+        rows = self.apply_sums({m: f.coerce(c) for m, c in enumerate(x) if c})
+        return Matrix.from_sums(f, rows, self.dim).scale(Fraction(1, den))
 
     def __repr__(self):
         return f"LieRep({self.name}, lie={self.lie.name}, dim={self.dim})"

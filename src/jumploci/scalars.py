@@ -18,6 +18,7 @@ Scalars serialize as strings: ``"5"``, ``"-3/4"`` over the rationals,
 from __future__ import annotations
 
 from fractions import Fraction
+from reprlib import repr as _brief  # a bounded repr for error messages
 
 
 class ScalarError(ValueError):
@@ -102,11 +103,12 @@ class Rationals:
     def parse(self, text):
         text = text.strip()
         if "mod" in text:
-            raise ScalarError(f"modular scalar {text!r} given for the rationals")
+            raise ScalarError(
+                f"modular scalar {_brief(text)} given for the rationals")
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ScalarError(f"bad rational scalar {text!r}") from exc
+            raise ScalarError(f"bad rational scalar {_brief(text)}") from exc
 
     def format(self, a):
         return str(a)
@@ -187,20 +189,19 @@ class PrimeField:
             try:
                 k, q = int(left), int(right)
             except ValueError as exc:
-                raise ScalarError(f"bad modular scalar {text!r}") from exc
+                raise ScalarError(
+                    f"bad modular scalar {_brief(text)}") from exc
             if q != self.p:
                 raise ScalarError(
-                    f"scalar {text!r} has modulus {q}, field has {self.p}")
+                    f"scalar {_brief(text)} has modulus {_brief(q)}, field "
+                    f"has {self.p}")
             return k % self.p
-        try:
-            return int(text) % self.p
-        except ValueError:
-            pass
-        # allow rational strings like "1/2" to mean num * den^-1 mod p
+        # integers, and rational strings like "1/2" meaning num * den^-1 mod p
         try:
             return self.coerce(Fraction(text))
         except (ValueError, ZeroDivisionError) as exc:
-            raise ScalarError(f"bad scalar {text!r} for GF({self.p})") from exc
+            raise ScalarError(
+                f"bad scalar {_brief(text)} for GF({self.p})") from exc
 
     def format(self, a):
         return f"{a % self.p} mod {self.p}"

@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, seed, settings
@@ -15,12 +16,13 @@ from jumploci.flatconn import FlatConnection, NotFlatError
 from jumploci.liealg import (build_abelian, build_sl, build_sol2, rep_adjoint,
                              rep_defining, rep_direct_sum, rep_trivial,
                              sl_coordinates)
-from jumploci.linalg import Matrix, kernel_basis, vstack_all
+from jumploci.linalg import Matrix, kernel_basis, rank, vstack_all
 from jumploci.models import (build_compact_curve, build_open_curve,
                              build_surface_model)
 from jumploci.sampling import sample_flat, surface_witness
 from jumploci.scalars import GF, QQ
-from jumploci.serialize import resolve_model
+from jumploci.serialize import resolve_model, resolve_rep
+from test_flatconn import fractional_lie, fractional_model
 
 
 def conn(cdga, lie, rows):
@@ -144,8 +146,128 @@ def test_each_differential_built_and_ranked_once(monkeypatch):
     betti = AomotoComplex(c, rep_adjoint(g)).betti_all()
     assert len(ranked) == 3
     built.clear()
-    assert AomotoComplex(c, rep_adjoint(g)).betti(1) == betti[1]
-    assert [args[2] for args in built] == [1, 0]
+    cx = AomotoComplex(c, rep_adjoint(g))
+    assert cx.betti(1) == betti[1]
+    assert [args[1] for args in built] == [1, 0]
+    # the Matrix of a ranked differential is read off the stored rows
+    assert cx.matrix(1).shape == (a.dim(2) * 3, a.dim(1) * 3)
+    assert [args[1] for args in built] == [1, 0]
+
+
+def theta_oracle(rep, x):
+    """Oracle: theta(x) = sum_m x_m theta(x_m) by Matrix scalings and sums."""
+    out = Matrix.zero(rep.lie.field, rep.dim, rep.dim)
+    for c, m in zip(x, rep.matrices):
+        out = out + m.scale(c)
+    return out
+
+
+def blockwise_aomoto_matrix(conn, rep, i):
+    """Oracle: the twisted differential from degree i to degree i+1, block
+    by block, D[(c, w), (b, v)] =
+        d_i[c, b] delta_{w v} + sum_k prod(a_k, x_b)[c] theta(x_k)[w, v],
+    summed entry by entry in the field's own scalars."""
+    a = conn.cdga
+    dv = rep.dim
+    ni, nj = a.dim(i), a.dim(i + 1)
+    theta = [theta_oracle(rep, conn.row(k)).rows for k in range(a.dim(1))]
+    rows = [{} for _ in range(nj * dv)]
+    for c, drow in enumerate(a.d_matrix(i).rows):
+        for b, coef in drow.items():
+            for w in range(dv):
+                rows[c * dv + w][b * dv + w] = coef
+    for b in range(ni):
+        for k, th in enumerate(theta):
+            for c, coef in a.product_basis(1, k, i, b).items():
+                for w, th_row in enumerate(th):
+                    row = rows[c * dv + w]
+                    for v, x in th_row.items():
+                        col = b * dv + v
+                        row[col] = row[col] + coef * x if col in row \
+                            else coef * x
+    return Matrix.from_sums(a.field, rows, ni * dv)
+
+
+ORACLE_MODELS = ["surface(1)", "compact_curve(2)", "torus(2)",
+                 "tensor(compact_curve(1),compact_curve(1))",
+                 fractional_model]
+ORACLE_REPS = ["adjoint(sl(2))", "defining(sl(2))", "adjoint(sl(3))",
+               "defining(sl(3))", "adjoint(sol2)", "defining(sol2)",
+               "sum(defining(sl(2)),adjoint(sl(2)))",
+               lambda f: rep_adjoint(fractional_lie(f))]
+
+
+@st.composite
+def twisted_inputs(draw):
+    """(connection, representation) over Q, F5 or F_{2^31-1}: a flat
+    connection with rational entries of differing denominators, rank one
+    (eta (x) x, eta closed), along commuting Cartan elements, or the
+    surface witness of tensor rank three."""
+    f = draw(st.sampled_from([QQ, GF(5), GF(2 ** 31 - 1)]))
+    spec = draw(st.sampled_from(ORACLE_MODELS))
+    model = spec(f) if callable(spec) else resolve_model(f, spec)
+    spec = draw(st.sampled_from(ORACLE_REPS))
+    rep = spec(f) if callable(spec) else resolve_rep(f, spec)
+    lie = rep.lie
+    entry = st.fractions(min_value=-9, max_value=9, max_denominator=4)
+    closed = model.cocycles(1)
+
+    def closed_form():
+        coef = draw(st.lists(entry, min_size=len(closed),
+                             max_size=len(closed)))
+        return [sum(f.coerce(c) * z[k] for c, z in zip(coef, closed))
+                for k in range(model.dim(1))]
+
+    kinds = ["rank_one"]
+    if lie.family and lie.family[0] == "sl":
+        kinds.append("cartan")
+        if lie.family[1] >= 3 and model.family == ("surface", 1):
+            kinds.append("witness")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "witness":
+        return surface_witness(model, lie), rep
+    if kind == "rank_one":
+        xs = [draw(st.lists(entry, min_size=lie.dim, max_size=lie.dim))]
+    else:  # the H_i, last in the sl basis, commute
+        xs = [[draw(entry) if m == h else 0 for m in range(lie.dim)]
+              for h in range(lie.dim - lie.family[1] + 1, lie.dim)]
+    etas = [closed_form() for _ in xs]
+    rows = [[sum(f.coerce(e[k]) * f.coerce(x[m]) for e, x in zip(etas, xs))
+             for m in range(lie.dim)] for k in range(model.dim(1))]
+    return conn(model, lie, rows), rep
+
+
+def assert_matches_oracle(c, rep):
+    f, top = c.cdga.field, c.cdga.top_degree
+    cx = AomotoComplex(c, rep)
+    for k in range(c.cdga.dim(1)):
+        assert rep.apply(c.row(k)) == theta_oracle(rep, c.row(k))
+    for i in range(top + 1):
+        want = blockwise_aomoto_matrix(c, rep, i)
+        got = cx.matrix(i)
+        assert got == want
+        assert all(type(x) is type(f.zero) for r in got.rows
+                   for x in r.values())
+        assert cx.rank(i) == (rank(want) if i < top else 0)
+
+
+@seed(20261019)
+@settings(max_examples=150, deadline=None)
+@given(inputs=twisted_inputs())
+def test_aomoto_matrix_matches_the_blockwise_oracle(inputs):
+    assert_matches_oracle(*inputs)
+
+
+@pytest.mark.parametrize("f", [QQ, GF(5), GF(2 ** 31 - 1)])
+def test_aomoto_matrix_with_every_denominator_at_once(f):
+    # model numerators over 6, adjoint ones over 2, rows over 3·4·7
+    model, lie = fractional_model(f), fractional_lie(f)
+    eta = [Fraction(1, 3), Fraction(-3, 4), 0]  # closed: no t term
+    x = [Fraction(1, 2), Fraction(2, 7), -3]
+    c = conn(model, lie, [[f.coerce(e) * f.coerce(v) for v in x]
+                          for e in eta])
+    assert (AomotoComplex(c, rep_adjoint(lie)).lift > 1) == (f is QQ)
+    assert_matches_oracle(c, rep_adjoint(lie))
 
 
 def depth_gap_config(f):

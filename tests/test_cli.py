@@ -304,6 +304,32 @@ def test_json_nested_past_the_parser_is_exit_2(tmp_path, capsys):
     assert err.startswith("error:") and "internal error" not in err
 
 
+def test_json_integer_past_the_digit_limit_is_exit_2(tmp_path, capsys):
+    # json.loads raises a plain ValueError from Python's limit on int
+    # string conversion, which is the input's fault too
+    path = tmp_path / "big.json"
+    path.write_text('{"model": 1' + "0" * 5000 + "}")
+    assert main(["cohomology", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: input is not valid JSON")
+    assert "internal error" not in err
+
+
+@pytest.mark.parametrize("field, message", [
+    ("q", "error: bad rational scalar '1000"),
+    ("f5", "error: bad scalar '1000")])
+def test_rejected_scalar_is_echoed_in_brief(tmp_path, capsys, field,
+                                            message):
+    path = tmp_path / "conn.json"
+    path.write_text(json.dumps({
+        "cdga": "compact_curve(1)", "lie": "sl(2)",
+        "coeffs": [["1" + "0" * 200000, "0", "0"], ["2", "0", "0"]]}))
+    assert main(["mc-check", "--field", field, "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message)
+    assert len(err.encode()) < 1024
+
+
 POINT = {"name": "pt", "top_degree": 2, "basis": [["1"], ["a", "b"], ["om"]]}
 
 
