@@ -28,7 +28,7 @@ image.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .flatconn import NotFlatError, f1_membership, is_flat, mc_residual, \
@@ -134,16 +134,14 @@ def resonance_membership(conn, rep, i, depth):
     return aomoto_betti(conn, rep, i) >= depth
 
 
-@dataclass
-class DepthGapReport:
-    base_betti: int          # twisted b1 on the sub-model
-    target_betti: int        # twisted b1 on the big model
-    strict_increase: bool    # target > base
-    base_positive: bool      # base >= 1
-    depth_two: bool          # target > 1
-    fixed_vector: list       # common kernel vector of theta
-    eta: list                # the chosen closed one-form outside the image
-    eta_kernel_ok: bool      # eta (x) v killed by the twisted differential
+class DepthGapReport(namedtuple(
+        "DepthGapReport", "base_betti target_betti strict_increase "
+        "base_positive depth_two fixed_vector eta eta_kernel_ok")):
+    """Twisted b1 on the sub-model (base) and on the big model (target);
+    target > base, base >= 1 and target > 1; a common kernel vector v of
+    theta, the chosen closed one-form eta outside the image, and whether
+    the twisted differential kills eta (x) v."""
+    __slots__ = ()
 
     @property
     def holds(self):

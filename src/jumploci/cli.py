@@ -6,6 +6,10 @@ with --json, a machine-readable document.  Exit codes: 0 when every asserted
 property holds, 1 when a property fails (the report names it), 2 for
 malformed input or an unknown subcommand / scenario name, 3 for any other
 exception: input is checked where it is decoded, so that is a bug.
+
+Each call is a fresh process that pays the package import, so the package
+imports no ``dataclasses``, ``typing`` or ``importlib.resources`` (each pulls
+in a dozen modules or more), and numpy only when a census runs.
 """
 
 import argparse

@@ -37,7 +37,7 @@ reduced, bounded and listed depth-first, on at most one thread per CPU.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 
 from .linalg import Matrix, _common_numerators, rank
@@ -119,14 +119,13 @@ def is_flat(conn):
     return all(f.is_zero(x) for x in mc_residual(conn))
 
 
-@dataclass
-class RankOneReport:
-    member: bool
-    reason: str
-    rank: int                 # rank of the coefficient matrix
-    eta: list | None = None   # degree-1 coefficient vector
-    x: list | None = None     # Lie coordinate vector
-    det_value: object | None = None  # det theta(x), set by ``det_cut``
+class RankOneReport(namedtuple("RankOneReport",
+                               "member reason rank eta x det_value",
+                               defaults=(None, None, None))):
+    """``rank`` of the coefficient matrix; ``eta`` the degree-1 coefficient
+    vector and ``x`` the Lie coordinate vector of a member; ``det_value``
+    det theta(x), set by ``det_cut``."""
+    __slots__ = ()
 
 
 def f1_membership(conn):
@@ -166,11 +165,11 @@ def det_cut(r1, rep):
     from .liealg import det_theta
     d = det_theta(rep, r1.x)
     if rep.lie.field.is_zero(d):
-        return replace(r1, reason="rank-one with singular action",
+        return r1._replace(reason="rank-one with singular action",
+                           det_value=d)
+    return r1._replace(member=False,
+                       reason="theta acts invertibly on the Lie factor",
                        det_value=d)
-    return replace(r1, member=False,
-                   reason="theta acts invertibly on the Lie factor",
-                   det_value=d)
 
 
 def pi_membership(conn, rep):
@@ -256,7 +255,8 @@ def flatness_tensors(cdga, lie):
                 mu[c, k, l] = int(coef)
     struct = np.array(lie.structure_tensor(), dtype=np.int64).reshape(
         dg, dg, dg)
-    return (np.kron(d1, np.eye(dg, dtype=np.int64)),
+    return (np.einsum("ck,ab->cakb", d1, np.eye(dg, dtype=np.int64)).reshape(
+                n2 * dg, n1 * dg),
             np.einsum("ckl,abm->cmkalb", mu, struct).reshape(
                 n2 * dg, n1 * dg, n1 * dg))
 

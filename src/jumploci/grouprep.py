@@ -26,7 +26,7 @@ groups carry ``family = None``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import itemgetter
 
 from .liealg import (build_sol2, rep_defining, sl_matrices,
@@ -231,14 +231,11 @@ def d1_matrix(rep):
     return Matrix.sparse(rep.field, rows, n * d)
 
 
-@dataclass
-class TwistedBetti:
-    b0: int
-    b1: int
-    b2: int
+class TwistedBetti(namedtuple("TwistedBetti", "b0 b1 b2")):
+    __slots__ = ()
 
     def as_tuple(self):
-        return (self.b0, self.b1, self.b2)
+        return tuple(self)
 
     def euler(self):
         return self.b0 - self.b1 + self.b2
@@ -294,14 +291,13 @@ def twisted_cohomology(rep, twist="defining"):
     return TwistedBetti(dv - r0, (n * dv - r1) - r0, m * dv - r1)
 
 
-@dataclass
-class TangentReport:
-    cocycle_dim: int    # dim Z^1 with adjoint coefficients
-    coboundary_dim: int  # dim B^1
-    betti: int           # dim Z^1 - dim B^1
+class TangentReport(namedtuple("TangentReport",
+                               "cocycle_dim coboundary_dim betti")):
+    """dim Z^1 with adjoint coefficients, dim B^1, and their difference."""
+    __slots__ = ()
 
     def as_tuple(self):
-        return (self.cocycle_dim, self.coboundary_dim, self.betti)
+        return tuple(self)
 
 
 def tangent_dimension_rep(rep):

@@ -22,8 +22,6 @@ for [g_k, [g_l, g_m]].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
 from .flatconn import _common_zeros, _bound_census
 from .linalg import Matrix
 from .models import build_surface_model
@@ -34,11 +32,11 @@ class HolonomyError(ValueError):
     pass
 
 
-@dataclass
 class Relation:
-    lin: dict = dc_field(default_factory=dict)     # k -> coef
-    quad: dict = dc_field(default_factory=dict)    # (k, l), k < l -> coef
-    cubic: dict = dc_field(default_factory=dict)   # (k, l, m), l < m -> coef
+    def __init__(self, lin=None, quad=None, cubic=None):
+        self.lin = {} if lin is None else lin        # k -> coef
+        self.quad = {} if quad is None else quad     # (k, l), k < l -> coef
+        self.cubic = {} if cubic is None else cubic  # (k, l, m), l < m -> coef
 
     def normalized(self, f):
         lin = {k: f.coerce(c) for k, c in self.lin.items()

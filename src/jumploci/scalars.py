@@ -131,10 +131,10 @@ class PrimeField:
 
     def __init__(self, p):
         if isinstance(p, int) and p >= MODULUS_BOUND:
-            raise ScalarError(f"modulus {p} is not below the supported "
-                              f"bound {MODULUS_BOUND}")
+            raise ScalarError(f"modulus {_brief(p)} is not below the "
+                              f"supported bound {MODULUS_BOUND}")
         if not isinstance(p, int) or not _is_prime(p):
-            raise ScalarError(f"modulus {p!r} is not prime")
+            raise ScalarError(f"modulus {_brief(p)} is not prime")
         if p == 2:
             raise ScalarError("characteristic 2 is not supported")
         self.p = p
@@ -229,19 +229,25 @@ def GF(p):
 
 
 def field_from_tag(tag):
-    """Resolve a field tag: "q", or "fP" or "fp:P" for an odd prime P."""
+    """Resolve a field tag: "q", or "fP" or "fp:P" for an odd prime P.
+    A P longer than ``MODULUS_BOUND`` is refused before ``int`` reads it."""
     tag = tag.strip().lower()
     if tag == "q":
         return QQ
     if tag.startswith("fp:"):
-        try:
-            p = int(tag[3:])
-        except ValueError as exc:
-            raise ScalarError(f"bad field tag {tag!r}") from exc
-        return GF(p)
-    if tag.startswith("f") and tag[1:].isdigit():
-        return GF(int(tag[1:]))
-    raise ScalarError(f"unknown field tag {tag!r}")
+        digits = tag[3:]
+    elif tag.startswith("f") and tag[1:].isdigit():
+        digits = tag[1:]
+    else:
+        raise ScalarError(f"unknown field tag {_brief(tag)}")
+    if len(digits) > len(str(MODULUS_BOUND)):
+        raise ScalarError(f"field tag {_brief(tag)} names a modulus past "
+                          f"the supported bound {MODULUS_BOUND}")
+    try:
+        p = int(digits)
+    except ValueError as exc:
+        raise ScalarError(f"bad field tag {_brief(tag)}") from exc
+    return GF(p)
 
 
 def field_tag(field):

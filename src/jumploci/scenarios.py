@@ -7,10 +7,10 @@ re-verified here rather than recomputed blindly.
 """
 
 import json
+import os
 import random
 import time
-from dataclasses import dataclass
-from importlib import resources
+from collections import namedtuple
 
 from .aomoto import AomotoComplex, depth_gap, resonance_membership
 from .cdga import tensor_product_with_inclusions
@@ -36,11 +36,8 @@ class ScenarioError(ValueError):
     pass
 
 
-@dataclass
-class Check:
-    label: str
-    ok: bool
-    detail: str = ""
+class Check(namedtuple("Check", "label ok detail", defaults=("",))):
+    __slots__ = ()
 
 
 class ScenarioReport:
@@ -74,8 +71,8 @@ class ScenarioReport:
 
 
 def load_golden(name):
-    path = resources.files("jumploci.data").joinpath(name)
-    with path.open("r", encoding="utf-8") as fh:
+    path = os.path.join(os.path.dirname(__file__), "data", name)
+    with open(path, encoding="utf-8") as fh:
         return json.load(fh)
 
 

@@ -315,6 +315,20 @@ def test_json_integer_past_the_digit_limit_is_exit_2(tmp_path, capsys):
     assert "internal error" not in err
 
 
+@pytest.mark.parametrize("tag", ["f" + "1" * 5000, "fp:" + "1" * 5000,
+                                 "fp:" + "1" * 4000],
+                         ids=["f-5000-digits", "fp-5000-digits",
+                              "fp-4000-digits"])
+def test_long_field_tags_are_exit_2_in_brief(tag, capsys):
+    # past Python's 4,300-digit limit int() itself would raise; below it
+    # the modulus bound would echo every digit
+    assert main(["cohomology", "--field", tag,
+                 "--input", '{"model": "torus(1)"}']) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: field tag '") and "past the supported" in err
+    assert len(err.encode()) < 1024
+
+
 @pytest.mark.parametrize("field, message", [
     ("q", "error: bad rational scalar '1000"),
     ("f5", "error: bad scalar '1000")])

@@ -474,6 +474,27 @@ def test_fibre_reduction_matches_exact_rank(batch):
         assert (pivot_row[n] >= 0).sum() == want
 
 
+@pytest.mark.parametrize("make_model", [
+    lambda f: build_surface_model(f, 1),
+    lambda f: build_surface_model(f, 2),
+    lambda f: tensor_product_with_inclusions(
+        build_surface_model(f, 1), build_compact_curve(f, 1))[0]],
+    ids=["surface1", "surface2", "surface1-x-curve1"])
+def test_linear_part_is_the_kronecker_product_of_d1(make_model):
+    # flatness_tensors assembles L = d¹ ⊗ 1 with einsum; np.kron is the
+    # textbook form of the same product
+    f = GF(5)
+    model = make_model(f)
+    d1 = np.array(model.d_matrix(1).to_lists(), dtype=np.int64).reshape(
+        model.dim(2), model.dim(1))
+    assert d1.any()
+    for lie in (build_sl(f, 2), build_sol2(f), build_sl(f, 3)):
+        lmat = flatness_tensors(model, lie)[0]
+        assert lmat.dtype == np.int64
+        assert np.array_equal(
+            lmat, np.kron(d1, np.eye(lie.dim, dtype=np.int64)))
+
+
 def census_system(model, lie):
     lmat, qmats = flatness_tensors(model, lie)
     return lmat, qmats, model.field.p, model.dim(1) * lie.dim
