@@ -271,11 +271,6 @@ class Cdga:
         failures.extend(self._validate_weights())
         return failures
 
-    def _unit_vec(self, i, k):
-        v = [self.field.zero] * self.dim(i)
-        v[k] = self.field.one
-        return v
-
     def _validate_weights(self):
         if self.weights is None:
             return []
@@ -361,9 +356,9 @@ class CdgaMorphism:
                     for l in range(self.source.dim(j)):
                         fy = self.maps[j].column(l)
                         rhs = self.target.product(i, fx, j, fy)
-                        lhs = self.apply(i + j, self.source.product(
-                            i, self.source._unit_vec(i, k),
-                            j, self.source._unit_vec(j, l)))
+                        lhs = self.apply(i + j, dense_vector(
+                            f, self.source.product_basis(i, k, j, l),
+                            self.source.dim(i + j)))
                         if lhs != rhs:
                             failures.append(
                                 "not multiplicative on "

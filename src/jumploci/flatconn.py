@@ -227,10 +227,12 @@ BRUTE_FORCE_CEILING = 10 ** 8
 HIT_CEILING = 10 ** 6
 
 
-def _bound_census(count, ceiling=BRUTE_FORCE_CEILING, what="candidates"):
+def _bound_census(p, k=1, ceiling=BRUTE_FORCE_CEILING, what="candidates"):
     """Refuse a census of more than ``ceiling`` candidates (or points),
-    before anything in proportion to them is built."""
-    if count > ceiling:
+    before anything in proportion to them is built.  The count is p^k, and
+    the message spells it so: its decimal string can pass Python's limit."""
+    if p ** k > ceiling:
+        count = f"{p}^{k}" if k > 1 else f"{p}"
         raise BruteForceBoundError(
             f"{count} {what} exceed the {ceiling} ceiling")
 
@@ -435,7 +437,7 @@ def _common_zeros(lmat, qmats, p, kdim, jobs=1):
             else:
                 nullity = nf - ranks
                 held[0] += int((p ** nullity[consistent]).sum())
-                _bound_census(held[0], HIT_CEILING, "points")
+                _bound_census(held[0], ceiling=HIT_CEILING, what="points")
                 by_nullity = np.bincount(nullity[consistent])
                 for k in np.flatnonzero(by_nullity).tolist():
                     pick = np.flatnonzero(consistent & (nullity == k))
@@ -456,7 +458,8 @@ def _common_zeros(lmat, qmats, p, kdim, jobs=1):
     bounds = [size * k // workers for k in range(workers + 1)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         hits = list(pool.map(run, bounds[:-1], bounds[1:]))
-    _bound_census(sum(map(len, hits)), HIT_CEILING, "points")  # all threads
+    _bound_census(sum(map(len, hits)), ceiling=HIT_CEILING,
+                  what="points")  # all threads
     return np.sort(np.concatenate(hits))
 
 
@@ -534,7 +537,7 @@ def flat_census(cdga, lie, jobs=1):
     if not isinstance(f, PrimeField):
         raise FlatConnError("exhaustive search needs a prime field")
     kdim = cdga.dim(1) * lie.dim
-    _bound_census(f.p ** kdim)
+    _bound_census(f.p, kdim)
     lmat, qmats = flatness_tensors(cdga, lie)
     return _common_zeros(lmat, qmats, f.p, kdim, jobs)
 

@@ -234,9 +234,6 @@ def d1_matrix(rep):
 class TwistedBetti(namedtuple("TwistedBetti", "b0 b1 b2")):
     __slots__ = ()
 
-    def as_tuple(self):
-        return tuple(self)
-
     def euler(self):
         return self.b0 - self.b1 + self.b2
 
@@ -295,9 +292,6 @@ class TangentReport(namedtuple("TangentReport",
                                "cocycle_dim coboundary_dim betti")):
     """dim Z^1 with adjoint coefficients, dim B^1, and their difference."""
     __slots__ = ()
-
-    def as_tuple(self):
-        return tuple(self)
 
 
 def tangent_dimension_rep(rep):

@@ -250,6 +250,6 @@ def relation_zeros(pres, lie):
     if not isinstance(f, PrimeField):
         raise HolonomyError("relation zeros need a prime field")
     kdim = len(pres.generators) * lie.dim
-    _bound_census(f.p ** kdim)
+    _bound_census(f.p, kdim)
     lmat, qmats = relation_tensors(pres, lie)
     return _common_zeros(lmat, qmats, f.p, kdim)

@@ -318,14 +318,6 @@ def sl_root_index(g, i, j):
     return sl_basis(n).index((i, j))
 
 
-def sl_coordinates(g, m):
-    """Coordinates of a traceless matrix in the build_sl basis order."""
-    n = _sl_size(g)
-    if m.shape != (n, n):
-        raise LieError(f"expected a {n}x{n} matrix, got {m.shape}")
-    return [g.field.coerce(c) for c in traceless_coordinates(m.to_lists())]
-
-
 def build_sol2(field):
     """Two-dimensional solvable algebra on (h, e) with [h, e] = 2e."""
     g = LieAlgebra(field, ["h", "e"], {(0, 1): {1: field.coerce(2)}},

@@ -1,18 +1,19 @@
-"""Seeded random generation of connections, Lie elements, and group reps.
+"""Seeded random generation of connections and Lie elements.
 
-Every sampler takes an explicit ``random.Random`` instance so callers can
-freeze seeds.  Flat-connection samplers are constructive (no rejection on
-the flatness equation itself): they build from families that satisfy the
-Maurer-Cartan equation identically, then double-check and raise if the
-construction ever drifts.
+The module holds the scenarios' seeded draws.  Every sampler takes an
+explicit ``random.Random`` instance so callers can freeze seeds.
+Flat-connection samplers are constructive (no rejection on the flatness
+equation itself): they build from families that satisfy the Maurer-Cartan
+equation identically, then double-check and raise if the construction ever
+drifts.  The samplers that only tests draw from (group representations,
+determinant-cut points) live in ``tests/samplers.py``.
 """
 
 from fractions import Fraction
 
 from .flatconn import FlatConnection, is_flat
-from .grouprep import GroupRep
-from .liealg import det_theta, sl_coordinates, sl_root_index
-from .linalg import Matrix, det, invert
+from .liealg import sl_root_index
+from .linalg import Matrix
 
 
 class SamplingError(RuntimeError):
@@ -36,35 +37,6 @@ def rand_nonzero(rng, field, span=4):
 
 def rand_vector(rng, field, n, span=4):
     return [rand_scalar(rng, field, span) for _ in range(n)]
-
-
-def rand_invertible(rng, field, n, span=3):
-    for _ in range(128):
-        m = Matrix(field, [rand_vector(rng, field, n, span) for _ in range(n)])
-        if not field.is_zero(det(m)):
-            return m
-    raise SamplingError("no invertible matrix found (astronomically unlikely)")
-
-
-def rand_unimodular(rng, field, n, steps=5, span=3):
-    """Product of elementary shears: always determinant one."""
-    acc = Matrix.identity(field, n)
-    for _ in range(steps):
-        i = rng.randrange(n)
-        j = rng.randrange(n - 1)
-        if j >= i:
-            j += 1
-        rows = Matrix.identity(field, n).to_lists()
-        rows[i][j] = field.coerce(rand_scalar(rng, field, span))
-        acc = acc @ Matrix(field, rows)
-    return acc
-
-
-def rand_borel(rng, field, span=3):
-    """Upper-triangular 2x2 with determinant one."""
-    t = rand_nonzero(rng, field, span)
-    u = rand_scalar(rng, field, span)
-    return Matrix(field, [[t, u], [field.zero, field.inv(t)]])
 
 
 # ------------------------------------------------------------ connections
@@ -209,49 +181,6 @@ def surface_witness(cdga, lie):
     return conn
 
 
-# ------------------------------------------------- determinant-cut points
-
-def singular_lie_element(rng, rep, span=4):
-    """Nonzero x with det theta(x) = 0, or raise if none can be found.
-
-    For a defining sl(n) action this conjugates a strictly upper-triangular
-    (hence nilpotent) matrix; for sol2 the determinant cut is exactly the
-    span of e; adjoint actions are singular everywhere.
-    """
-    lie, f = rep.lie, rep.lie.field
-    for _ in range(256):
-        x = _singular_candidate(rng, rep, span)
-        if all(f.is_zero(c) for c in x):
-            continue
-        if f.is_zero(det_theta(rep, x)):
-            return x
-    raise SamplingError(
-        f"found no nonzero singular element for {rep.name} on {lie.name}")
-
-
-def _singular_candidate(rng, rep, span):
-    lie, f = rep.lie, rep.lie.field
-    match lie.family, rep.family:
-        case ("sl", n), ("defining",):
-            nilp = [[f.zero] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(i + 1, n):
-                    nilp[i][j] = rand_scalar(rng, f, span)
-            p = rand_unimodular(rng, f, n, steps=4, span=span)
-            return sl_coordinates(lie, p @ Matrix(f, nilp) @ invert(p))
-        case ("sol2",), _:
-            return [f.zero, rand_nonzero(rng, f, span)]
-    return rand_lie_element(rng, lie, span)
-
-
-def sample_pi_element(rng, cdga, rep, span=4):
-    """Closed one-form tensor a determinant-cut Lie element: a rank-one flat
-    connection that the determinant cut keeps."""
-    eta = rand_closed_coefficients(rng, cdga, span, nonzero=True)
-    return _closed_tensor(cdga, rep.lie, [eta],
-                          [singular_lie_element(rng, rep, span)])
-
-
 # -------------------------------------------------------------- group reps
 
 def standard_shear_pair(field):
@@ -259,66 +188,3 @@ def standard_shear_pair(field):
     a = Matrix(field, [[1, 1], [0, 1]])
     b = Matrix(field, [[1, 0], [1, 1]])
     return a, b
-
-
-def _commuting_pair(rng, field, target, span):
-    """Two commuting matrices in the target group."""
-    kind = rng.choice(["powers", "diagonal"])
-    if kind == "powers":
-        m = (rand_borel(rng, field, span) if target == "Borel"
-             else rand_unimodular(rng, field, 2, span=span))
-        return _power(m, rng.randint(-3, 3)), _power(m, rng.randint(-3, 3))
-    ts = [rand_nonzero(rng, field, span) for _ in range(2)]
-    pair = [Matrix(field, [[t, field.zero], [field.zero, field.inv(t)]])
-            for t in ts]
-    if target == "Borel":
-        return pair
-    p = rand_unimodular(rng, field, 2, span=span)
-    pinv = invert(p)
-    return [p @ d @ pinv for d in pair]
-
-
-def _power(m, k):
-    f = m.field
-    acc = Matrix.identity(f, m.nrows)
-    base = m
-    if k < 0:
-        base = invert(m)
-        k = -k
-    for _ in range(k):
-        acc = acc @ base
-    return acc
-
-
-def sample_group_rep(rng, group, field, target="SL", span=3):
-    """A representation satisfying the group's relators.
-
-    Free groups take arbitrary tuples.  Surface groups get each handle pair
-    mapped to a commuting pair (so every commutator dies), or — half the
-    time at genus two — a swapped tuple (X, Y, Y, X) whose two commutators
-    cancel.
-    """
-    n = group.n_generators
-    if not group.relators:
-        mats = [_rand_target(rng, field, target, span) for _ in range(n)]
-        return GroupRep(group, target, mats)
-    if group.family and group.family[0] == "surface":
-        g = group.family[1]
-        if g == 2 and rng.random() < 0.5:
-            x = _rand_target(rng, field, target, span)
-            y = _rand_target(rng, field, target, span)
-            return GroupRep(group, target, [x, y, y, x])
-        mats = []
-        for _ in range(g):
-            a, b = _commuting_pair(rng, field, target, span)
-            mats += [a, b]
-        return GroupRep(group, target, mats)
-    raise SamplingError(f"no sampling recipe for {group.name}")
-
-
-def _rand_target(rng, field, target, span):
-    if target == "SL":
-        return rand_unimodular(rng, field, 2, span=span)
-    if target == "Borel":
-        return rand_borel(rng, field, span)
-    return rand_invertible(rng, field, 2, span=span)

@@ -34,9 +34,9 @@ from jumploci.models import (build_compact_curve, build_open_curve,
                              build_torus_model, curve_inclusion,
                              pencil_normals)
 from jumploci.sampling import (random_connection, sample_flat,
-                               sample_group_rep, sample_pi_element,
                                standard_shear_pair)
 from jumploci.scalars import GF, QQ
+from samplers import sample_group_rep, sample_pi_element
 
 
 class stopwatch:

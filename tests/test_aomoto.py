@@ -14,14 +14,14 @@ from jumploci.aomoto import (AomotoComplex, AomotoError, PreconditionError,
 from jumploci.cdga import tensor_product_with_inclusions
 from jumploci.flatconn import FlatConnection, NotFlatError
 from jumploci.liealg import (build_abelian, build_sl, build_sol2, rep_adjoint,
-                             rep_defining, rep_direct_sum, rep_trivial,
-                             sl_coordinates)
+                             rep_defining, rep_direct_sum, rep_trivial)
 from jumploci.linalg import Matrix, kernel_basis, rank, vstack_all
 from jumploci.models import (build_compact_curve, build_open_curve,
                              build_surface_model)
 from jumploci.sampling import sample_flat, surface_witness
 from jumploci.scalars import GF, QQ
 from jumploci.serialize import resolve_model, resolve_rep
+from samplers import sl_coordinates
 from test_flatconn import fractional_lie, fractional_model
 
 

@@ -329,6 +329,22 @@ def test_long_field_tags_are_exit_2_in_brief(tag, capsys):
     assert len(err.encode()) < 1024
 
 
+@pytest.mark.parametrize("field, doc, count", [
+    ("fp:2147483647", {"cdga": "torus(8)", "lie": "sl(8)"},
+     "2147483647^504"),
+    ("fp:3317044064679887385961813",
+     {"cdga": "compact_curve(100)", "lie": "abelian(1)"},
+     "3317044064679887385961813^200"),
+], ids=["torus8-sl8", "curve100-abelian1"])
+def test_astronomical_census_is_exit_2_in_brief(field, doc, count, capsys):
+    # p^k has over 4,300 digits, past Python's limit on int to str
+    assert main(["brute-force", "--field", field,
+                 "--input", json.dumps(doc)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {count} candidates exceed the 100000000 ceiling\n"
+    assert len(err.encode()) < 1024
+
+
 @pytest.mark.parametrize("field, message", [
     ("q", "error: bad rational scalar '1000"),
     ("f5", "error: bad scalar '1000")])

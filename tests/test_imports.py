@@ -1,6 +1,7 @@
-"""Every imported name is used: with no linter in the toolchain, this test
-scans the package modules and the tests with ``ast``.  And the CLI imports
-none of the modules that would slow every cold start."""
+"""Every imported name is used, and every top-level definition of the
+package is read somewhere in the package or the benchmark: with no linter
+in the toolchain, these tests scan the sources with ``ast``.  And the CLI
+imports none of the modules that would slow every cold start."""
 
 import ast
 import json
@@ -12,9 +13,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-SOURCES = sorted(p for p in (ROOT / "src" / "jumploci").glob("*.py")
-                 if p.name != "__init__.py") + sorted(
-                     (ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "jumploci").glob("*.py"))
+SOURCES = [p for p in PACKAGE if p.name != "__init__.py"] + sorted(
+    (ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source):
@@ -42,6 +43,42 @@ def test_the_scan_sees_an_unused_import():
                          ids=lambda p: str(p.relative_to(ROOT)))
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unread_definitions(modules, readers):
+    """Top-level functions and classes of ``modules`` (name -> source) whose
+    name no ``Name`` load, attribute or ``from`` import in ``modules`` or
+    ``readers`` reads.  A name that ``__init__.py`` imports is read there."""
+    trees = {module: ast.parse(source) for module, source in modules.items()}
+    read = set()
+    for tree in [*trees.values(), *map(ast.parse, readers)]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return sorted(f"{module}.{node.name}"
+                  for module, tree in trees.items() for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and node.name not in read)
+
+
+def test_the_scan_sees_an_unread_definition():
+    modules = {"a": "def f():\n    return g()\n\ndef g():\n    pass\n\n"
+                    "class C:\n    pass\n\ndef h():\n    pass\n",
+               "b": "from .a import h\n\ndef k():\n    pass\n"}
+    assert unread_definitions(modules, ["import a\na.k()\n"]) \
+        == ["a.C", "a.f"]
+
+
+def test_every_package_definition_is_read():
+    # test-only code belongs under tests/, not in the package
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
+    readers = [p.read_text(encoding="utf-8")
+               for p in sorted((ROOT / "bench").glob("*.py"))]
+    assert unread_definitions(modules, readers) == []
 
 
 # dataclasses pulls in inspect, ast, dis and tokenize; importlib.resources

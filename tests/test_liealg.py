@@ -8,10 +8,10 @@ import pytest
 from jumploci.liealg import (LieAlgebra, LieError, LieRep, build_abelian,
                              build_sl, build_sol2, det_theta, rep_adjoint,
                              rep_defining, rep_direct_sum, rep_trivial,
-                             sl_basis, sl_coordinates, sl_labels,
-                             sl_root_index)
+                             sl_basis, sl_labels, sl_root_index)
 from jumploci.linalg import Matrix
 from jumploci.scalars import GF, QQ
+from samplers import sl_coordinates
 
 
 def test_sl2_brackets():

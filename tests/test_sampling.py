@@ -1,5 +1,8 @@
-"""Seeded generators: every sample must satisfy its advertised property."""
+"""Seeded generators: every sample must satisfy its advertised property,
+and the test-only samplers draw exactly what they always drew."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -10,12 +13,12 @@ from jumploci.liealg import build_sl, build_sol2, det_theta, rep_defining
 from jumploci.linalg import det, rank
 from jumploci.models import (build_compact_curve, build_open_curve,
                              build_surface_model, build_torus_model)
-from jumploci.sampling import (SamplingError, rand_unimodular,
-                               sample_flat, sample_group_rep,
-                               sample_pi_element, singular_lie_element,
+from jumploci.sampling import (SamplingError, sample_flat,
                                standard_shear_pair, surface_witness)
 from jumploci.scalars import GF, QQ
 from jumploci.serialize import cdga_from_json, cdga_to_json, group_from_json
+from samplers import (rand_unimodular, sample_group_rep, sample_pi_element,
+                      singular_lie_element)
 
 
 MODELS = [
@@ -154,3 +157,34 @@ def test_standard_shear_pair():
     a, b = standard_shear_pair(QQ)
     assert det(a) == QQ.one and det(b) == QQ.one
     assert a @ b != b @ a
+
+
+def entries(rows):
+    return [[str(x) for x in row] for row in rows]
+
+
+def test_test_only_draws_are_frozen():
+    # the seeded tests take their inputs from these samplers, so the digest
+    # pins those inputs: any change to what or in which order they draw
+    # fails here before it silently changes what the other tests check
+    draws = []
+    for seed in range(5):
+        for field in (QQ, GF(5)):
+            for group in (free_group(2), surface_group(1), surface_group(2)):
+                for target in ("SL", "Borel", "GL"):
+                    rep = sample_group_rep(random.Random(seed), group, field,
+                                           target)
+                    draws.append([entries(m.to_lists())
+                                  for m in rep.matrices])
+            conn = sample_pi_element(random.Random(seed),
+                                     build_compact_curve(field, 2),
+                                     rep_defining(build_sl(field, 2)))
+            draws.append(entries(conn.coeffs.to_lists()))
+            x = singular_lie_element(random.Random(seed),
+                                     rep_defining(build_sl(field, 3)))
+            draws.append(entries([x]))
+            m = rand_unimodular(random.Random(seed), field, 3)
+            draws.append(entries(m.to_lists()))
+    text = json.dumps(draws, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "b4b376f83ae2f3da25ee2b136a003cca9838c33b56c059e8a3443bca61e54580")
