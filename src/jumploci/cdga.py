@@ -55,8 +55,6 @@ class Cdga:
         self._diff, self._ranks, self._tables = {}, {}, {}
         for i, m in diff.items():
             if not (0 <= i < self.top_degree):
-                if m.nrows == 0 and m.ncols == self.dim(i):
-                    continue  # tolerate explicit zero map at the top
                 raise CdgaError(f"differential at degree {i} out of range")
             same_field(field, m.field)
             if m.shape != (self.dim(i + 1), self.dim(i)):

@@ -449,7 +449,7 @@ def _common_zeros(lmat, qmats, p, kdim, jobs=1):
         return np.concatenate([np.zeros(0, dtype=np.int64),
                                *walk(split, frontier, lo, hi, [0])])
 
-    workers = max(1, min(int(jobs), p ** c, os.cpu_count() or 1))
+    workers = min(int(jobs), p ** c, os.cpu_count() or 1)
     frontier, split = np.zeros((1, 0), dtype=np.int64), 0
     while split < last and len(frontier) * steps[split][0] < workers:
         frontier = np.concatenate(list(walk(split, frontier, stop=split)))
@@ -533,6 +533,8 @@ def flat_census(cdga, lie, jobs=1):
     coefficient vector in base p.  Exhaustive and exact (``_common_zeros``,
     on up to ``jobs`` threads), and guarded: the p^(dim A^1 * dim lie)
     candidates before any tensor is built, then the flat points."""
+    if jobs < 1:
+        raise FlatConnError(f"jobs must be at least 1, got {jobs}")
     f = cdga.field
     if not isinstance(f, PrimeField):
         raise FlatConnError("exhaustive search needs a prime field")

@@ -15,16 +15,13 @@ L w + w^T Q w, with L = d¹ ⊗ 1 and Q = μ ⊗ c read off the presentation alo
 (``relation_tensors``; μ the product A^1 x A^1 -> A^2, c the structure
 constants of the Lie algebra).
 
-Relations are stored with linear, quadratic, and (for the eliminated surface
-presentation only) nested-bracket cubic terms: a cubic key (k, l, m) stands
-for [g_k, [g_l, g_m]].
+Relations are linear plus quadratic: a quadratic key (k, l), k < l, stands
+for the bracket [g_k, g_l].
 """
 
 from __future__ import annotations
 
 from .flatconn import _common_zeros, _bound_census
-from .linalg import Matrix
-from .models import build_surface_model
 from .scalars import PrimeField
 
 
@@ -33,19 +30,25 @@ class HolonomyError(ValueError):
 
 
 class Relation:
-    def __init__(self, lin=None, quad=None, cubic=None):
+    def __init__(self, lin=None, quad=None):
         self.lin = {} if lin is None else lin        # k -> coef
         self.quad = {} if quad is None else quad     # (k, l), k < l -> coef
-        self.cubic = {} if cubic is None else cubic  # (k, l, m), l < m -> coef
 
     def normalized(self, f):
+        """Coefficients coerced into ``f``; each bracket key ordered (flipping
+        the sign), equal keys summed, zeros dropped."""
         lin = {k: f.coerce(c) for k, c in self.lin.items()
                if not f.is_zero(f.coerce(c))}
-        return Relation(lin, _antisymmetrized(f, self.quad),
-                        _antisymmetrized(f, self.cubic))
-
-    def is_quadratic(self):
-        return not self.cubic
+        quad = {}
+        for (k, l), c in self.quad.items():
+            c = f.coerce(c)
+            if k == l or f.is_zero(c):
+                continue
+            if k > l:
+                k, l, c = l, k, f.neg(c)
+            quad[(k, l)] = f.add(quad.get((k, l), f.zero), c)
+        return Relation(lin, {kl: c for kl, c in quad.items()
+                              if not f.is_zero(c)})
 
     def describe(self, gens):
         parts = []
@@ -53,24 +56,7 @@ class Relation:
             parts.append(f"{c}*{gens[k]}")
         for (k, l), c in sorted(self.quad.items()):
             parts.append(f"{c}*[{gens[k]},{gens[l]}]")
-        for (k, l, m), c in sorted(self.cubic.items()):
-            parts.append(f"{c}*[{gens[k]},[{gens[l]},{gens[m]}]]")
         return " + ".join(parts) if parts else "0"
-
-
-def _antisymmetrized(f, terms):
-    """``terms`` keyed by index tuples antisymmetric in their last pair, with
-    that pair ordered (flipping the sign), equal keys summed, zeros dropped."""
-    out = {}
-    for (*head, l, m), c in terms.items():
-        c = f.coerce(c)
-        if l == m or f.is_zero(c):
-            continue
-        if l > m:
-            l, m, c = m, l, f.neg(c)
-        key = (*head, l, m)
-        out[key] = f.add(out.get(key, f.zero), c)
-    return {key: c for key, c in out.items() if not f.is_zero(c)}
 
 
 class HolonomyPresentation:
@@ -81,8 +67,7 @@ class HolonomyPresentation:
         self.name = name or "holonomy"
         n = len(self.generators)
         for r in self.relations:
-            idxs = (list(r.lin) + [i for kl in r.quad for i in kl]
-                    + [i for key in r.cubic for i in key])
+            idxs = list(r.lin) + [i for kl in r.quad for i in kl]
             if any(not 0 <= i < n for i in idxs):
                 raise HolonomyError("relation index out of range")
 
@@ -121,9 +106,7 @@ def evaluate_relation(rel, lie, rows):
     """Value of a relation in the Lie algebra at generator images ``rows``."""
     br = lie.bracket
     terms = ([(c, rows[k]) for k, c in rel.lin.items()]
-             + [(c, br(rows[k], rows[l])) for (k, l), c in rel.quad.items()]
-             + [(c, br(rows[k], br(rows[l], rows[m])))
-                for (k, l, m), c in rel.cubic.items()])
+             + [(c, br(rows[k], rows[l])) for (k, l), c in rel.quad.items()])
     return [lie.field.coerce(sum(c * v[m] for c, v in terms))
             for m in range(lie.dim)]
 
@@ -145,75 +128,6 @@ def relation_check(pres, lie, assignment):
     return not failing_relations(pres, lie, assignment)
 
 
-def surface_presentations(field, g):
-    """(P_H, P_A) for the genus-g surface.
-
-    P_H: generators a1, b1, ..., ag, bg with the single quadratic relation
-    r = sum_i [a_i, b_i].
-
-    P_A: the presentation of the surface-kernel model with the t generator
-    eliminated.  The raw presentation is verified to have the exact shape
-    {t + r, [a_i, t], [b_i, t]}; substituting t = -r and normalizing signs
-    yields the 2g cubic relations [a_i, r], [b_i, r].
-    """
-    f = field
-    one = f.one
-    gens = []
-    for i in range(1, g + 1):
-        gens += [f"a{i}", f"b{i}"]
-    r_quad = {(2 * i, 2 * i + 1): one for i in range(g)}
-    p_h = HolonomyPresentation(f, gens, [Relation(quad=dict(r_quad))],
-                               name=f"surface_compact_g{g}")
-
-    raw = holonomy_presentation(build_surface_model(f, g))
-    t = 2 * g
-    # verify the raw shape before eliminating
-    first = raw.relations[0]
-    if first.lin != {t: one} or first.quad != r_quad or first.cubic:
-        raise HolonomyError(
-            f"unexpected first relation: {first.describe(raw.generators)}")
-    expected_rest = [Relation(quad={(k, t): one}).normalized(f)
-                     for k in range(2 * g)]
-    rest = raw.relations[1:]
-    if len(rest) != 2 * g or any(
-            r.lin != e.lin or r.quad != e.quad or r.cubic != e.cubic
-            for r, e in zip(rest, expected_rest)):
-        raise HolonomyError("unexpected relation shape in the surface model")
-    # substitute t = -r into [g_k, t] and flip the overall sign:
-    #   [g_k, t] = -[g_k, r]  ~>  [g_k, r] = sum_i [g_k, [a_i, b_i]]
-    eliminated = []
-    for k in range(2 * g):
-        cubic = {(k, 2 * i, 2 * i + 1): one for i in range(g)}
-        eliminated.append(Relation(cubic=cubic))
-    p_a = HolonomyPresentation(f, gens, eliminated,
-                               name=f"surface_model_g{g}_eliminated")
-    return p_h, p_a
-
-
-def build_counterexample_rho(field, n, g):
-    """Generator images on the eliminated genus-g presentation that kill all
-    [x, r] relations while sending r itself to a nonzero root vector.
-
-    a1 -> E12, b1 -> E23, everything else -> 0, inside sl(n), n >= 3.
-    Returns (assignment matrix, image of r, the Lie algebra).
-    """
-    from .liealg import build_sl
-    if n < 3:
-        raise HolonomyError("need n >= 3 for the non-factoring witness")
-    if g < 1:
-        raise HolonomyError("genus must be >= 1")
-    lie = build_sl(field, n)
-    rows = [[field.zero] * lie.dim for _ in range(2 * g)]
-    rows[0] = lie.basis_vector("E12")
-    rows[1] = lie.basis_vector("E23")
-    acc = [field.zero] * lie.dim
-    for i in range(g):
-        br = lie.bracket(rows[2 * i], rows[2 * i + 1])
-        acc = [field.add(u, v) for u, v in zip(acc, br)]
-    assignment = Matrix(field, rows, ncols=lie.dim)
-    return assignment, acc, lie
-
-
 def relation_tensors(pres, lie):
     """int64 arrays (L, Q), of shapes (r·dg, n·dg) and (r·dg, n·dg, n·dg)
     for r relations on n generators, with relation values = L w + w^T Q_j w
@@ -222,15 +136,12 @@ def relation_tensors(pres, lie):
 
     The flatconn module builds its tensors from the multiplication table;
     exhaustive comparisons between the two are a genuine cross-check.
-    Quadratic presentations only.
     """
     import numpy as np
     n, r, dg = len(pres.generators), len(pres.relations), lie.dim
     lin = np.zeros((r, n), dtype=np.int64)
     quad = np.zeros((r, n, n), dtype=np.int64)
     for j, rel in enumerate(pres.relations):
-        if not rel.is_quadratic():
-            raise HolonomyError("tensor form needs a quadratic presentation")
         for k, c in rel.lin.items():
             lin[j, k] = int(c)
         for (k, l), c in rel.quad.items():

@@ -18,9 +18,8 @@ from .flatconn import (FlatConnection, brute_force_flat, det_cut,
                        f1_membership, is_flat, lex_index, mc_residual,
                        tangent_dimension, weight_scale)
 from .grouprep import GroupRep, surface_group, tangent_dimension_rep
-from .holonomy import (build_counterexample_rho, holonomy_presentation,
-                       relation_check, relation_zeros,
-                       surface_presentations)
+from .holonomy import (evaluate_relation, holonomy_presentation,
+                       relation_check, relation_zeros)
 from .liealg import (build_abelian, build_sl, build_sol2, rep_adjoint,
                      rep_defining, rep_direct_sum, rep_trivial)
 from .linalg import rank
@@ -82,8 +81,9 @@ def run_sl3_witness(seed=0, field=None):
     """A rank-3 flat connection beyond the rank-one and pullback loci.
 
     Its coefficient rank is 3, its extra one-form row is nonzero, and its
-    holonomy assignment satisfies the eliminated surface-model relations
-    while violating the single compact-curve relation."""
+    rows kill the surface model's holonomy relations t + r, [x, t] (so
+    t = -r and every [x, r] = 0) while its first 2g rows send the single
+    compact-curve relation r to E13."""
     f = field or QQ
     rep = ScenarioReport("sl3-witness")
     for g in (1, 2):
@@ -102,20 +102,20 @@ def run_sl3_witness(seed=0, field=None):
         t_row = w.coeffs.row(A.dim(1) - 1)
         rep.check(f"{tag}: extra one-form row is nonzero",
                   any(not f.is_zero(x) for x in t_row))
-        _, _, incl = curve_inclusion(f, g)
+        H, _, incl = curve_inclusion(f, g)
         m1 = incl.map(1)
         r1, r2 = rank(m1), rank(m1.hstack(w.coeffs))
         rep.check(f"{tag}: not a pullback from the genus-{g} curve",
                   r2 > r1, f"rank {r1} -> {r2}")
-        p_h, p_a = surface_presentations(f, g)
-        assignment, rho_r, lie = build_counterexample_rho(f, 3, g)
         rep.check(f"{tag}: eliminated surface relations hold",
-                  relation_check(p_a, lie, assignment))
+                  relation_check(holonomy_presentation(A), sl3, w.coeffs))
+        (r,) = holonomy_presentation(H).relations
+        rho_r = evaluate_relation(
+            r, sl3, [w.coeffs.row(k) for k in range(2 * g)])
         rep.check(f"{tag}: compact-curve relation fails",
-                  not relation_check(p_h, lie, assignment))
-        e13 = lie.basis_vector("E13")
+                  not sl3.is_zero_vector(rho_r))
         rep.check(f"{tag}: relator image is the long root vector",
-                  rho_r == e13)
+                  rho_r == sl3.basis_vector("E13"))
     rep.data["coefficient_rank"] = 3
     return rep
 

@@ -206,16 +206,10 @@ def connection_from_json(field, obj):
 # ---------------------------------------------------------- presentations
 
 def presentation_to_json(pres):
-    """Quadratic presentations only; nested-bracket relations (as produced
-    by surface-group elimination) have no JSON form and raise here."""
     f = pres.field
     n = len(pres.generators)
     rels = []
     for r in pres.relations:
-        if not r.is_quadratic():
-            raise SerializeError(
-                "presentation has nested-bracket relations; only linear + "
-                "quadratic terms serialize")
         lin = [f.format(r.lin.get(k, f.zero)) for k in range(n)]
         quad = [{"k": k, "l": l, "coef": f.format(c)}
                 for (k, l), c in sorted(r.quad.items())]

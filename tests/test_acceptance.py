@@ -23,8 +23,7 @@ from jumploci.grouprep import (GroupRep, adjoint_rep, d0_matrix, d1_matrix,
                                free_group, rep_check, surface_group,
                                tangent_dimension_rep, twisted_cohomology)
 from jumploci.holonomy import (evaluate_relation, holonomy_presentation,
-                               relation_check, relation_zeros,
-                               surface_presentations)
+                               relation_check, relation_zeros)
 from jumploci.liealg import (build_abelian, build_sl, build_sol2,
                              rep_adjoint, rep_defining, rep_direct_sum,
                              rep_trivial)
@@ -76,15 +75,16 @@ def test_01_surface_witness_beyond_rank_one():
             assert any(not f.is_zero(x) for x in t_row)
             # ... so the coefficients cannot factor through the curve
             # inclusion (its degree-1 matrix has a zero last row)
-            _, _, incl = curve_inclusion(f, g)
+            h, _, incl = curve_inclusion(f, g)
             m1 = incl.map(1)
             assert rank(m1.hstack(w.coeffs)) > rank(m1)
-            # generator images kill the eliminated relations but send the
-            # single compact-curve relation to the root vector E13
-            p_h, p_a = surface_presentations(f, g)
+            # the rows kill the surface model's relations t + r, [x, t],
+            # so t = -r and every [x, r] = 0, but the handle rows send the
+            # single compact-curve relation r to the root vector E13
+            assert relation_check(holonomy_presentation(a), lie, w.coeffs)
+            p_h = holonomy_presentation(h)
             assignment = Matrix(f, [w.row(k) for k in range(2 * g)],
                                 ncols=lie.dim)
-            assert relation_check(p_a, lie, assignment)
             assert not relation_check(p_h, lie, assignment)
             rows = [assignment.row(k) for k in range(2 * g)]
             value = evaluate_relation(p_h.relations[0], lie, rows)

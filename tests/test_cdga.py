@@ -110,6 +110,13 @@ def test_differential_shape_checked():
         Cdga(QQ, "bad", [["1"], ["x"]], {0: Matrix.zero(QQ, 3, 3)}, {})
 
 
+def test_differential_at_the_top_degree_is_refused():
+    # even the zero map out of the top degree is out of range
+    from jumploci.linalg import Matrix
+    with pytest.raises(CdgaError, match="degree 1 out of range"):
+        Cdga(QQ, "bad", [["1"], ["x"]], {1: Matrix.zero(QQ, 0, 1)}, {})
+
+
 def test_cohomology_of_surface_model():
     # The weight-2 generator kills one degree-1 class and one degree-2 class:
     # dims (1, 2g+1, 2g+1, 1) but betti (1, 2g, 2g, 1).

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from jumploci import cli
+from jumploci import cli, flatconn
 from jumploci.cli import main
 from jumploci.liealg import build_sl
 from jumploci.models import build_surface_model
@@ -315,6 +315,15 @@ def test_json_integer_past_the_digit_limit_is_exit_2(tmp_path, capsys):
     assert "internal error" not in err
 
 
+def test_name_argument_past_the_digit_limit_is_exit_2_in_brief(capsys):
+    # int() refuses more than 4,300 digits with a plain ValueError
+    name = "torus(1" + "0" * 5000 + ")"
+    assert main(["cohomology", "--input", json.dumps({"model": name})]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: expected a natural number, got '")
+    assert len(err.encode()) < 1024
+
+
 @pytest.mark.parametrize("tag", ["f" + "1" * 5000, "fp:" + "1" * 5000,
                                  "fp:" + "1" * 4000],
                          ids=["f-5000-digits", "fp-5000-digits",
@@ -448,6 +457,19 @@ def test_brute_force_counts(capsys):
     assert payload["candidates"] == 19683
     assert payload["count"] == 105
     assert payload["field"] == "f3"
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_brute_force_jobs_below_one_is_exit_2(jobs, monkeypatch, capsys):
+    def unreachable(*args):
+        raise AssertionError("census tensors built for a bad job count")
+
+    monkeypatch.setattr(flatconn, "flatness_tensors", unreachable)
+    assert main(["brute-force", "--field", "f3", "--jobs", jobs, "--input",
+                 '{"cdga": "surface(1)", "lie": "sl(2)"}']) == 2
+    out, err = capsys.readouterr()
+    assert err == f"error: jobs must be at least 1, got {jobs}\n"
+    assert out == ""
 
 
 def test_brute_force_needs_prime_field(capsys):
@@ -647,6 +669,11 @@ CURVE1_RELATIONS = {"model": "compact_curve(1)", "lie": "sl(2)"}
      "relations [0] fail at this assignment"),
     ("resonance", {"connection": GENUS2_EFFE}, 0,
      "member of the degree-1 depth-1 resonance locus"),
+    ("resonance", {"cdga": "torus(2)", "lie": "sl(2)", "coeffs": [
+        ["0", "0", "1"], ["0", "0", "0"]]}, 1,
+     "NOT in the degree-1 depth-1 resonance locus"),
+    ("tangent", BROKEN_SURFACE1_REP, 1,
+     "representation does not satisfy relators [0]"),
     ("depth-gap", {"morphism": "tensor_left(compact_curve(2),"
                                "compact_curve(1))",
                    "theta": "sum(trivial(sl(2),1),adjoint(sl(2)))",
@@ -660,7 +687,8 @@ CURVE1_RELATIONS = {"model": "compact_curve(1)", "lie": "sl(2)"}
     "inline-theta", "inline-theta-too-large", "inline-theta-short",
     "group-rep", "group-rep-broken", "connection", "lie-rep",
     "lie-rep-broken", "presentation", "holonomy", "model-relations-hold",
-    "model-relations-fail", "resonance-member", "explicit-depth-gap",
+    "model-relations-fail", "resonance-member", "resonance-nonmember",
+    "tangent-group-rep-broken", "explicit-depth-gap",
     "lie-rep-check", "lie-rep-check-broken",
 ])
 def test_documents_reach_every_decoder(command, doc, code, line, capsys):

@@ -1,5 +1,7 @@
 """Presentations read off a model and their evaluation on Lie elements."""
 
+from itertools import product as iproduct
+
 import numpy as np
 import pytest
 
@@ -8,15 +10,15 @@ from jumploci.cdga import tensor_product_with_inclusions
 from jumploci.flatconn import (BruteForceBoundError, FlatConnection,
                                flatness_tensors, is_flat, mc_residual)
 from jumploci.holonomy import (HolonomyError, HolonomyPresentation, Relation,
-                               build_counterexample_rho, evaluate_relation,
-                               failing_relations, holonomy_presentation,
-                               relation_check, relation_tensors,
-                               relation_zeros, surface_presentations)
+                               evaluate_relation, failing_relations,
+                               holonomy_presentation, relation_check,
+                               relation_tensors, relation_zeros)
 from jumploci.liealg import build_sl, build_sol2
 from jumploci.linalg import Matrix
 from jumploci.models import (build_compact_curve, build_open_curve,
                              build_os_arrangement, build_surface_model,
                              build_torus_model)
+from jumploci.sampling import surface_witness
 from jumploci.scalars import GF, QQ
 
 
@@ -25,7 +27,7 @@ def test_torus_presentation():
     assert pres.generators == ["e1", "e2"]
     assert len(pres.relations) == 1
     r = pres.relations[0]
-    assert r.lin == {} and r.cubic == {}
+    assert r.lin == {}
     assert r.quad == {(0, 1): QQ.one}
     assert "[e1,e2]" in pres.describe()
 
@@ -48,17 +50,33 @@ def test_surface_model_presentation_raw():
     assert pres.relations[2].quad == {(1, 2): QQ.one}
 
 
-def test_surface_presentations_pair():
-    p_h, p_a = surface_presentations(QQ, 2)
-    assert p_h.generators == p_a.generators == ["a1", "b1", "a2", "b2"]
-    (r,) = p_h.relations
-    assert r.quad == {(0, 1): QQ.one, (2, 3): QQ.one}
-    assert r.is_quadratic()
-    assert len(p_a.relations) == 4
-    for k, rel in enumerate(p_a.relations):
-        assert not rel.is_quadratic()
-        assert rel.cubic == {(k, 0, 1): QQ.one, (k, 2, 3): QQ.one}
-        assert not rel.lin and not rel.quad
+@pytest.mark.parametrize("make_lie, g, count", [
+    pytest.param(lambda f: build_sl(f, 2), 1, 105, id="sl2-g1"),
+    pytest.param(build_sol2, 1, 33, id="sol2-g1"),
+    pytest.param(build_sol2, 2, 2241, id="sol2-g2"),
+])
+def test_surface_relation_zeros_are_the_eliminated_solutions(make_lie, g,
+                                                             count):
+    # t + r = 0 and [x, t] = 0 vanish exactly at (x1, y1, ..., -r) with
+    # r = sum [x_i, y_i] and every [x, r] = 0, found here pair by pair
+    f3 = GF(3)
+    lie = make_lie(f3)
+    pairs = list(iproduct(iproduct(range(3), repeat=lie.dim), repeat=2))
+    want = []
+    for handles in iproduct(pairs, repeat=g):
+        xs = [list(x) for pair in handles for x in pair]
+        r = [0] * lie.dim
+        for x, y in handles:
+            r = [(u + int(v)) % 3
+                 for u, v in zip(r, lie.bracket(list(x), list(y)))]
+        if all(lie.is_zero_vector(lie.bracket(x, r)) for x in xs):
+            pos = 0
+            for digit in [d for x in xs for d in x] + [-c % 3 for c in r]:
+                pos = pos * 3 + digit
+            want.append(pos)
+    assert len(want) == count
+    pres = holonomy_presentation(build_surface_model(f3, g))
+    assert relation_zeros(pres, lie).tolist() == sorted(want)
 
 
 def test_relation_normalization():
@@ -67,8 +85,6 @@ def test_relation_normalization():
     assert r.quad == {}
     r = Relation(quad={(1, 0): 1}).normalized(QQ)
     assert r.quad == {(0, 1): QQ.coerce(-1)}
-    r = Relation(cubic={(0, 2, 1): 1}).normalized(QQ)
-    assert r.cubic == {(0, 1, 2): QQ.coerce(-1)}
 
 
 def test_evaluate_relation_hand_case():
@@ -80,7 +96,7 @@ def test_evaluate_relation_hand_case():
 
 
 def test_relation_check():
-    p_h, _ = surface_presentations(QQ, 1)
+    p_h = holonomy_presentation(build_compact_curve(QQ, 1))
     g = build_sl(QQ, 2)
     assert relation_check(p_h, g, Matrix(QQ, [[1, 0, 0], [2, 0, 0]]))
     assert not relation_check(p_h, g, Matrix(QQ, [[1, 0, 0], [0, 1, 0]]))
@@ -116,14 +132,16 @@ def test_presentation_rejects_bad_indices():
 
 
 def test_counterexample_rho():
-    assignment, rho_r, lie = build_counterexample_rho(QQ, 3, 2)
-    assert rho_r == lie.basis_vector("E13")
-    p_h, p_a = surface_presentations(QQ, 2)
-    # kills every eliminated relation but not the compact-curve relation
-    assert relation_check(p_a, lie, assignment)
-    assert not relation_check(p_h, lie, assignment)
-    with pytest.raises(HolonomyError):
-        build_counterexample_rho(QQ, 2, 1)
+    # the witness kills every relation of the surface model, while its
+    # handle rows send the compact-curve relation r to E13
+    a, lie = build_surface_model(QQ, 2), build_sl(QQ, 3)
+    w = surface_witness(a, lie)
+    assert relation_check(holonomy_presentation(a), lie, w.coeffs)
+    p_h = holonomy_presentation(build_compact_curve(QQ, 2))
+    rows = [w.coeffs.row(k) for k in range(4)]
+    assert not relation_check(p_h, lie, Matrix(QQ, rows))
+    assert evaluate_relation(p_h.relations[0], lie, rows) == \
+        lie.basis_vector("E13")
 
 
 def test_correspondence_on_samples():
@@ -205,8 +223,3 @@ def test_flatness_and_relation_tensors_agree(make_model, p):
         for a, b in zip(flat, rel):
             assert np.array_equal(a % p, b % p)
 
-
-def test_relation_tensors_need_a_quadratic_presentation():
-    _, p_a = surface_presentations(GF(3), 1)
-    with pytest.raises(HolonomyError, match="quadratic"):
-        relation_tensors(p_a, build_sl(GF(3), 2))

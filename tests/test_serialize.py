@@ -3,7 +3,7 @@
 import pytest
 
 from jumploci.cdga import tensor_product_with_inclusions
-from jumploci.holonomy import holonomy_presentation, surface_presentations
+from jumploci.holonomy import holonomy_presentation
 from jumploci.liealg import build_sl, build_sol2
 from jumploci.linalg import Matrix
 from jumploci.models import build_compact_curve, build_surface_model
@@ -106,12 +106,6 @@ def test_presentation_round_trip():
     assert len(back.relations) == len(pres.relations)
     for r1, r2 in zip(back.relations, pres.relations):
         assert r1.lin == r2.lin and r1.quad == r2.quad
-
-
-def test_cubic_presentation_has_no_wire_format():
-    _, p_a = surface_presentations(QQ, 1)
-    with pytest.raises(SerializeError):
-        presentation_to_json(p_a)
 
 
 def test_group_round_trip():
