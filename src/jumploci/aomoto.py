@@ -37,6 +37,13 @@ from .linalg import (Matrix, _common_numerators, kernel_basis, rank, solve,
                      vstack_all)
 
 
+# Refuse a twisted complex whose differentials hold more cells, summed over
+# degrees, than this, before anything is assembled: torus(8) x adjoint sl(8)
+# has 45,405,360 and ran past 25 s, while the largest complex the tests and
+# the benchmark build, curve(5)xcurve(5) x adjoint sl(3), has 263,680.
+DIFFERENTIAL_CEILING = 3 * 10 ** 5
+
+
 class AomotoError(ValueError):
     pass
 
@@ -77,9 +84,15 @@ class AomotoComplex:
     def __init__(self, conn, rep):
         if not rep.lie.structurally_equal(conn.lie):
             raise AomotoError("representation is over a different Lie algebra")
+        dims = [d * rep.dim for d in conn.cdga.dims()]
+        cells = sum(x * y for x, y in zip(dims, dims[1:]))
+        if cells > DIFFERENTIAL_CEILING:
+            raise AomotoError(
+                f"twisted complex too large: its differentials hold {cells} "
+                f"cells (limit {DIFFERENTIAL_CEILING})")
         res = mc_residual(conn)
         f = conn.cdga.field
-        if any(not f.is_zero(x) for x in res):
+        if any(res):
             raise NotFlatError(res)
         self.conn, self.rep, self.cdga = conn, rep, conn.cdga
         scale, rows = _common_numerators(conn.coeffs.rows)

@@ -13,6 +13,7 @@ in a dozen modules or more), and numpy only when a census runs.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -424,7 +425,10 @@ COMMANDS = {   # name -> (handler, help line)
 }
 
 
+@functools.cache
 def build_parser():
+    """The one parser of this process, built on first use: ``parse_args``
+    leaves it unchanged, so every ``main`` call can share it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", metavar="FILE",
                         help="JSON file path, or an inline {...} literal")

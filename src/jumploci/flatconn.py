@@ -90,7 +90,9 @@ class FlatConnection:
 def mc_residual(conn):
     """Maurer-Cartan residual as a vector in degree-2 (x) Lie coordinates,
     flattened algebra-major: index = (degree-2 index) * dim_lie + lie index.
-    Summed in plain ints and reduced once per nonzero entry."""
+    Summed in plain ints; only the nonzero sums are written, each reduced
+    once, so every other entry is ``field.zero`` and a zero entry is exactly
+    a falsy one."""
     a, g = conn.cdga, conn.lie
     den_a, d1, products = a.one_form_table()
     scale, rows = _common_numerators(conn.coeffs.rows)
@@ -110,13 +112,13 @@ def mc_residual(conn):
     out = [a.field.zero] * (len(acc) * n)
     for c, s in enumerate(acc):
         for m, v in s.items():
-            out[c * n + m] = v % p if p else Fraction(v, den)
+            if v:
+                out[c * n + m] = v % p if p else Fraction(v, den)
     return out
 
 
 def is_flat(conn):
-    f = conn.cdga.field
-    return all(f.is_zero(x) for x in mc_residual(conn))
+    return not any(mc_residual(conn))
 
 
 class RankOneReport(namedtuple("RankOneReport",
@@ -212,11 +214,12 @@ def weight_scale(conn, s):
         raise FlatConnError("scale factor must be nonzero")
     if a.weights is None:
         raise FlatConnError(f"model {a.name} carries no weights")
-    factors = [f.pow(s, w) for w in a.weights[1]]
-    rows = [{j: c * x for j, x in r.items()}
-            for c, r in zip(factors, conn.coeffs.rows)]
-    return FlatConnection(a, conn.lie,
-                          Matrix.from_sums(f, rows, conn.lie.dim))
+    powers = {w: f.pow(s, w) for w in set(a.weights[1])}
+    p = f.characteristic
+    # a product of nonzero field elements is nonzero: no entry drops out
+    rows = [{j: c * x % p if p else c * x for j, x in r.items()}
+            for c, r in zip(map(powers.get, a.weights[1]), conn.coeffs.rows)]
+    return FlatConnection(a, conn.lie, Matrix.sparse(f, rows, conn.lie.dim))
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,35 @@ def test_surface_model_square_zero():
     assert AomotoComplex(w, rep_adjoint(w.lie)).square_is_zero()
 
 
+@pytest.mark.parametrize("model, theta, cells", [
+    # the largest complex the benchmark builds (twisted-fp)
+    ("tensor(compact_curve(5),compact_curve(5))", "adjoint(sl(3))",
+     64 * (20 + 2040 + 2040 + 20)),
+    # torus(2) has dimensions 1, 2, 1: 4 m^2 cells with m trivial copies
+    ("torus(2)", 273, 298_116),
+    ("torus(2)", 274, 300_304),
+], ids=["curve5xcurve5-adjoint-sl3", "torus2-trivial273",
+        "torus2-trivial274"])
+def test_differential_ceiling_refuses_before_any_assembly(
+        model, theta, cells, monkeypatch):
+    a = resolve_model(QQ, model)
+    rep = (rep_trivial(build_sl(QQ, 2), theta) if isinstance(theta, int)
+           else resolve_rep(QQ, theta))
+    zero = conn(a, rep.lie, [[0] * rep.lie.dim] * a.dim(1))
+    if cells <= aomoto.DIFFERENTIAL_CEILING:
+        assert AomotoComplex(zero, rep).betti(0) == rep.dim
+        return
+
+    def refused(*args):
+        raise AssertionError("assembled a complex past the ceiling")
+    monkeypatch.setattr(aomoto, "mc_residual", refused)
+    with pytest.raises(AomotoError) as exc:
+        AomotoComplex(zero, rep)
+    assert str(exc.value) == (
+        f"twisted complex too large: its differentials hold {cells} cells "
+        f"(limit {aomoto.DIFFERENTIAL_CEILING})")
+
+
 def test_each_differential_built_and_ranked_once(monkeypatch):
     ranked, built = [], []
 

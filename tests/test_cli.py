@@ -87,6 +87,33 @@ def test_unknown_subcommand_is_usage_error():
     assert exc.value.code == 2
 
 
+def test_one_parser_serves_every_call(capsys):
+    cli.build_parser.cache_clear()
+    assert main(["cohomology", "--input", '{"model": "surface(2)"}']) == 0
+    first = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["frobnicate"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["cohomology", "--input", '{"model": "surface(2)"}']) == 0
+    assert capsys.readouterr().out == first
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+def test_the_shared_parser_prints_a_fresh_parsers_help(capsys):
+    shared, fresh = cli.build_parser(), cli.build_parser.__wrapped__()
+    assert shared.format_help() == fresh.format_help()
+    for name in cli.COMMANDS:
+        helps = []
+        for parser in (shared, fresh):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args([name, "--help"])
+            assert exc.value.code == 0
+            helps.append(capsys.readouterr().out)
+        assert helps[0] == helps[1]
+
+
 def test_cohomology_json(capsys):
     code = main(["cohomology", "--input", '{"model": "surface(2)"}',
                  "--json"])
@@ -336,6 +363,18 @@ def test_long_field_tags_are_exit_2_in_brief(tag, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: field tag '") and "past the supported" in err
     assert len(err.encode()) < 1024
+
+
+def test_an_oversized_twisted_complex_is_exit_2_at_once(capsys):
+    # a rank-one point inside every size limit: row k is (k+1)·x
+    coeffs = [[str((k + 1) * (j + 1)) for j in range(63)] for k in range(8)]
+    doc = {"connection": {"cdga": "torus(8)", "lie": "sl(8)",
+                          "coeffs": coeffs},
+           "theta": "adjoint(sl(8))"}
+    assert main(["aomoto-betti", "--input", json.dumps(doc)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: twisted complex too large: its differentials "
+                   "hold 45405360 cells (limit 300000)\n")
 
 
 @pytest.mark.parametrize("field, doc, count", [

@@ -141,6 +141,9 @@ def test_mc_residual_matches_the_pairwise_oracle(c):
     got = mc_residual(c)
     assert got == pairwise_residual(c)
     assert all(type(x) is type(f.zero) for x in got)
+    # the fast flatness test against the field's own zero test
+    assert is_flat(c) == all(f.is_zero(x) for x in got)
+    assert all(x is f.zero or not f.is_zero(x) for x in got)
     if c.cdga.dim(1) >= 2:
         assert g.bracket(c.row(0), c.row(1)) == \
             pairwise_bracket(g, c.row(0), c.row(1))
@@ -150,6 +153,22 @@ def test_mc_residual_matches_the_pairwise_oracle(c):
         w = np.array([x for k in range(c.cdga.dim(1)) for x in c.row(k)],
                      dtype=object)
         assert [int(x) % f.p for x in lmat @ w + qmats @ w @ w] == got
+
+
+@pytest.mark.parametrize("f", [QQ, GF(5)], ids=["q", "f5"])
+@pytest.mark.parametrize("rows, flat, residual", [
+    # [E, F] + [F + H, E] = 2E: the H sums cancel, the E sum does not
+    ([[1, 0, 0], [0, 1, 0], [0, 1, 1], [1, 0, 0]], False, [2, 0, 0]),
+    # [E, F] + [F, E] = 0: every written sum cancels
+    ([[1, 0, 0], [0, 1, 0], [0, 1, 0], [1, 0, 0]], True, [0, 0, 0]),
+], ids=["some-cancel", "all-cancel"])
+def test_cancelled_residual_sums_stay_the_field_zero(f, rows, flat, residual):
+    c = conn(resolve_model(f, "compact_curve(2)"), build_sl(f, 2), rows)
+    got = mc_residual(c)
+    assert got == [f.coerce(x) for x in residual]
+    assert all(x is f.zero for x in got if f.is_zero(x))
+    assert is_flat(c) is flat
+    assert flat == all(f.is_zero(x) for x in got)
 
 
 def test_fractional_tables_share_one_denominator():
@@ -293,7 +312,12 @@ def test_weight_scale_is_the_row_wise_product(f):
             c, s = conn(a, g, rows), f.coerce(int(rng.integers(1, 5)))
             want = [[f.mul(f.pow(s, w), x) for x in c.row(k)]
                     for k, w in enumerate(a.weights[1])]
-            assert weight_scale(c, s).coeffs == Matrix(f, want)
+            got = weight_scale(c, s).coeffs
+            assert got == Matrix(f, want)
+            assert all(x for r in got.rows for x in r.values())
+            sums = [{j: f.pow(s, w) * x for j, x in r.items()}
+                    for w, r in zip(a.weights[1], c.coeffs.rows)]
+            assert got == Matrix.from_sums(f, sums, g.dim)
 
 
 def test_weight_scale_needs_weights():
