@@ -11,7 +11,9 @@ cochain complex with coefficients in V:
     D1 : V^n -> V^m,    (v_i) |-> (sum_i  rho(dr_j/dx_i) v_i)_j
 
 where dr/dx is the Fox derivative (d(uw)/dx = du/dx + u dw/dx, dx/dx = 1,
-d(x^-1)/dx = -x^-1) evaluated through rho.  The fundamental identity
+d(x^-1)/dx = -x^-1) evaluated through rho.  ``fox_derivative`` gives every
+dr/dx_i of a relator from one walk of its running prefix, one matrix product
+per letter.  The fundamental identity
 sum_i dr/dx_i (x_i - 1) = r - 1 makes D1 D0 = 0 whenever rho kills the
 relators.  Twisted Betti numbers are b0 = dim ker D0,
 b1 = dim ker D1 - rank D0, b2 = m dim V - rank D1.
@@ -169,14 +171,12 @@ class GroupRep:
                         f"matrix for {group.generators[i]} is not upper "
                         "triangular")
 
-    def generator(self, i, sign=1):
-        return self.matrices[i] if sign > 0 else self.inverses[i]
-
     def evaluate(self, word):
         """rho(word) for a signed-index tuple."""
         acc = Matrix.identity(self.field, self.dim)
         for letter in word:
-            acc = acc @ self.generator(abs(letter) - 1, 1 if letter > 0 else -1)
+            acc = acc @ (self.matrices[letter - 1] if letter > 0
+                         else self.inverses[-letter - 1])
         return acc
 
     def __repr__(self):
@@ -195,22 +195,21 @@ def rep_check(rep):
     return (not bad), bad
 
 
-def fox_derivative(rep, word, i):
-    """rho(d word / d x_{i+1}) — running prefix evaluation of the Fox rules."""
+def fox_derivative(rep, word):
+    """[rho(d word / d x_i) for every generator x_i] from one walk of the
+    running prefix u: x_i adds u to its derivative, x_i^-1 adds -u x_i^-1."""
     f = rep.field
-    acc = Matrix.zero(f, rep.dim, rep.dim)
+    derivs = [Matrix.zero(f, rep.dim, rep.dim) for _ in rep.matrices]
     prefix = Matrix.identity(f, rep.dim)
     for letter in word:
         gen = abs(letter) - 1
         if letter > 0:
-            if gen == i:
-                acc = acc + prefix
+            derivs[gen] = derivs[gen] + prefix
             prefix = prefix @ rep.matrices[gen]
         else:
             prefix = prefix @ rep.inverses[gen]
-            if gen == i:
-                acc = acc - prefix
-    return acc
+            derivs[gen] = derivs[gen] - prefix
+    return derivs
 
 
 def d0_matrix(rep):
@@ -225,7 +224,7 @@ def d1_matrix(rep):
     n, d = rep.group.n_generators, rep.dim
     rows = []
     for r in rep.group.relators:
-        blocks = [fox_derivative(rep, r, i).rows for i in range(n)]
+        blocks = [b.rows for b in fox_derivative(rep, r)]
         rows += [{i * d + j: x for i, b in enumerate(blocks)
                   for j, x in b[w].items()} for w in range(d)]
     return Matrix.sparse(rep.field, rows, n * d)

@@ -12,7 +12,7 @@ determinant-cut points) live in ``tests/samplers.py``.
 from fractions import Fraction
 
 from .flatconn import FlatConnection, is_flat
-from .liealg import sl_root_index
+from .liealg import sl_basis, sl_root_index
 from .linalg import Matrix
 
 
@@ -83,8 +83,8 @@ def _abelian_subalgebras(rng, lie, span):
     out = []
     if lie.family and lie.family[0] == "sl":
         n = lie.family[1]
-        cartan_start = lie.dim - (n - 1)
-        out.append([lie.basis_vector(cartan_start + i) for i in range(n - 1)])
+        out.append([lie.basis_vector(k) for k, (i, j) in enumerate(sl_basis(n))
+                    if i == j])
         out.append([lie.basis_vector(sl_root_index(lie, 1, j))
                     for j in range(2, n + 1)])
     elif lie.is_abelian():

@@ -247,6 +247,11 @@ def group_from_json(obj):
 @_decoder
 def group_rep_from_json(field, obj):
     _expect(obj, "group", "target", "matrices")
+    bound, unit = GROUP_MATRIX
+    if any(len(m) > bound or any(len(row) > bound for row in m)
+           for m in obj["matrices"]):
+        raise SerializeError("inline group representation is too large: "
+                             f"the limit is {bound} {unit}")
     group = resolve_group(obj["group"])
     mats = [decode_matrix(field, m) for m in obj["matrices"]]
     return GroupRep(group, obj["target"], mats,
@@ -262,6 +267,7 @@ HYPERPLANES = (16, "hyperplanes")
 LIE_DIM = (63, "dimensions")  # sl(n) for n <= 8
 REP_DIM = (256, "dimensions")
 GENERATORS = (256, "generators")
+GROUP_MATRIX = (8, "rows and columns per matrix")  # SL(8): Ad is 63-dim
 NESTING = 64  # calls nested in a name's arguments; bounds the recursion
 
 INT, DOC = "integer", "document"  # argument kinds that are not GRAMMAR kinds

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from jumploci import cli, flatconn
+from jumploci import cli, flatconn, serialize
 from jumploci.cli import main
 from jumploci.liealg import build_sl
 from jumploci.models import build_surface_model
@@ -375,6 +375,40 @@ def test_an_oversized_twisted_complex_is_exit_2_at_once(capsys):
     err = capsys.readouterr().err
     assert err == ("error: twisted complex too large: its differentials "
                    "hold 45405360 cells (limit 300000)\n")
+
+
+def unipotent_rows(n):
+    """The n x n upper bidiagonal unipotent matrix as document rows."""
+    return [["1" if j in (i, i + 1) else "0" for j in range(n)]
+            for i in range(n)]
+
+
+def test_the_largest_group_representation_answers_in_time(capsys):
+    # 8 x 8 is the limit; surface(32) has 64 generators
+    doc = {"group": "surface(32)", "target": "SL",
+           "matrices": [unipotent_rows(8)] * 64}
+    assert main(["tangent", "--input", json.dumps(doc)]) == 0
+    assert capsys.readouterr().out == (
+        "tangent dimension (adjoint cocycles) = 3976 "
+        "(coboundaries 56, difference 3920)\n")
+
+
+@pytest.mark.parametrize("doc", [
+    {"group": "free(1)", "target": "GL", "matrices": [unipotent_rows(9)]},
+    {"group": "surface(1)", "target": "GL",
+     "matrices": [unipotent_rows(2), unipotent_rows(9)]},
+], ids=["9x9", "second-of-two"])
+def test_a_group_representation_past_8x8_is_exit_2_before_decoding(
+        doc, monkeypatch, capsys):
+    def no_decoding(*args):
+        raise AssertionError("a matrix was decoded")
+
+    monkeypatch.setattr(serialize, "decode_matrix", no_decoding)
+    assert main(["fox", "--input", json.dumps(doc)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: inline group representation is too large: the "
+                   "limit is 8 rows and columns per matrix\n")
+    assert len(err.encode()) < 1024
 
 
 @pytest.mark.parametrize("field, doc, count", [

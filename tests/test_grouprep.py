@@ -1,7 +1,10 @@
 """Fox calculus and twisted cohomology of presentation complexes."""
 
+import random
+
 import pytest
 
+from jumploci import grouprep
 from jumploci.grouprep import (FpGroup, GroupError, GroupRep, adjoint_rep,
                                d0_matrix, d1_matrix, fox_derivative,
                                free_group, free_reduce, parse_word, rep_check,
@@ -9,6 +12,7 @@ from jumploci.grouprep import (FpGroup, GroupError, GroupRep, adjoint_rep,
                                twisted_cohomology)
 from jumploci.linalg import Matrix
 from jumploci.scalars import GF, QQ
+from samplers import sample_group_rep
 
 
 def shear_pair(f):
@@ -50,10 +54,100 @@ def test_fox_derivative_hand_cases():
     g = free_group(2)
     rep = GroupRep(g, "GL", [Matrix(QQ, [[2]]), Matrix(QQ, [[3]])])
     w = parse_word(g.generators, "x1 x2 x1^-1 x2^-1")
-    assert fox_derivative(rep, w, 0) == Matrix(QQ, [[-2]])
-    assert fox_derivative(rep, w, 1) == Matrix(QQ, [[1]])
-    assert fox_derivative(rep, parse_word(g.generators, "x1 x1"), 0) == \
+    assert fox_derivative(rep, w) == [Matrix(QQ, [[-2]]), Matrix(QQ, [[1]])]
+    assert fox_derivative(rep, parse_word(g.generators, "x1 x1"))[0] == \
         Matrix(QQ, [[3]])
+
+
+def fox_oracle(rep, word, i):
+    """rho(d word / d x_{i+1}) from a walk of its own for that one generator,
+    as fox_derivative computed it before it returned every derivative from a
+    single walk."""
+    f = rep.field
+    acc = Matrix.zero(f, rep.dim, rep.dim)
+    prefix = Matrix.identity(f, rep.dim)
+    for letter in word:
+        gen = abs(letter) - 1
+        if letter > 0:
+            if gen == i:
+                acc = acc + prefix
+            prefix = prefix @ rep.matrices[gen]
+        else:
+            prefix = prefix @ rep.inverses[gen]
+            if gen == i:
+                acc = acc - prefix
+    return acc
+
+
+def seeded_words(rng, n, count=12):
+    """Freely reduced words over n generators, with inverse letters and
+    repeated generators."""
+    words = []
+    while len(words) < count:
+        w = free_reduce([rng.choice([-1, 1]) * rng.randint(1, n)
+                         for _ in range(rng.randint(1, 14))])
+        if w:
+            words.append(w)
+    return words
+
+
+def walk_cases():
+    rng = random.Random(25)
+    for group in (free_group(3), surface_group(2)):
+        words = seeded_words(rng, group.n_generators) + list(group.relators)
+        for field in (QQ, GF(5)):
+            for target in ("SL", "Borel", "GL"):
+                yield sample_group_rep(rng, group, field, target), words
+
+
+def test_one_walk_matches_the_per_generator_oracle():
+    inverse_letters = repeats = 0
+    for rep, words in walk_cases():
+        for w in words:
+            inverse_letters += any(x < 0 for x in w)
+            repeats += len({abs(x) for x in w}) < len(w)
+            assert fox_derivative(rep, w) == [
+                fox_oracle(rep, w, i) for i in range(rep.group.n_generators)]
+    assert inverse_letters and repeats
+
+
+def test_one_walk_satisfies_the_fox_identity():
+    # sum_i rho(dw/dx_i) (rho(x_i) - 1) = rho(w) - 1
+    for rep, words in walk_cases():
+        ident = Matrix.identity(rep.field, rep.dim)
+        for w in words:
+            total = Matrix.zero(rep.field, rep.dim, rep.dim)
+            for d, m in zip(fox_derivative(rep, w), rep.matrices):
+                total = total + d @ (m - ident)
+            assert total == rep.evaluate(w) - ident
+
+
+def test_one_matrix_product_per_letter_and_one_walk_per_relator(monkeypatch):
+    group = FpGroup(["a", "b", "c"],
+                    ["a b a^-1 b^-1", "a a c^-1 b", "c^-1 c^-1 a b^-1 c"])
+    rep = sample_group_rep(random.Random(3), free_group(3), QQ, "GL")
+    rep = GroupRep(group, "GL", rep.matrices)
+    products, walks = [], []
+    matmul = Matrix.__matmul__
+
+    def counted_matmul(a, b):
+        products.append((a, b))
+        return matmul(a, b)
+
+    def counted_walk(rep, word):
+        walks.append(word)
+        return fox_derivative(rep, word)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counted_matmul)
+    for r in group.relators:
+        products.clear()
+        fox_derivative(rep, r)
+        assert len(products) == len(r)
+    monkeypatch.setattr(grouprep, "fox_derivative", counted_walk)
+    products.clear()
+    d1_matrix(rep)
+    assert walks == group.relators
+    assert len(products) == sum(map(len, group.relators))
 
 
 def test_rep_constructor_targets():
