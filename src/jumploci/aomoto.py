@@ -128,23 +128,16 @@ class AomotoComplex:
     def betti_all(self):
         return tuple(self.betti(i) for i in range(self.cdga.top_degree + 1))
 
-    def euler(self):
-        return sum((-1) ** i * b for i, b in enumerate(self.betti_all()))
-
     def square_is_zero(self):
         return all((self.matrix(i + 1) @ self.matrix(i)).is_zero()
                    for i in range(self.cdga.top_degree - 1))
-
-
-def aomoto_betti(conn, rep, i):
-    return AomotoComplex(conn, rep).betti(i)
 
 
 def resonance_membership(conn, rep, i, depth):
     """dim H^i of the twisted complex >= depth?"""
     if depth < 1:
         raise AomotoError("depth must be >= 1")
-    return aomoto_betti(conn, rep, i) >= depth
+    return AomotoComplex(conn, rep).betti(i) >= depth
 
 
 class DepthGapReport(namedtuple(
@@ -206,7 +199,7 @@ def depth_gap(morphism, rep, conn, eta):
     if len(eta) != tgt.dim(1):
         raise PreconditionError("eta has the wrong length for the target")
     eta = [f.coerce(x) for x in eta]
-    if any(not f.is_zero(x) for x in tgt.d_apply(1, eta)):
+    if any(not f.is_zero(x) for x in tgt.d_matrix(1).apply(eta)):
         raise PreconditionError("eta is not closed")
     if solve(morphism.map(1), eta) is not None:
         raise PreconditionError("eta lies in the image of the inclusion")
@@ -220,7 +213,7 @@ def depth_gap(morphism, rep, conn, eta):
         raise PreconditionError("connection is rank-one; the gap needs rank >= 2")
 
     pushed = pullback(morphism, conn)
-    base = aomoto_betti(conn, rep, 1)
+    base = AomotoComplex(conn, rep).betti(1)
     target_complex = AomotoComplex(pushed, rep)
     target = target_complex.betti(1)
 

@@ -101,9 +101,6 @@ class Cdga:
             return self._diff[i]
         return Matrix.zero(self.field, self.dim(i + 1), self.dim(i))
 
-    def d_apply(self, i, vec):
-        return self.d_matrix(i).apply(vec)
-
     # -- products ---------------------------------------------------------
 
     def product_basis(self, i, k, j, l):
@@ -171,10 +168,6 @@ class Cdga:
         if not 0 <= i <= self.top_degree:
             return 0
         return self.dim(i) - self.d_rank(i) - self.d_rank(i - 1)
-
-    def euler_characteristic(self):
-        """Alternating sum of basis dimensions (= of cohomology dimensions)."""
-        return sum((-1) ** i * self.dim(i) for i in range(self.top_degree + 1))
 
     # -- weights ------------------------------------------------------------
 
@@ -328,9 +321,6 @@ class CdgaMorphism:
             return self.maps[i]
         return Matrix.zero(self.source.field, self.target.dim(i), 0)
 
-    def apply(self, i, vec):
-        return self.map(i).apply(vec)
-
     def validate(self):
         """Failure list: unit, chain-map, multiplicativity, weights."""
         f = self.source.field
@@ -354,7 +344,7 @@ class CdgaMorphism:
                     for l in range(self.source.dim(j)):
                         fy = self.maps[j].column(l)
                         rhs = self.target.product(i, fx, j, fy)
-                        lhs = self.apply(i + j, dense_vector(
+                        lhs = self.map(i + j).apply(dense_vector(
                             f, self.source.product_basis(i, k, j, l),
                             self.source.dim(i + j)))
                         if lhs != rhs:

@@ -34,10 +34,9 @@ from .scenarios import (ScenarioError, depth_gap_setup, describe_scenarios,
                         run_all, run_scenario)
 from .serialize import (SerializeError, connection_from_json,
                         connection_to_json, decode_matrix, decode_scalar,
-                        encode_scalar, group_rep_from_json,
-                        presentation_from_json, presentation_to_json,
-                        resolve_group, resolve_lie, resolve_model,
-                        resolve_morphism, resolve_rep)
+                        group_rep_from_json, presentation_from_json,
+                        presentation_to_json, resolve_group, resolve_lie,
+                        resolve_model, resolve_morphism, resolve_rep)
 
 
 class CliInputError(ValueError):
@@ -173,7 +172,7 @@ def cmd_cohomology(args, f):
 
 
 def _nonzero_residual(f, res):
-    return {str(i): encode_scalar(f, v) for i, v in enumerate(res)
+    return {str(i): f.format(v) for i, v in enumerate(res)
             if not f.is_zero(v)}
 
 
@@ -197,8 +196,8 @@ def cmd_f1(args, f):
     r = f1_membership(conn)
     payload = {"member": r.member, "reason": r.reason}
     if r.eta is not None:
-        payload["eta"] = [encode_scalar(f, v) for v in r.eta]
-        payload["x"] = [encode_scalar(f, v) for v in r.x]
+        payload["eta"] = [f.format(v) for v in r.eta]
+        payload["x"] = [f.format(v) for v in r.x]
     lines = [("member of the rank-one locus" if r.member
               else "NOT in the rank-one locus") + f": {r.reason}"]
     return (0 if r.member else 1), payload, lines
@@ -210,7 +209,7 @@ def cmd_pi(args, f):
     r = pi_membership(conn, theta)
     payload = {"member": r.member, "reason": r.reason}
     if r.det_value is not None:
-        payload["det"] = encode_scalar(f, r.det_value)
+        payload["det"] = f.format(r.det_value)
     lines = [("member of the determinant cut" if r.member
               else "NOT in the determinant cut") + f": {r.reason}"]
     return (0 if r.member else 1), payload, lines
@@ -223,7 +222,7 @@ def cmd_pullback(args, f):
     out = pullback(phi, conn)
     payload = connection_to_json(out)
     lines = [f"pullback onto {out.cdga.name}:"]
-    lines += ["  " + "  ".join(encode_scalar(f, v) for v in row)
+    lines += ["  " + "  ".join(f.format(v) for v in row)
               for row in out.coeffs.to_lists()]
     return 0, payload, lines
 

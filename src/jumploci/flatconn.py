@@ -40,7 +40,7 @@ import os
 from collections import namedtuple
 from fractions import Fraction
 
-from .linalg import Matrix, _common_numerators, rank
+from .linalg import Matrix, _common_numerators, det, rank
 from .scalars import PrimeField, same_field
 
 
@@ -72,9 +72,6 @@ class FlatConnection:
     @classmethod
     def from_rows(cls, cdga, lie, rows):
         return cls(cdga, lie, Matrix(cdga.field, rows, ncols=lie.dim))
-
-    def row(self, k):
-        return self.coeffs.row(k)
 
     def __eq__(self, other):
         if not isinstance(other, FlatConnection):
@@ -151,7 +148,7 @@ def f1_membership(conn):
     eta = conn.coeffs.column(pm)
     pivot = conn.coeffs[pk, pm]
     x = [f.div(v, pivot) for v in conn.coeffs.row(pk)]
-    deta = a.d_apply(1, eta)
+    deta = a.d_matrix(1).apply(eta)
     if any(not f.is_zero(v) for v in deta):
         return RankOneReport(
             False, "rank one, but the one-form factor is not closed", r)
@@ -164,8 +161,7 @@ def det_cut(r1, rep):
     the ``f1_membership`` report of a connection over rep's Lie algebra."""
     if not r1.member:
         return r1
-    from .liealg import det_theta
-    d = det_theta(rep, r1.x)
+    d = det(rep.apply(r1.x))
     if rep.lie.field.is_zero(d):
         return r1._replace(reason="rank-one with singular action",
                            det_value=d)

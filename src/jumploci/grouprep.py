@@ -30,11 +30,12 @@ from __future__ import annotations
 
 from collections import namedtuple
 from operator import itemgetter
+from reprlib import repr as _brief  # a bounded repr for error messages
 
 from .liealg import (build_sol2, rep_defining, sl_matrices,
                      traceless_coordinates)
 from .linalg import Matrix, det, invert, rank, vstack_all
-from .scalars import same_field
+from .scalars import clip, same_field
 
 
 class GroupError(ValueError):
@@ -51,7 +52,7 @@ def parse_word(generators, text):
         else:
             name, sign = token, 1
         if name not in index:
-            raise GroupError(f"unknown generator {name!r}")
+            raise GroupError(f"unknown generator {_brief(name)}")
         out.append(sign * index[name])
     return free_reduce(out)
 
@@ -84,14 +85,6 @@ class FpGroup:
                 raise GroupError("relator letter out of range")
             self.relators.append(r)
         self.name = name or "group"
-
-    @property
-    def n_generators(self):
-        return len(self.generators)
-
-    def euler_characteristic(self):
-        """Of the presentation 2-complex: 1 - #generators + #relators."""
-        return 1 - len(self.generators) + len(self.relators)
 
     def __repr__(self):
         return (f"FpGroup({self.name}, {len(self.generators)} gens, "
@@ -132,10 +125,10 @@ class GroupRep:
 
     def __init__(self, group, target, matrices, name=""):
         if target not in TARGETS:
-            raise GroupError(f"unknown target {target!r}")
-        if len(matrices) != group.n_generators:
-            raise GroupError(
-                f"{group.n_generators} generators but {len(matrices)} matrices")
+            raise GroupError(f"unknown target {_brief(target)}")
+        if len(matrices) != len(group.generators):
+            raise GroupError(f"{len(group.generators)} generators but "
+                             f"{len(matrices)} matrices")
         self.group = group
         self.target = target
         self.matrices = list(matrices)
@@ -152,24 +145,22 @@ class GroupRep:
         self.dim = nr
         f = self.field
         self.inverses = []
-        for i, m in enumerate(self.matrices):
+        for gen, m in zip(group.generators, self.matrices):
             inv = invert(m)
             if inv is None:
-                raise GroupError(
-                    f"matrix for {group.generators[i]} is singular")
+                raise GroupError(f"matrix for {clip(gen)} is singular")
             self.inverses.append(inv)
             if target in ("SL", "Borel"):
                 d = det(m)
                 if not f.is_zero(f.sub(d, f.one)):
-                    raise GroupError(
-                        f"matrix for {group.generators[i]} has det {d}, not 1")
+                    raise GroupError(f"matrix for {clip(gen)} has det "
+                                     f"{clip(d)}, not 1")
             if target == "Borel":
                 if self.dim != 2:
                     raise GroupError("Borel target means 2x2 matrices")
                 if not f.is_zero(m[1, 0]):
                     raise GroupError(
-                        f"matrix for {group.generators[i]} is not upper "
-                        "triangular")
+                        f"matrix for {clip(gen)} is not upper triangular")
 
     def evaluate(self, word):
         """rho(word) for a signed-index tuple."""
@@ -221,7 +212,7 @@ def d0_matrix(rep):
 def d1_matrix(rep):
     """Fox Jacobian: one block row per relator, one block column per
     generator."""
-    n, d = rep.group.n_generators, rep.dim
+    n, d = len(rep.group.generators), rep.dim
     rows = []
     for r in rep.group.relators:
         blocks = [b.rows for b in fox_derivative(rep, r)]
@@ -267,9 +258,10 @@ def _fox_ranks(rep, twist):
     internal consistency check."""
     ok, bad = rep_check(rep)
     if not ok:
-        raise GroupError(f"relators {bad} are not satisfied")
+        raise GroupError(f"relators {_brief(bad)} are not satisfied")
     if twist not in ("defining", "adjoint"):
-        raise GroupError(f"unknown twist {twist!r} (want defining or adjoint)")
+        raise GroupError(
+            f"unknown twist {_brief(twist)} (want defining or adjoint)")
     local = adjoint_rep(rep) if twist == "adjoint" else rep
     d0 = d0_matrix(local)
     d1 = d1_matrix(local)
@@ -283,7 +275,7 @@ def twisted_cohomology(rep, twist="defining"):
     Raises if the representation does not satisfy the relators, or if the
     Fox identity D1 D0 = 0 fails."""
     dv, r0, r1 = _fox_ranks(rep, twist)
-    n, m = rep.group.n_generators, len(rep.group.relators)
+    n, m = len(rep.group.generators), len(rep.group.relators)
     return TwistedBetti(dv - r0, (n * dv - r1) - r0, m * dv - r1)
 
 
@@ -298,5 +290,5 @@ def tangent_dimension_rep(rep):
     of the adjoint Fox Jacobian.  Reported with dim B^1 and the difference.
     The ranks are those of ``twisted_cohomology(rep, "adjoint")``."""
     dv, r0, r1 = _fox_ranks(rep, "adjoint")
-    z1 = rep.group.n_generators * dv - r1
+    z1 = len(rep.group.generators) * dv - r1
     return TangentReport(z1, r0, z1 - r0)

@@ -25,8 +25,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import Matrix, _common_numerators, dense_vector, det
-from .scalars import same_field
+from .linalg import Matrix, _common_numerators, dense_vector
+from .scalars import clip, same_field
 
 
 class LieError(ValueError):
@@ -49,7 +49,8 @@ class LieAlgebra:
         norm = {}
         for (i, j), vec in brackets.items():
             if not (0 <= i < self.dim and 0 <= j < self.dim):
-                raise LieError(f"bracket index ({i},{j}) out of range")
+                raise LieError(
+                    f"bracket index ({clip(i)},{clip(j)}) out of range")
             if i == j:
                 if any(not field.is_zero(field.coerce(c)) for c in vec.values()):
                     raise LieError(f"nonzero bracket [{i},{i}]")
@@ -170,10 +171,10 @@ class LieRep:
         self.dim = nr
         for m in self.matrices:
             same_field(lie.field, m.field)
-        bad = [f"[{lie.labels[i]},{lie.labels[j]}]"
-               for i, j, _ in _bracket_defects(lie, self.matrices)]
+        bad = "; ".join(f"[{lie.labels[i]},{lie.labels[j]}]"
+                        for i, j, _ in _bracket_defects(lie, self.matrices))
         if bad:
-            raise LieError("bracket compatibility fails: " + "; ".join(bad))
+            raise LieError(f"bracket compatibility fails: {clip(bad, 400)}")
 
     def matrix_table(self):
         """(D, [D·theta(x_m) as sparse rows]): the representation matrices
@@ -307,7 +308,7 @@ def _sl_size(g):
     match g.family:
         case ("sl", n):
             return n
-    raise LieError(f"{g.name} is not an algebra built by build_sl")
+    raise LieError(f"{clip(g.name)} is not an algebra built by build_sl")
 
 
 def sl_root_index(g, i, j):
@@ -352,7 +353,8 @@ def rep_defining(g):
         case ("abelian", 1):
             mats = [[[1]]]
         case _:
-            raise LieError(f"no defining representation wired for {g.name}")
+            raise LieError(
+                f"no defining representation wired for {clip(g.name)}")
     rep = LieRep(g, [Matrix(g.field, m) for m in mats], name="defining")
     rep.family = ("defining",)
     return rep
@@ -387,7 +389,3 @@ def rep_direct_sum(r1, r2):
             for a, b in zip(r1.matrices, r2.matrices)]
     return LieRep(r1.lie, mats, name=f"{r1.name}+{r2.name}")
 
-
-def det_theta(rep, x):
-    """det(theta(x)) for a coordinate vector x — the determinant cut."""
-    return det(rep.apply(x))

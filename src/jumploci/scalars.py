@@ -21,6 +21,16 @@ from fractions import Fraction
 from reprlib import repr as _brief  # a bounded repr for error messages
 
 
+def clip(value, width=30):
+    """``str(value)``, or its two ends around '...' when that is longer
+    than ``width``: a bounded echo that, unlike ``_brief``, adds no quotes."""
+    text = str(value)
+    if len(text) <= width:
+        return text
+    head = (width - 3) // 2
+    return f"{text[:head]}...{text[len(text) - (width - 3 - head):]}"
+
+
 class ScalarError(ValueError):
     """Raised for malformed scalars, bad moduli, or field mismatches."""
 

@@ -434,10 +434,6 @@ CATALOG = [
 RUNNERS = dict(CATALOG)
 
 
-def scenario_names():
-    return [name for name, _ in CATALOG]
-
-
 def describe_scenarios():
     return [(name, (fn.__doc__ or "").strip().split("\n")[0])
             for name, fn in CATALOG]
@@ -446,7 +442,7 @@ def describe_scenarios():
 def run_scenario(name, seed=0, field=None):
     if name not in RUNNERS:
         raise ScenarioError(
-            f"unknown scenario {name!r}; known: {', '.join(scenario_names())}")
+            f"unknown scenario {name!r}; known: {', '.join(RUNNERS)}")
     return RUNNERS[name](seed=seed, field=field)
 
 

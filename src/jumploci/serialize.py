@@ -52,10 +52,6 @@ def decode_scalar(field, text):
     raise SerializeError(f"scalar must be a string, got {_brief(text)}")
 
 
-def encode_scalar(field, value):
-    return field.format(value)
-
-
 @_decoder
 def decode_matrix(field, rows, shape=None):
     if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
@@ -263,6 +259,7 @@ def group_rep_from_json(field, obj):
 # The limits (bound, unit), checked before anything is built.
 MAX_BASIS = 256
 BASIS = (MAX_BASIS, "basis elements")  # of a model, or a morphism's target
+INLINE_MODEL = (MAX_BASIS, "basis elements or degrees")
 HYPERPLANES = (16, "hyperplanes")
 LIE_DIM = (63, "dimensions")  # sl(n) for n <= 8
 REP_DIM = (256, "dimensions")
@@ -301,8 +298,10 @@ GRAMMAR = {
         "tensor": _tensor(0),
         NORMALS: ((DOC,), HYPERPLANES, lambda doc: len(doc["normals"]),
                   lambda f, doc: build_os_arrangement(f, doc["normals"])),
-        INLINE: ((DOC,), BASIS,
-                 lambda doc: sum(map(len, doc.get("basis", ()))),
+        # every degree counts, even an empty one
+        INLINE: ((DOC,), INLINE_MODEL,
+                 lambda doc: max(len(doc.get("basis", ())),
+                                 sum(map(len, doc.get("basis", ())))),
                  lambda f, doc: cdga_from_json(f, doc)),
     },
     "morphism": {

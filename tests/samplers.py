@@ -1,4 +1,5 @@
-"""Seeded samplers that only the tests draw from.
+"""Seeded samplers that only the tests draw from, and the tests' Euler
+characteristic.
 
 Random group representations that satisfy their relators, and random
 points of the determinant cut: test inputs, not results, so they live
@@ -8,12 +9,17 @@ and draws in a fixed order, so a seed pins its output;
 """
 
 from jumploci.grouprep import GroupRep
-from jumploci.liealg import (LieError, _sl_size, det_theta,
-                             traceless_coordinates)
+from jumploci.liealg import LieError, _sl_size, traceless_coordinates
 from jumploci.linalg import Matrix, det, invert
 from jumploci.sampling import (SamplingError, _closed_tensor,
                                rand_closed_coefficients, rand_lie_element,
                                rand_nonzero, rand_scalar, rand_vector)
+
+
+def alternating_sum(values):
+    """sum of (-1)^i values[i]: the Euler characteristic of dimensions or
+    Betti numbers listed from degree 0 up."""
+    return sum((-1) ** i * v for i, v in enumerate(values))
 
 
 # --------------------------------------------------------------- matrices
@@ -69,7 +75,7 @@ def singular_lie_element(rng, rep, span=4):
         x = _singular_candidate(rng, rep, span)
         if all(f.is_zero(c) for c in x):
             continue
-        if f.is_zero(det_theta(rep, x)):
+        if f.is_zero(det(rep.apply(x))):
             return x
     raise SamplingError(
         f"found no nonzero singular element for {rep.name} on {lie.name}")
@@ -137,7 +143,7 @@ def sample_group_rep(rng, group, field, target="SL", span=3):
     time at genus two — a swapped tuple (X, Y, Y, X) whose two commutators
     cancel.
     """
-    n = group.n_generators
+    n = len(group.generators)
     if not group.relators:
         mats = [_rand_target(rng, field, target, span) for _ in range(n)]
         return GroupRep(group, target, mats)

@@ -131,10 +131,10 @@ def test_cocycles_and_d_apply():
     cyc = a.cocycles(1)
     assert len(cyc) == 2
     for v in cyc:
-        assert all(QQ.is_zero(x) for x in a.d_apply(1, v))
+        assert all(QQ.is_zero(x) for x in a.d_matrix(1).apply(v))
     # t itself is not closed
     t_vec = [QQ.zero, QQ.zero, QQ.one]
-    assert any(not QQ.is_zero(x) for x in a.d_apply(1, t_vec))
+    assert any(not QQ.is_zero(x) for x in a.d_matrix(1).apply(t_vec))
 
 
 def test_tensor_product_shape_and_validity():
@@ -249,10 +249,10 @@ def dense_axiom_failures(a):
             if i + j + 1 > top:
                 continue
             x, y = unit(i, k), unit(j, l)
-            lhs = a.d_apply(i + j, a.product(i, x, j, y))
-            term = a.product(i, x, j + 1, a.d_apply(j, y))
+            lhs = a.d_matrix(i + j).apply(a.product(i, x, j, y))
+            term = a.product(i, x, j + 1, a.d_matrix(j).apply(y))
             rhs = [f.add(p, f.neg(t) if i % 2 else t) for p, t in
-                   zip(a.product(i + 1, a.d_apply(i, x), j, y), term)]
+                   zip(a.product(i + 1, a.d_matrix(i).apply(x), j, y), term)]
             if lhs != rhs:
                 out.append("Leibniz fails on "
                            f"({a.label(i, k)}, {a.label(j, l)})")

@@ -282,9 +282,9 @@ def test_names_past_the_other_limits_are_exit_2(kind, spec, limit, capsys):
     (resolve_rep, "sum(trivial(sl(2),128),trivial(sl(2),128))",
      lambda r: r.dim, 256),
     (lambda f, spec: resolve_group(spec), "free(256)",
-     lambda g: g.n_generators, 256),
+     lambda g: len(g.generators), 256),
     (lambda f, spec: resolve_group(spec), "surface(128)",
-     lambda g: g.n_generators, 256),
+     lambda g: len(g.generators), 256),
 ])
 def test_the_largest_name_of_each_head_resolves(resolve, spec, size,
                                                 expected):
@@ -768,6 +768,74 @@ def test_documents_reach_every_decoder(command, doc, code, line, capsys):
     assert main([command, "--input", json.dumps(doc)]) == code
     out, err = capsys.readouterr()
     assert line in (err if code == 2 else out).splitlines()
+
+
+def model_with_degrees(top):
+    """An inline model with one label in degrees 0 and 1, and empty degrees
+    up to ``top``."""
+    return {"name": "x", "top_degree": top,
+            "basis": [["1"], ["a"]] + [[]] * (top - 1)}
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("cohomology", lambda m: {"model": m}),
+    ("validate", lambda m: m),
+    ("aomoto-betti", lambda m: {"connection": {
+        "cdga": m, "lie": "sl(2)", "coeffs": [["1", "0", "0"]]}}),
+], ids=["cohomology", "validate", "aomoto-betti"])
+def test_an_inline_model_counts_its_degrees(command, doc, capsys):
+    # two labels in a million degrees: refused before anything is built
+    assert main([command, "--input", json.dumps(
+        doc(model_with_degrees(10 ** 6)))]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: inline model is too large: the limit is 256 "
+                   "basis elements or degrees\n")
+    # 256 degrees, 0 .. 255, is the largest count accepted
+    assert main([command, "--input", json.dumps(
+        doc(model_with_degrees(255)))]) == 0
+    capsys.readouterr()
+    assert main([command, "--input", json.dumps(
+        doc(model_with_degrees(256)))]) == 2
+    assert "the limit is 256" in capsys.readouterr().err
+
+
+def sl2_labelled(label):
+    """The inline sl(2) with ``label`` in place of E12."""
+    return dict(lie_to_json(build_sl(QQ, 2)), basis=[label, "E21", "H1"])
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("fox", lambda v: {"group": "free(1)", "target": v,
+                       "matrices": [[["1"]]]}, "unknown target '{}'"),
+    ("fox", lambda v: {"group": "free(1)", "target": "GL", "twist": v,
+                       "matrices": [[["1"]]]},
+     "unknown twist '{}' (want defining or adjoint)"),
+    ("fox", lambda v: {"group": {"generators": ["a"], "relators": ["a " + v]},
+                       "target": "GL", "matrices": [[["1"]]]},
+     "unknown generator '{}'"),
+    ("fox", lambda v: {"group": {"generators": [v], "relators": []},
+                       "target": "GL", "matrices": [[["0"]]]},
+     "matrix for {} is singular"),
+    ("aomoto-betti", lambda v: {"connection": json.loads(CURVE_FLAT),
+                                "theta": dict(SL2_BROKEN,
+                                              lie=sl2_labelled(v))},
+     "bracket compatibility fails: [{},E21]; [E21,H1]"),
+    ("aomoto-betti", lambda v: {"connection": {
+        "cdga": "compact_curve(1)", "coeffs": [["1"], ["2"]], "lie": {
+            "name": v, "dim": 1, "basis": ["x"], "brackets": []}}},
+     "no defining representation wired for {}"),
+], ids=["target", "twist", "relator-token", "singular-generator",
+        "lie-label", "lie-name"])
+@pytest.mark.parametrize("value", ["c1", "c" * 10 ** 6],
+                         ids=["short", "1MB"])
+def test_group_and_lie_errors_echo_a_bounded_value(command, doc, message,
+                                                   value, capsys):
+    assert main([command, "--input", json.dumps(doc(value))]) == 2
+    err = capsys.readouterr().err
+    if value == "c1":
+        assert err == f"error: {message.format(value)}\n"
+    assert err.startswith("error: " + message.partition("{")[0])
+    assert len(err.encode()) < 1024
 
 
 def test_relation_check_cli(capsys):

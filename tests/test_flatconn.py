@@ -77,7 +77,7 @@ def pairwise_residual(c):
     """Oracle: the Maurer-Cartan residual as one d¹ product plus one
     bracket per pair k < l of one-forms with a nonzero product."""
     a, g, f = c.cdga, c.lie, c.cdga.field
-    rows = [c.row(k) for k in range(a.dim(1))]
+    rows = [c.coeffs.row(k) for k in range(a.dim(1))]
     acc = (a.d_matrix(1) @ c.coeffs).to_lists()
     for k in range(len(rows)):
         for l in range(k + 1, len(rows)):
@@ -145,13 +145,13 @@ def test_mc_residual_matches_the_pairwise_oracle(c):
     assert is_flat(c) == all(f.is_zero(x) for x in got)
     assert all(x is f.zero or not f.is_zero(x) for x in got)
     if c.cdga.dim(1) >= 2:
-        assert g.bracket(c.row(0), c.row(1)) == \
-            pairwise_bracket(g, c.row(0), c.row(1))
+        assert g.bracket(c.coeffs.row(0), c.coeffs.row(1)) == \
+            pairwise_bracket(g, c.coeffs.row(0), c.coeffs.row(1))
     if f.characteristic:
         # L w + w^T Q w mod p, assembled independently in numpy
         lmat, qmats = (t.astype(object) for t in flatness_tensors(c.cdga, g))
-        w = np.array([x for k in range(c.cdga.dim(1)) for x in c.row(k)],
-                     dtype=object)
+        w = np.array([x for k in range(c.cdga.dim(1))
+                      for x in c.coeffs.row(k)], dtype=object)
         assert [int(x) % f.p for x in lmat @ w + qmats @ w @ w] == got
 
 
@@ -310,7 +310,7 @@ def test_weight_scale_is_the_row_wise_product(f):
                      zip(rng.integers(-3, 4, 3), rng.integers(1, 5, 3))]
                     for _ in range(a.dim(1))]
             c, s = conn(a, g, rows), f.coerce(int(rng.integers(1, 5)))
-            want = [[f.mul(f.pow(s, w), x) for x in c.row(k)]
+            want = [[f.mul(f.pow(s, w), x) for x in c.coeffs.row(k)]
                     for k, w in enumerate(a.weights[1])]
             got = weight_scale(c, s).coeffs
             assert got == Matrix(f, want)

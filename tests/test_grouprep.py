@@ -12,7 +12,7 @@ from jumploci.grouprep import (FpGroup, GroupError, GroupRep, adjoint_rep,
                                twisted_cohomology)
 from jumploci.linalg import Matrix
 from jumploci.scalars import GF, QQ
-from samplers import sample_group_rep
+from samplers import alternating_sum, sample_group_rep
 
 
 def shear_pair(f):
@@ -32,13 +32,14 @@ def test_group_builders():
     f2 = free_group(2)
     assert f2.generators == ["x1", "x2"]
     assert f2.relators == []
-    assert f2.euler_characteristic() == -1
-    assert free_group(3).euler_characteristic() == -2
+    assert alternating_sum((1, len(f2.generators), len(f2.relators))) == -1
+    f3 = free_group(3)
+    assert alternating_sum((1, len(f3.generators), len(f3.relators))) == -2
 
     s2 = surface_group(2)
     assert s2.generators == ["a1", "b1", "a2", "b2"]
     assert s2.relators == [(1, 2, -1, -2, 3, 4, -3, -4)]
-    assert s2.euler_characteristic() == -2
+    assert alternating_sum((1, len(s2.generators), len(s2.relators))) == -2
 
     with pytest.raises(GroupError):
         FpGroup(["a", "a"], [])
@@ -94,7 +95,7 @@ def seeded_words(rng, n, count=12):
 def walk_cases():
     rng = random.Random(25)
     for group in (free_group(3), surface_group(2)):
-        words = seeded_words(rng, group.n_generators) + list(group.relators)
+        words = seeded_words(rng, len(group.generators)) + list(group.relators)
         for field in (QQ, GF(5)):
             for target in ("SL", "Borel", "GL"):
                 yield sample_group_rep(rng, group, field, target), words
@@ -107,7 +108,8 @@ def test_one_walk_matches_the_per_generator_oracle():
             inverse_letters += any(x < 0 for x in w)
             repeats += len({abs(x) for x in w}) < len(w)
             assert fox_derivative(rep, w) == [
-                fox_oracle(rep, w, i) for i in range(rep.group.n_generators)]
+                fox_oracle(rep, w, i)
+                for i in range(len(rep.group.generators))]
     assert inverse_letters and repeats
 
 
@@ -187,7 +189,7 @@ def test_free_group_cohomology():
     rep = GroupRep(f2, "SL", list(shear_pair(QQ)))
     assert twisted_cohomology(rep) == (0, 2, 0)
     assert twisted_cohomology(rep).euler() == \
-        f2.euler_characteristic() * 2
+        alternating_sum((1, len(f2.generators), len(f2.relators))) * 2
 
 
 def test_surface_group_classical_betti():
@@ -261,4 +263,4 @@ def test_fox_identity_over_prime_field():
     d0, d1 = d0_matrix(rep), d1_matrix(rep)
     assert (d1 @ d0).is_zero()
     assert twisted_cohomology(rep).euler() == \
-        s2.euler_characteristic() * 2
+        alternating_sum((1, len(s2.generators), len(s2.relators))) * 2

@@ -1,7 +1,8 @@
 """Every imported name is used, and every top-level definition of the
-package is read somewhere in the package or the benchmark: with no linter
-in the toolchain, these tests scan the sources with ``ast``.  And the CLI
-imports none of the modules that would slow every cold start."""
+package, and every method of its classes, is read somewhere in the package
+or the benchmark: with no linter in the toolchain, these tests scan the
+sources with ``ast``.  And the CLI imports none of the modules that would
+slow every cold start."""
 
 import ast
 import json
@@ -46,9 +47,10 @@ def test_every_imported_name_is_used(path):
 
 
 def unread_definitions(modules, readers):
-    """Top-level functions and classes of ``modules`` (name -> source) whose
-    name no ``Name`` load, attribute or ``from`` import in ``modules`` or
-    ``readers`` reads.  A name that ``__init__.py`` imports is read there."""
+    """Top-level functions and classes of ``modules`` (name -> source), and
+    the methods of those classes other than dunders, whose name no ``Name``
+    load, attribute or ``from`` import in ``modules`` or ``readers`` reads.
+    A name that ``__init__.py`` imports is read there."""
     trees = {module: ast.parse(source) for module, source in modules.items()}
     read = set()
     for tree in [*trees.values(), *map(ast.parse, readers)]:
@@ -59,10 +61,19 @@ def unread_definitions(modules, readers):
                 read.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 read.update(alias.name for alias in node.names)
-    return sorted(f"{module}.{node.name}"
-                  for module, tree in trees.items() for node in tree.body
-                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                  and node.name not in read)
+    defined = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((f"{module}.{node.name}", node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [(f"{module}.{node.name}.{m.name}", m.name)
+                            for m in node.body
+                            if isinstance(m, ast.FunctionDef)
+                            and not (m.name.startswith("__")
+                                     and m.name.endswith("__"))]
+    return sorted(qualified for qualified, name in defined
+                  if name not in read)
 
 
 def test_the_scan_sees_an_unread_definition():
@@ -71,6 +82,16 @@ def test_the_scan_sees_an_unread_definition():
                "b": "from .a import h\n\ndef k():\n    pass\n"}
     assert unread_definitions(modules, ["import a\na.k()\n"]) \
         == ["a.C", "a.f"]
+
+
+def test_the_scan_sees_an_unread_method():
+    modules = {"a": "class C:\n    def __init__(self):\n        self.f()\n"
+                    "\n    def f(self):\n        pass\n\n"
+                    "    def g(self):\n        pass\n\n"
+                    "    def h(self):\n        pass\n\n"
+                    "def k():\n    return C()\n\nk()\n"}
+    assert unread_definitions(modules, ["from a import C\nC().h()\n"]) \
+        == ["a.C.g"]
 
 
 def test_every_package_definition_is_read():

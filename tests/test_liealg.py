@@ -6,10 +6,10 @@ import random
 import pytest
 
 from jumploci.liealg import (LieAlgebra, LieError, LieRep, build_abelian,
-                             build_sl, build_sol2, det_theta, rep_adjoint,
-                             rep_defining, rep_direct_sum, rep_trivial,
-                             sl_basis, sl_labels, sl_root_index)
-from jumploci.linalg import Matrix
+                             build_sl, build_sol2, rep_adjoint, rep_defining,
+                             rep_direct_sum, rep_trivial, sl_basis, sl_labels,
+                             sl_root_index)
+from jumploci.linalg import Matrix, det
 from jumploci.scalars import GF, QQ
 from samplers import sl_coordinates
 
@@ -185,12 +185,12 @@ def test_rep_constructor_checks_bracket_compatibility():
 def test_det_theta():
     g = build_sl(QQ, 2)
     rep = rep_defining(g)
-    assert det_theta(rep, g.basis_vector("H1")) == QQ.coerce(-1)
-    assert det_theta(rep, g.basis_vector("E12")) == QQ.zero
-    assert det_theta(rep, [QQ.one, QQ.one, QQ.zero]) == QQ.coerce(-1)
+    assert det(rep.apply(g.basis_vector("H1"))) == QQ.coerce(-1)
+    assert det(rep.apply(g.basis_vector("E12"))) == QQ.zero
+    assert det(rep.apply([QQ.one, QQ.one, QQ.zero])) == QQ.coerce(-1)
     # ad(x) always kills x itself, so the adjoint determinant cut is zero
     ad = rep_adjoint(g)
-    assert det_theta(ad, [QQ.one, QQ.coerce(2), QQ.coerce(3)]) == QQ.zero
+    assert det(ad.apply([QQ.one, QQ.coerce(2), QQ.coerce(3)])) == QQ.zero
 
 
 def test_rep_defining_sl10():
