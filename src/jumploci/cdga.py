@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from .linalg import (Matrix, _common_numerators, dense_vector, kernel_basis,
                      rank)
-from .scalars import same_field
+from .scalars import clip, same_field
 
 
 class CdgaError(ValueError):
@@ -64,16 +64,17 @@ class Cdga:
             self._diff[i] = m
         self._mult = {}
         for (i, k, j, l), vec in mult.items():
-            if i < 1 or j < 1 or i + j > self.top_degree:
-                raise CdgaError(f"product key ({i},{k},{j},{l}) out of range")
-            if not (0 <= k < self.dim(i) and 0 <= l < self.dim(j)):
-                raise CdgaError(f"product key ({i},{k},{j},{l}) out of range")
+            if not (1 <= i and 1 <= j and i + j <= self.top_degree
+                    and 0 <= k < self.dim(i) and 0 <= l < self.dim(j)):
+                key = ",".join(map(clip, (i, k, j, l)))
+                raise CdgaError(f"product key ({key}) out of range")
             clean = {m: field.coerce(c) for m, c in vec.items()
                      if not field.is_zero(field.coerce(c))}
             for m in clean:
                 if not 0 <= m < self.dim(i + j):
                     raise CdgaError(
-                        f"product ({i},{k})*({j},{l}) hits bad index {m}")
+                        f"product ({i},{k})*({j},{l}) hits bad index "
+                        f"{clip(m)}")
             if clean:
                 self._mult[(i, k, j, l)] = clean
         self.weights = None

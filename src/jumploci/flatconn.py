@@ -354,9 +354,9 @@ def _common_zeros(lmat, qmats, p, kdim, jobs=1):
     At each of its levels it assembles, for a batch of prefixes, the
     residuals made affine so far as systems [A | b] in the unknowns left,
     reduces them together (``_reduce_fibres``) and extends only the
-    consistent prefixes.  The last level, where w_C is whole, solves: each
-    batch's p^nullity points are counted against ``HIT_CEILING`` before any
-    is listed (``_list_solutions``), and all threads' points are counted
+    consistent prefixes.  The last level, where w_C is whole, solves each
+    batch (``_kernels``) and counts its p^nullity points against
+    ``HIT_CEILING`` before any is listed, and all threads' points are counted
     again after the join.  Batches hold at most ``chunk`` prefixes and are
     walked depth-first, so memory is bounded by one batch per level.
 
@@ -426,23 +426,20 @@ def _common_zeros(lmat, qmats, p, kdim, jobs=1):
             at = np.arange(start, min(start + chunk, hi), dtype=np.int64)
             w = np.concatenate([pre[at // span], at[:, None] // digits % p],
                                axis=1)
-            aug = assemble(w)
-            ranks, pivot_row, consistent = _reduce_fibres(aug, p)
-            if i == stop:
-                yield w[consistent]
-            elif i < last:
-                del aug, pivot_row   # this batch's systems, before going down
-                yield from walk(i + 1, w[consistent], held=held)
-            else:
-                nullity = nf - ranks
-                held[0] += int((p ** nullity[consistent]).sum())
-                _bound_census(held[0], ceiling=HIT_CEILING, what="points")
-                by_nullity = np.bincount(nullity[consistent])
-                for k in np.flatnonzero(by_nullity).tolist():
-                    pick = np.flatnonzero(consistent & (nullity == k))
-                    yield _list_solutions(aug[pick], pivot_row[pick], p, k,
-                                          w[pick] @ place[order],
-                                          place[free])
+            if i < last:
+                consistent = _reduce_fibres(assemble(w), p)[2]
+                if i == stop:
+                    yield w[consistent]
+                else:
+                    yield from walk(i + 1, w[consistent], held=held)
+                continue
+            groups = _kernels(assemble(w), p)
+            held[0] += sum(len(pick) * p ** kern.shape[1]
+                           for pick, _, kern in groups)
+            _bound_census(held[0], ceiling=HIT_CEILING, what="points")
+            for pick, x0, kern in groups:
+                yield _list_solutions(x0, kern, p, w[pick] @ place[order],
+                                      place[free])
 
     def run(lo, hi):
         return np.concatenate([np.zeros(0, dtype=np.int64),
@@ -492,27 +489,37 @@ def _reduce_fibres(aug, p):
     return rank, pivot_row, consistent
 
 
-def _list_solutions(aug, pivot_row, p, nullity, base, place_free):
-    """Positions of the p^nullity points of each reduced system's solution
-    space: the particular solution with the free unknowns at 0, plus every
-    combination of the kernel basis vectors, one per free unknown.  Fibres
-    and parameter tuples are taken in blocks of about 2^17 points, so
-    memory is bounded by the block, not by the hit count."""
+def _kernels(aug, p):
+    """Solve the affine systems aug[n] = [A | b], A w + b = 0 mod p, of a
+    batch together (``_reduce_fibres``, in place).  Returns, for each
+    nullity k of a consistent system, k increasing, (indices, x0, K): x0
+    (n x nf) solves with the free unknowns at 0, and K (n x k x nf) has one
+    kernel vector per free unknown, in order, with a 1 in its place."""
     import numpy as np
-    n, _, width = aug.shape
-    nf = width - 1
-    is_pivot = pivot_row >= 0
-    # the reduced row of each pivot unknown; free unknowns read row 0
-    reduced = np.take_along_axis(aug, np.maximum(pivot_row, 0)[:, :, None],
-                                 axis=1)
-    free_cols = np.argsort(is_pivot, axis=1, kind="stable")[:, :nullity]
-    x0 = np.where(is_pivot, -reduced[:, :, nf], 0) % p
-    coupling = np.take_along_axis(reduced[:, :, :nf],
-                                  free_cols[:, None, :].repeat(nf, axis=1),
-                                  axis=2)
-    unit = free_cols[:, None, :] == np.arange(nf)[None, :, None]
-    kernel = (np.where(is_pivot[:, :, None], -coupling, unit) % p
-              ).transpose(0, 2, 1)
+    nf = aug.shape[2] - 1
+    ranks, pivot_row, consistent = _reduce_fibres(aug, p)
+    groups = []
+    for k in np.flatnonzero(np.bincount(nf - ranks[consistent])).tolist():
+        pick = np.flatnonzero(consistent & (ranks == nf - k))
+        is_pivot = pivot_row[pick] >= 0
+        # the reduced row of each pivot unknown; free unknowns read row 0
+        reduced = np.take_along_axis(
+            aug[pick], np.maximum(pivot_row[pick], 0)[:, :, None], axis=1)
+        free_cols = np.argsort(is_pivot, axis=1, kind="stable")[:, :k]
+        coupling = np.take_along_axis(reduced, free_cols[:, None, :], axis=2)
+        unit = free_cols[:, None, :] == np.arange(nf)[None, :, None]
+        groups.append((pick, np.where(is_pivot, -reduced[:, :, nf], 0) % p,
+                       (np.where(is_pivot[:, :, None], -coupling, unit) % p
+                        ).transpose(0, 2, 1)))
+    return groups
+
+
+def _list_solutions(x0, kernel, p, base, place_free):
+    """Positions base + (x0 + t K) . place_free of the points of each
+    solution space of ``_kernels``, t over F_p^k, in blocks of about 2^17
+    points: memory is bounded by the block, not by the hit count."""
+    import numpy as np
+    n, nullity, _ = kernel.shape
     block, params = 1 << 17, p ** nullity
     per = max(1, block // params)
     out = []

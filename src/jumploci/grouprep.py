@@ -136,10 +136,12 @@ class GroupRep:
         shapes = {m.shape for m in self.matrices}
         if len(shapes) > 1:
             raise GroupError("inconsistent matrix sizes")
-        self.field = self.matrices[0].field if self.matrices else None
+        if not self.matrices or not self.matrices[0].nrows:
+            raise GroupError("need at least one matrix of at least one row")
+        self.field = self.matrices[0].field
         for m in self.matrices:
             same_field(self.field, m.field)
-        (nr, nc), = shapes if shapes else {(0, 0)}
+        (nr, nc), = shapes
         if nr != nc:
             raise GroupError("representation matrices must be square")
         self.dim = nr

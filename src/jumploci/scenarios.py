@@ -28,7 +28,7 @@ from .models import (build_compact_curve, build_os_arrangement,
                      pencil_normals)
 from .sampling import (rand_nonzero, rand_scalar, sample_flat,
                        standard_shear_pair, surface_witness)
-from .scalars import GF, QQ
+from .scalars import GF, QQ, clip
 
 
 class ScenarioError(ValueError):
@@ -442,7 +442,7 @@ def describe_scenarios():
 def run_scenario(name, seed=0, field=None):
     if name not in RUNNERS:
         raise ScenarioError(
-            f"unknown scenario {name!r}; known: {', '.join(RUNNERS)}")
+            f"unknown scenario {clip(name)!r}; known: {', '.join(RUNNERS)}")
     return RUNNERS[name](seed=seed, field=field)
 
 

@@ -24,6 +24,7 @@ from .linalg import Matrix
 from .models import (build_compact_curve, build_open_curve,
                      build_os_arrangement, build_surface_model,
                      build_torus_model, curve_inclusion, pencil_normals)
+from .scalars import QQ, clip
 
 
 class SerializeError(ValueError):
@@ -47,7 +48,7 @@ def _decoder(fn):
 def decode_scalar(field, text):
     if isinstance(text, str):
         return field.parse(text)
-    if isinstance(text, int):
+    if type(text) is int:  # a JSON boolean is no number
         return field.coerce(text)
     raise SerializeError(f"scalar must be a string, got {_brief(text)}")
 
@@ -110,16 +111,17 @@ def cdga_from_json(field, obj):
     if unknown:
         raise SerializeError(
             f"unknown model keys: {', '.join(sorted(unknown))[:80]}")
-    basis = obj["basis"]
-    if not isinstance(basis, list) or len(basis) != obj["top_degree"] + 1:
+    basis, top = obj["basis"], _int(obj["top_degree"])
+    if not isinstance(basis, list) or len(basis) != top + 1:
         raise SerializeError("basis must list labels for degrees 0..top")
     dims = [len(b) for b in basis]
     diff = {}
     for entry in obj.get("diff", []):
         _expect(entry, "deg", "matrix")
-        deg = entry["deg"]
+        deg = _int(entry["deg"])
         if not 0 <= deg < len(dims) - 1:
-            raise SerializeError(f"differential degree {deg} out of range")
+            raise SerializeError(
+                f"differential degree {clip(deg)} out of range")
         diff[deg] = decode_matrix(field, entry["matrix"],
                                   shape=(dims[deg + 1], dims[deg]))
     mult = {}
@@ -133,8 +135,9 @@ def cdga_from_json(field, obj):
             _expect(term, "deg", "idx", "coef")
             if term["deg"] != di + dj:
                 raise SerializeError(
-                    f"product ({di},{ki})*({dj},{kj}) lands in degree "
-                    f"{_brief(term['deg'])}, expected {di + dj}")
+                    f"product ({clip(di)},{clip(ki)})*({clip(dj)},{clip(kj)})"
+                    f" lands in degree {_brief(term['deg'])}, expected "
+                    f"{clip(di + dj)}")
             vec[_int(term["idx"])] = decode_scalar(field, term["coef"])
         mult[(di, ki, dj, kj)] = vec
     weights = obj.get("weights")
@@ -158,7 +161,7 @@ def lie_to_json(g):
 def lie_from_json(field, obj):
     _expect(obj, "dim", "basis", "brackets")
     labels = obj["basis"]
-    if len(labels) != obj["dim"]:
+    if len(labels) != _int(obj["dim"]):
         raise SerializeError("dim does not match the basis length")
     brackets = {}
     for entry in obj["brackets"]:
@@ -174,7 +177,7 @@ def lie_from_json(field, obj):
 def rep_from_json(field, obj):
     _expect(obj, "lie", "dim", "matrices")
     lie = resolve_lie(field, obj["lie"])
-    d = obj["dim"]
+    d = _int(obj["dim"])
     if len(obj["matrices"]) != lie.dim:
         raise SerializeError(
             f"need one matrix per basis element ({lie.dim}), got "
@@ -224,7 +227,7 @@ def presentation_from_json(field, obj):
             raise SerializeError(
                 "lin must list one coefficient per generator")
         lin = {k: decode_scalar(field, c) for k, c in enumerate(entry["lin"])}
-        quad = {(t["k"], t["l"]): decode_scalar(field, t["coef"])
+        quad = {(_int(t["k"]), _int(t["l"])): decode_scalar(field, t["coef"])
                 for t in entry["quad"]}
         rels.append(Relation(lin=lin, quad=quad))
     return HolonomyPresentation(field, gens, rels,
@@ -297,7 +300,9 @@ GRAMMAR = {
                    lambda f, m: build_os_arrangement(f, pencil_normals(m))),
         "tensor": _tensor(0),
         NORMALS: ((DOC,), HYPERPLANES, lambda doc: len(doc["normals"]),
-                  lambda f, doc: build_os_arrangement(f, doc["normals"])),
+                  lambda f, doc: build_os_arrangement(f, [
+                      [decode_scalar(QQ, x) for x in v]
+                      for v in doc["normals"]])),
         # every degree counts, even an empty one
         INLINE: ((DOC,), INLINE_MODEL,
                  lambda doc: max(len(doc.get("basis", ())),

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from jumploci import cli, flatconn, serialize
+from jumploci import cli, flatconn, scenarios, serialize
 from jumploci.cli import main
 from jumploci.liealg import build_sl
 from jumploci.models import build_surface_model
@@ -836,6 +836,87 @@ def test_group_and_lie_errors_echo_a_bounded_value(command, doc, message,
         assert err == f"error: {message.format(value)}\n"
     assert err.startswith("error: " + message.partition("{")[0])
     assert len(err.encode()) < 1024
+
+
+def two_form_model(**parts):
+    """A document with two one-forms and one two-form, plus ``parts``."""
+    return {"model": dict({"name": "pt", "top_degree": 2,
+                           "basis": [["1"], ["a", "b"], ["om"]]}, **parts)}
+
+
+KNOWN = ", ".join(scenarios.RUNNERS)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (lambda v: ["cohomology", "--input", json.dumps(two_form_model(mult=[
+        {"i": [1, v], "j": [1, v], "out": []}]))],
+     "product key (1,{0},1,{0}) out of range"),
+    (lambda v: ["cohomology", "--input", json.dumps(two_form_model(mult=[
+        {"i": [1, 0], "j": [1, 1],
+         "out": [{"deg": 2, "idx": v, "coef": "1"}]}]))],
+     "product (1,0)*(1,1) hits bad index {0}"),
+    (lambda v: ["cohomology", "--input", json.dumps(two_form_model(mult=[
+        {"i": [v, 0], "j": [v, 1],
+         "out": [{"deg": 2, "idx": 0, "coef": "1"}]}]))],
+     "product ({0},0)*({0},1) lands in degree 2, expected {1}"),
+    (lambda v: ["cohomology", "--input", json.dumps(two_form_model(diff=[
+        {"deg": v, "matrix": []}]))],
+     "differential degree {0} out of range"),
+    (lambda v: ["scenario", "x" * 25 * len(str(v))],
+     "unknown scenario '{2}'; known: " + KNOWN),
+], ids=["product-key", "bad-index", "lands-in-degree", "differential-degree",
+        "scenario-name"])
+@pytest.mark.parametrize("value", [5, 10 ** 4000 - 1],
+                         ids=["short", "4000-digits"])
+def test_model_and_scenario_errors_echo_a_bounded_integer(argv, message,
+                                                         value, capsys):
+    assert main(argv(value)) == 2
+    err = capsys.readouterr().err
+    if value == 5:
+        assert err == "error: " + message.format(5, 10, "x" * 25) + "\n"
+    assert err.startswith("error: " + message.partition("{")[0])
+    assert err.count("\n") == 1 and len(err.encode()) < 1024
+
+
+CURVE_SL2 = {"cdga": "compact_curve(1)", "lie": "sl(2)"}
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("mc-check", lambda v: dict(CURVE_SL2, coeffs=[[v, 0, 0], [0, 0, 0]])),
+    ("cohomology", lambda v: {"model": {
+        "normals": [[1, 0, 0], [0, 1, 0], [v, 1, 0]]}}),
+    ("cohomology", lambda v: {"model": {
+        "name": "pt", "top_degree": v, "basis": [["1"], ["a"]]}}),
+    ("validate", lambda v: {"dim": v, "basis": ["x"], "brackets": []}),
+    ("aomoto-betti", lambda v: {
+        "connection": {"cdga": "compact_curve(1)", "lie": "abelian(1)",
+                       "coeffs": [["1"], ["2"]]},
+        "theta": {"lie": "abelian(1)", "dim": v, "matrices": [[[v]]]}}),
+], ids=["coeffs", "normals", "top-degree", "lie-dim", "rep-dim"])
+def test_a_json_boolean_is_not_a_number(command, doc, capsys):
+    # Python's bool is an int; the same document with 1 is accepted
+    assert main([command, "--input", json.dumps(doc(1))]) == 0
+    capsys.readouterr()
+    assert main([command, "--input", json.dumps(doc(True))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(" True\n")
+    assert err.count("\n") == 1 and len(err.encode()) < 1024
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("fox", {"group": "surface(1)", "target": "SL", "matrices": [[], []]}),
+    ("fox", {"group": "surface(1)", "target": "SL", "twist": "adjoint",
+             "matrices": [[], []]}),
+    ("tangent", {"group": "surface(1)", "target": "SL",
+                 "matrices": [[], []]}),
+    ("fox", {"group": {"generators": [], "relators": []}, "target": "SL",
+             "matrices": []}),
+], ids=["defining", "adjoint", "tangent", "no-generators"])
+def test_a_group_representation_needs_a_matrix_with_rows(command, doc,
+                                                         capsys):
+    assert main([command, "--input", json.dumps(doc)]) == 2
+    assert capsys.readouterr().err == \
+        "error: need at least one matrix of at least one row\n"
 
 
 def test_relation_check_cli(capsys):

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from jumploci import flatconn, liealg
@@ -18,7 +18,7 @@ from jumploci.cdga import Cdga, tensor_product_with_inclusions
 from jumploci.cli import main
 from jumploci.flatconn import (BruteForceBoundError, FlatConnection,
                                FlatConnError, NotFlatError, _common_zeros,
-                               _list_solutions, _place_values,
+                               _kernels, _list_solutions, _place_values,
                                _reduce_fibres, _vertex_cover,
                                brute_force_flat, det_cut,
                                f1_membership, flat_census, flatness_tensors,
@@ -27,7 +27,7 @@ from jumploci.flatconn import (BruteForceBoundError, FlatConnection,
 from jumploci.holonomy import holonomy_presentation, relation_zeros
 from jumploci.liealg import (LieAlgebra, build_abelian, build_sl,
                              build_sol2, rep_adjoint, rep_defining)
-from jumploci.linalg import Matrix, rank
+from jumploci.linalg import Matrix, kernel_basis, rank, solve
 from jumploci.models import (build_compact_curve, build_open_curve,
                              build_surface_model, build_torus_model,
                              curve_inclusion)
@@ -425,12 +425,8 @@ def fibre_oracle(lmat, qmats, p, kdim):
         quad = (wc @ qcc.reshape(c, rdim * c)).reshape(n, rdim, c) % p
         aug[:, :, nf] = wc @ lc.T + (quad * wc[:, None, :]).sum(axis=2)
         aug %= p
-        ranks, pivot_row, consistent = _reduce_fibres(aug, p)
-        nullity = nf - ranks
-        for k in np.unique(nullity[consistent]).tolist():
-            pick = np.flatnonzero(consistent & (nullity == k))
-            parts.append(_list_solutions(aug[pick], pivot_row[pick], p, k,
-                                         wc[pick] @ place[cover],
+        for pick, x0, kern in _kernels(aug, p):
+            parts.append(_list_solutions(x0, kern, p, wc[pick] @ place[cover],
                                          place[free]))
     return np.sort(np.concatenate(parts))
 
@@ -496,6 +492,54 @@ def test_fibre_reduction_matches_exact_rank(batch):
         assert rnk[n] == want
         assert consistent[n] == (rank(Matrix(f, rows, ncols=nf + 1)) == want)
         assert (pivot_row[n] >= 0).sum() == want
+
+
+@st.composite
+def kernel_batches(draw):
+    """A batch of systems [A | b] mod p whose rows of A come from a pool of
+    three and whose b comes from a pool of two, so that ranks fall short
+    and equal rows of A often disagree in b: inconsistent systems, and
+    nullities from 0 to nf, the latter from all-zero rows."""
+    p = draw(st.sampled_from([3, 5, 7, (1 << 31) - 1]))
+    n, rdim, nf = (draw(st.integers(1, 6)), draw(st.integers(1, 5)),
+                   draw(st.integers(0, 4)))
+    value = st.integers(0, p - 1)
+    pool = [draw(st.lists(value, min_size=nf, max_size=nf))
+            for _ in range(3)] + [[0] * nf]
+    rhs = [0, draw(value)]
+    rows = [draw(st.sampled_from(pool)) + [draw(st.sampled_from(rhs))]
+            for _ in range(n * rdim)]
+    return p, np.array(rows, dtype=np.int64).reshape(n, rdim, nf + 1)
+
+
+@seed(20261021)
+@settings(max_examples=200, deadline=None)
+@given(batch=kernel_batches())
+@example(batch=(7, np.array([[[1, 2, 3], [1, 2, 4]]])))  # inconsistent
+@example(batch=(5, np.array([[[1, 0, 1], [0, 1, 2]]])))  # nullity 0
+@example(batch=(3, np.array([[[0, 0, 0]], [[0, 0, 1]]])))  # nullity nf
+def test_kernels_match_exact_solve_and_kernel_basis(batch):
+    # every system's solution with the free unknowns at 0 and its kernel
+    # basis against the exact sparse elimination of linalg, one at a time
+    p, aug = batch
+    nf = aug.shape[2] - 1
+    f = GF(p)
+    systems = aug.tolist()
+    groups = _kernels(aug, p)
+    nullities = [kern.shape[1] for _, _, kern in groups]
+    assert nullities == sorted(set(nullities))
+    solved = {}
+    for pick, x0, kern in groups:
+        for n, x, k in zip(pick.tolist(), x0.tolist(), kern.tolist()):
+            assert n not in solved
+            solved[n] = (x, k)
+    for n, rows in enumerate(systems):
+        a = Matrix(f, [r[:nf] for r in rows], ncols=nf)
+        x = solve(a, [-r[nf] for r in rows])
+        if x is None:
+            assert n not in solved
+        else:
+            assert solved[n] == (x, kernel_basis(a))
 
 
 @pytest.mark.parametrize("make_model", [
