@@ -377,6 +377,8 @@ def cmd_rep_check(args, f):
 def cmd_scenario(args, f):
     name, seed = args.name, args.seed
     field = f if args.field is not None else None
+    if field is not None and name in ("list", "all"):
+        raise CliInputError("--field applies to one named scenario")
     if name == "list":
         payload = [{"name": n, "description": d}
                    for n, d in describe_scenarios()]

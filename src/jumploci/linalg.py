@@ -320,21 +320,6 @@ def _clear_q(log, rows, ids, c, piv, cols):
             log.append((ca, h or 1))
 
 
-def _integer_rows(rows, log=None):
-    """Each rational sparse row times the lcm of its denominators, over the
-    gcd of the result: a primitive integer row on the same support.  Each
-    (multiplier, divisor) goes to ``log`` when one is given."""
-    out = []
-    for r in rows:
-        den = lcm(*(x.denominator for x in r.values()))
-        row = {j: x.numerator * (den // x.denominator) for j, x in r.items()}
-        h = gcd(*row.values()) or 1
-        out.append({j: x // h for j, x in row.items()} if h > 1 else row)
-        if log is not None:
-            log.append((den, h))
-    return out
-
-
 def _common_numerators(rows):
     """(D, rows·D): sparse rows of Fractions or ints as integer numerators
     over D, the lcm of every entry's denominator."""
@@ -344,11 +329,21 @@ def _common_numerators(rows):
 
 
 def _working_rows(field, rows, log=None):
-    """Copies of sparse rows for the field's row update, and that update."""
+    """Copies of sparse rows for the field's row update, and that update.
+    Over Q a row is its numerators over the common D, over their gcd h;
+    each (D, h) goes to ``log`` when one is given."""
     p = field.characteristic
     if p:
         return [dict(r) for r in rows], partial(_clear_mod_p, p)
-    return _integer_rows(rows, log), partial(_clear_q, log)
+    den, rows = _common_numerators(rows)
+    for r in rows:
+        h = gcd(*r.values()) or 1
+        if h > 1:
+            for j in r:
+                r[j] //= h
+        if log is not None:
+            log.append((den, h))
+    return rows, partial(_clear_q, log)
 
 
 def _echelon(field, rows, ncols, reduced=False):

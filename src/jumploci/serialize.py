@@ -50,7 +50,8 @@ def decode_scalar(field, text):
         return field.parse(text)
     if type(text) is int:  # a JSON boolean is no number
         return field.coerce(text)
-    raise SerializeError(f"scalar must be a string, got {_brief(text)}")
+    raise SerializeError(
+        f"scalar must be a string or an integer, got {_brief(text)}")
 
 
 @_decoder

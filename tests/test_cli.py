@@ -696,6 +696,17 @@ def test_scenario_all_runs_the_whole_catalog(capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "8/8 scenarios hold"
 
 
+@pytest.mark.parametrize("argv", [["scenario", "all", "--field", "f5"],
+                                  ["scenario", "list", "--field", "f5"]],
+                         ids=["all", "list"])
+def test_field_goes_with_one_named_scenario(argv, capsys):
+    # each catalog entry has its own default field, which --field replaces
+    # for that entry alone
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: --field applies to one named scenario\n")
+
+
 GENUS2_EFFE = {
     "cdga": "compact_curve(2)", "lie": "sl(2)",
     "coeffs": [["1", "0", "0"], ["0", "1", "0"], ["0", "1", "0"],
@@ -881,19 +892,24 @@ def test_model_and_scenario_errors_echo_a_bounded_integer(argv, message,
 CURVE_SL2 = {"cdga": "compact_curve(1)", "lie": "sl(2)"}
 
 
-@pytest.mark.parametrize("command, doc", [
-    ("mc-check", lambda v: dict(CURVE_SL2, coeffs=[[v, 0, 0], [0, 0, 0]])),
+SCALAR_NOT_BOOLEAN = "error: scalar must be a string or an integer, got True\n"
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("mc-check", lambda v: dict(CURVE_SL2, coeffs=[[v, 0, 0], [0, 0, 0]]),
+     SCALAR_NOT_BOOLEAN),
     ("cohomology", lambda v: {"model": {
-        "normals": [[1, 0, 0], [0, 1, 0], [v, 1, 0]]}}),
+        "normals": [[1, 0, 0], [0, 1, 0], [v, 1, 0]]}}, SCALAR_NOT_BOOLEAN),
     ("cohomology", lambda v: {"model": {
-        "name": "pt", "top_degree": v, "basis": [["1"], ["a"]]}}),
-    ("validate", lambda v: {"dim": v, "basis": ["x"], "brackets": []}),
+        "name": "pt", "top_degree": v, "basis": [["1"], ["a"]]}}, None),
+    ("validate", lambda v: {"dim": v, "basis": ["x"], "brackets": []}, None),
     ("aomoto-betti", lambda v: {
         "connection": {"cdga": "compact_curve(1)", "lie": "abelian(1)",
                        "coeffs": [["1"], ["2"]]},
-        "theta": {"lie": "abelian(1)", "dim": v, "matrices": [[[v]]]}}),
+        "theta": {"lie": "abelian(1)", "dim": v, "matrices": [[[v]]]}},
+     None),
 ], ids=["coeffs", "normals", "top-degree", "lie-dim", "rep-dim"])
-def test_a_json_boolean_is_not_a_number(command, doc, capsys):
+def test_a_json_boolean_is_not_a_number(command, doc, message, capsys):
     # Python's bool is an int; the same document with 1 is accepted
     assert main([command, "--input", json.dumps(doc(1))]) == 0
     capsys.readouterr()
@@ -901,6 +917,8 @@ def test_a_json_boolean_is_not_a_number(command, doc, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.endswith(" True\n")
     assert err.count("\n") == 1 and len(err.encode()) < 1024
+    if message is not None:
+        assert err == message
 
 
 @pytest.mark.parametrize("command, doc", [
