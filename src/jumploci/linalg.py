@@ -330,20 +330,19 @@ def _common_numerators(rows):
 
 def _working_rows(field, rows, log=None):
     """Copies of sparse rows for the field's row update, and that update.
-    Over Q a row is its numerators over the common D, over their gcd h;
-    each (D, h) goes to ``log`` when one is given."""
+    Over Q a row is its numerators over D, the lcm of its own denominators,
+    over their gcd h; each (D, h) goes to ``log`` when one is given."""
     p = field.characteristic
     if p:
         return [dict(r) for r in rows], partial(_clear_mod_p, p)
-    den, rows = _common_numerators(rows)
+    out = []
     for r in rows:
+        den, (r,) = _common_numerators((r,))
         h = gcd(*r.values()) or 1
-        if h > 1:
-            for j in r:
-                r[j] //= h
+        out.append({j: x // h for j, x in r.items()} if h > 1 else r)
         if log is not None:
             log.append((den, h))
-    return rows, partial(_clear_q, log)
+    return out, partial(_clear_q, log)
 
 
 def _echelon(field, rows, ncols, reduced=False):

@@ -249,13 +249,55 @@ def oracle_invert(f, rows):
     return [r[n:] for r in red[:n]]
 
 
+# -- over Q elimination starts from primitive integer rows: each must be
+# -- its own row's positive multiple with coprime entries.
+
+def oracle_primitive(row):
+    """(the row times the lcm of its own denominators over the gcd of the
+    result, that (lcm, gcd))."""
+    den = lcm(*(x.denominator for x in row.values()))
+    ints = {j: int(x * den) for j, x in row.items()}
+    h = gcd(*ints.values()) or 1
+    return {j: x // h for j, x in ints.items()}, (den, h)
+
+
+@st.composite
+def mixed_denominator_rows(draw):
+    """Sparse rational rows, empty ones among them, with entries of either
+    sign over denominators that differ within a row and between rows."""
+    ncols = draw(st.integers(1, 7))
+    entry = st.builds(Fraction, st.integers(-60, 60).filter(bool),
+                      st.sampled_from((1, 2, 3, 4, 6, 9, 10, 35, 49, 720)))
+    return draw(st.lists(st.dictionaries(st.integers(0, ncols - 1), entry,
+                                         max_size=ncols),
+                         max_size=8)), ncols
+
+
+@seed(20261022)
+@settings(max_examples=200, deadline=None)
+@given(rows_and_width=mixed_denominator_rows())
+def test_q_working_rows_are_each_rows_primitive_multiple(rows_and_width):
+    rows, _ = rows_and_width
+    log = []
+    work, _ = _working_rows(QQ, rows, log)
+    assert len(work) == len(log) == len(rows)
+    for row, got, logged in zip(rows, work, log):
+        want, want_log = oracle_primitive(row)
+        assert got == want and all(type(x) is int for x in got.values())
+        assert logged == want_log
+
+
 @st.composite
 def shaped_matrices(draw, f):
     """Wide, tall, square, empty and all-zero shapes, with dependent rows
-    from ``dependent_matrices`` or sparse random entries."""
-    kind = draw(st.sampled_from(("dependent", "sparse", "zero")))
+    from ``dependent_matrices`` or sparse random entries, and over Q rows
+    whose denominators differ within a row and between rows."""
+    kind = draw(st.sampled_from(("dependent", "sparse", "zero")
+                                + (("mixed",) if f is QQ else ())))
     if kind == "dependent":
         return draw(dependent_matrices(f))
+    if kind == "mixed":
+        return Matrix.sparse(f, *draw(mixed_denominator_rows()))
     nrows, ncols = draw(st.integers(0, 9)), draw(st.integers(0, 9))
     if kind == "zero":
         return Matrix.zero(f, nrows, ncols)
@@ -287,63 +329,6 @@ def test_sparse_kernels_match_fraction_oracle(f, data):
     inv = invert(square)
     assert (inv.to_lists() if inv is not None else None) == \
         oracle_invert(f, sq)
-
-
-# -- over Q elimination starts from primitive integer rows, made with one
-# -- denominator for the whole batch: each must be its own row's multiple.
-
-def oracle_primitive(row):
-    """(the row times the lcm of its own denominators over the gcd of the
-    result, the ratio of that multiple)."""
-    den = lcm(*(x.denominator for x in row.values()))
-    ints = {j: int(x * den) for j, x in row.items()}
-    h = gcd(*ints.values()) or 1
-    return {j: x // h for j, x in ints.items()}, Fraction(den, h)
-
-
-@st.composite
-def mixed_denominator_rows(draw):
-    """Sparse rational rows, empty ones among them, with entries of either
-    sign over denominators that differ within a row and between rows."""
-    ncols = draw(st.integers(1, 7))
-    entry = st.builds(Fraction, st.integers(-60, 60).filter(bool),
-                      st.sampled_from((1, 2, 3, 4, 6, 9, 10, 35, 49, 720)))
-    return draw(st.lists(st.dictionaries(st.integers(0, ncols - 1), entry,
-                                         max_size=ncols),
-                         max_size=8)), ncols
-
-
-@seed(20261022)
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_q_working_rows_are_each_rows_primitive_multiple(data):
-    rows, n = data.draw(mixed_denominator_rows())
-    log = []
-    work, _ = _working_rows(QQ, rows, log)
-    assert len(work) == len(log) == len(rows)
-    for row, got, (d, h) in zip(rows, work, log):
-        want, ratio = oracle_primitive(row)
-        assert got == want and all(type(x) is int for x in got.values())
-        # an empty row is zero times any ratio
-        assert not row or Fraction(d, h) == ratio
-        assert {j: x * Fraction(d, h) for j, x in row.items()} == got
-    m = Matrix.sparse(QQ, rows, n)
-    dense = m.to_lists()
-    red, pivots = oracle_rref(QQ, dense, n)
-    assert rank(m) == len(pivots)
-    got, got_pivots = rref(m)
-    assert got_pivots == pivots and got.to_lists() == red
-    assert kernel_basis(m) == oracle_kernel(QQ, dense, n)
-    b = [QQ.coerce(x) for x in data.draw(st.lists(
-        _entries(QQ), min_size=m.nrows, max_size=m.nrows))]
-    assert solve(m, b) == oracle_solve(QQ, dense, n, b)
-    k = min(m.nrows, n)
-    square = Matrix(QQ, [r[:k] for r in dense[:k]], ncols=k)
-    sq = square.to_lists()
-    assert det(square) == oracle_det(QQ, sq)
-    inv = invert(square)
-    assert (inv.to_lists() if inv is not None else None) == \
-        oracle_invert(QQ, sq)
 
 
 # -- shapes on which the fewest-live-rows column order of ``rank`` and
